@@ -153,7 +153,7 @@ CellResult RunCell(const sim::Scenario& scenario,
   collector_options.event_capacity = 0;  // metrics only
   obs::Collector collector(collector_options);
   core::BufferManager buffer(device, frames, core::CreatePolicy(policy),
-                             obs::kEnabled ? &collector : nullptr);
+                             &collector);
   TimingSource timing(&buffer);
   const rtree::RTree tree =
       rtree::RTree::Open(scenario.disk.get(), &timing, scenario.tree_meta);
@@ -178,10 +178,8 @@ CellResult RunCell(const sim::Scenario& scenario,
   cell.io_recovered_reads = buffer.stats().io_recovered_reads;
   cell.io_permanent_failures = buffer.stats().io_permanent_failures;
   cell.io_errors = tree.io_errors();
-  if constexpr (obs::kEnabled) {
-    buffer.FlushObservability();
-    cell.metrics = collector.metrics().Snapshot();
-  }
+  buffer.FlushObservability();
+  cell.metrics = collector.metrics().Snapshot();
   if (fault_device != nullptr) {
     cell.faults_injected = fault_device->fault_stats().injected();
     // Recovery ledger: every injected data fault is exactly one retried

@@ -68,9 +68,6 @@ std::vector<CoordSet> MakeSets(size_t n, size_t k) {
 
 std::vector<Level> AvailableLevels() {
   std::vector<Level> levels{Level::kScalar};
-  if (geom::kernels::LevelAvailable(Level::kSse2)) {
-    levels.push_back(Level::kSse2);
-  }
   if (geom::kernels::LevelAvailable(Level::kAvx2)) {
     levels.push_back(Level::kAvx2);
   }

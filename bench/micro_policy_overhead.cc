@@ -5,11 +5,10 @@
 // realistic buffer sizes.
 //
 // In addition to the google-benchmark timings, the binary prints an
-// eviction-cost table for the spatial policies with the frame-metadata
-// cache enabled versus disabled: ns per eviction and header decodes per
-// eviction (steady state should be 0 decodes with the cache on, ~frames
-// decodes per victim scan with it off). The table is also appended as
-// JSON-Lines to BENCH_policy_overhead.json.
+// eviction-cost table for the spatial policies: ns per eviction with and
+// without a collector attached, and header decodes per eviction (0 in
+// steady state, served by the frame-metadata cache). The table is also
+// appended as JSON-Lines to BENCH_policy_overhead.json.
 
 #include <benchmark/benchmark.h>
 
@@ -108,13 +107,11 @@ struct EvictionCost {
 };
 
 EvictionCost MeasureEvictionCost(const std::string& policy, size_t frames,
-                                 bool cache_enabled,
                                  obs::Collector* collector = nullptr) {
   const size_t pages = 4 * frames;
   auto disk = StageDisk(pages);
   core::BufferManager buffer(disk.get(), frames, core::CreatePolicy(policy),
                              collector);
-  buffer.set_meta_cache_enabled(cache_enabled);
   uint64_t query = 0;
   storage::PageId next = 0;
   const auto touch = [&] {
@@ -149,11 +146,11 @@ EvictionCost MeasureEvictionCost(const std::string& policy, size_t frames,
   return cost;
 }
 
-/// Prints (and JSON-logs) the metadata-cache A/B table: the same steady-
-/// state eviction loop with the cache enabled and disabled, per policy and
-/// buffer size — plus an observability A/B column (collector attached, ring
-/// at its default capacity) quantifying the instrumentation cost the obs
-/// subsystem promises to keep near zero when detached.
+/// Prints (and JSON-logs) the eviction-cost table: the steady-state
+/// eviction loop per policy and buffer size, plus an observability A/B
+/// column (collector attached, ring at its default capacity) quantifying
+/// the instrumentation cost the obs subsystem promises to keep near zero
+/// when detached.
 void RunEvictionCostTable() {
   const std::vector<std::string> policies = {"LRU", "A", "EO", "SLRU:A:0.25",
                                              "ASB"};
@@ -161,42 +158,32 @@ void RunEvictionCostTable() {
   const std::string json_path = "BENCH_policy_overhead.json";
   bool json_ok = true;
   for (const size_t frames : frame_counts) {
-    sim::Table table({"policy", "ns/evict (cache)", "ns/evict (no cache)",
-                      "ns/evict (obs)", "decodes/evict (cache)",
-                      "decodes/evict (no cache)"});
+    sim::Table table(
+        {"policy", "ns/evict", "ns/evict (obs)", "decodes/evict"});
     for (const std::string& policy : policies) {
-      const EvictionCost cached =
-          MeasureEvictionCost(policy, frames, /*cache_enabled=*/true);
-      const EvictionCost uncached =
-          MeasureEvictionCost(policy, frames, /*cache_enabled=*/false);
+      const EvictionCost plain = MeasureEvictionCost(policy, frames);
       obs::Collector collector;
-      const EvictionCost observed = MeasureEvictionCost(
-          policy, frames, /*cache_enabled=*/true, &collector);
-      table.AddRow({policy, sim::FormatDouble(cached.ns_per_eviction, 1),
-                    sim::FormatDouble(uncached.ns_per_eviction, 1),
+      const EvictionCost observed =
+          MeasureEvictionCost(policy, frames, &collector);
+      table.AddRow({policy, sim::FormatDouble(plain.ns_per_eviction, 1),
                     sim::FormatDouble(observed.ns_per_eviction, 1),
-                    sim::FormatDouble(cached.decodes_per_eviction, 2),
-                    sim::FormatDouble(uncached.decodes_per_eviction, 2)});
+                    sim::FormatDouble(plain.decodes_per_eviction, 2)});
       char line[512];
       std::snprintf(
           line, sizeof(line),
           "{\"schema_version\":%d,"
           "\"bench\":\"policy_overhead\",\"policy\":\"%s\","
           "\"frames\":%zu,\"ns_per_eviction\":%.1f,"
-          "\"ns_per_eviction_no_cache\":%.1f,"
           "\"ns_per_eviction_obs\":%.1f,\"decodes_per_eviction\":%.3f,"
-          "\"decodes_per_eviction_no_cache\":%.3f,\"evictions\":%llu}",
+          "\"evictions\":%llu}",
           obs::kBenchJsonSchemaVersion,
-          sim::JsonEscape(policy).c_str(), frames, cached.ns_per_eviction,
-          uncached.ns_per_eviction, observed.ns_per_eviction,
-          cached.decodes_per_eviction, uncached.decodes_per_eviction,
-          static_cast<unsigned long long>(cached.evictions));
+          sim::JsonEscape(policy).c_str(), frames, plain.ns_per_eviction,
+          observed.ns_per_eviction, plain.decodes_per_eviction,
+          static_cast<unsigned long long>(plain.evictions));
       json_ok = sim::AppendJsonLine(json_path, line) && json_ok;
     }
     char title[128];
-    std::snprintf(title, sizeof(title),
-                  "eviction cost, metadata cache on/off — %zu frames",
-                  frames);
+    std::snprintf(title, sizeof(title), "eviction cost — %zu frames", frames);
     table.Print(title);
   }
   if (!json_ok) {
@@ -261,8 +248,7 @@ void RunFaultOverheadTable() {
       // so take minima to shave scheduler noise off both sides.
       EvictionCost plain, fault;
       for (int rep = 0; rep < 3; ++rep) {
-        const EvictionCost p =
-            MeasureEvictionCost(policy, frames, /*cache_enabled=*/true);
+        const EvictionCost p = MeasureEvictionCost(policy, frames);
         const EvictionCost f = MeasureEvictionCostFaultLayer(policy, frames);
         if (rep == 0 || p.ns_per_eviction < plain.ns_per_eviction) plain = p;
         if (rep == 0 || f.ns_per_eviction < fault.ns_per_eviction) fault = f;
@@ -399,7 +385,7 @@ double MeasureHitFetchNs(size_t frames, bool attach_collector) {
   obs::Collector collector(options);
   core::BufferManager buffer(
       disk.get(), frames, core::CreatePolicy("LRU"),
-      attach_collector && obs::kEnabled ? &collector : nullptr);
+      attach_collector ? &collector : nullptr);
   uint64_t query = 0;
   storage::PageId next = 0;
   const auto touch = [&] {

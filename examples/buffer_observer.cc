@@ -21,13 +21,6 @@
 int main(int argc, char** argv) {
   using namespace sdb;
 
-  if (!obs::kEnabled) {
-    std::fprintf(stderr,
-                 "built with SDB_OBS=OFF — nothing to observe; reconfigure "
-                 "with -DSDB_OBS=ON\n");
-    return 1;
-  }
-
   sim::ScenarioOptions options;
   options.kind = sim::DatabaseKind::kUsLike;
   options.build = sim::BuildMode::kBulkLoad;

@@ -25,6 +25,10 @@ uint64_t Mix64(uint64_t x) {
 /// concludes the pool is genuinely exhausted (each scan drains the deferred
 /// ring and yields, so lagging unpin events get every chance to land).
 constexpr size_t kVictimScanLimit = 1u << 16;
+
+/// Optimistic probe retries (after the first attempt) before
+/// TryOptimisticFetch gives up and the caller takes the latch.
+constexpr uint32_t kMaxOptimisticRetries = 3;
 }  // namespace
 
 PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
@@ -94,12 +98,10 @@ BufferManager::BufferManager(storage::PageDevice* disk, size_t frames,
   quarantine_cap_ = resilience_.max_quarantined_frames != 0
                         ? std::min(resilience_.max_quarantined_frames, frames)
                         : frames / 2;
-  if constexpr (obs::kEnabled) {
-    obs_ = collector;
-    if (obs_ != nullptr) {
-      obs_evictions_ = obs_->metrics().GetCounter("buffer.evictions");
-      obs_writebacks_ = obs_->metrics().GetCounter("buffer.dirty_writebacks");
-    }
+  obs_ = collector;
+  if (obs_ != nullptr) {
+    obs_evictions_ = obs_->metrics().GetCounter("buffer.evictions");
+    obs_writebacks_ = obs_->metrics().GetCounter("buffer.dirty_writebacks");
   }
   frame_data_ = std::make_unique<std::byte[]>(frames * page_size_);
   frames_.assign(frames, Frame{});
@@ -120,6 +122,12 @@ BufferManager::~BufferManager() { FlushAll(); }
 StatusOr<PageHandle> BufferManager::Fetch(storage::PageId page,
                                           const AccessContext& ctx) {
   if (concurrent_) DrainDeferred();
+  return FetchDrained(page, ctx, nullptr);
+}
+
+StatusOr<PageHandle> BufferManager::FetchDrained(storage::PageId page,
+                                                 const AccessContext& ctx,
+                                                 StagedReads* staged) {
   // Fast-fail on a page that already failed terminally: no device traffic,
   // no frame churn, the caller gets the same terminal code every time.
   if (!bad_pages_.empty()) {
@@ -135,20 +143,19 @@ StatusOr<PageHandle> BufferManager::Fetch(storage::PageId page,
       policy_->SetEvictable(f, false);
     }
     policy_->OnPageAccessed(f, ctx);
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) obs_->OnBufferRequest(page, ctx.query_id, true);
-    }
+    if (obs_ != nullptr) obs_->OnBufferRequest(page, ctx.query_id, true);
     return PageHandle(this, f, page);
   }
 
   ++stats_.misses;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) obs_->OnBufferRequest(page, ctx.query_id, false);
-  }
+  if (obs_ != nullptr) obs_->OnBufferRequest(page, ctx.query_id, false);
   StatusOr<FrameId> acquired = AcquireFrame(ctx, page);
   if (!acquired.ok()) return acquired.status();
   const FrameId f = *acquired;
-  if (Status read = ReadPageWithRecovery(f, page); !read.ok()) {
+  const Status read = staged != nullptr
+                          ? ReadStagedPage(f, page, ctx, *staged)
+                          : ReadPageWithRecovery(f, page);
+  if (!read.ok()) {
     if (concurrent_) sync_[f].Unlock();
     return read;
   }
@@ -174,9 +181,7 @@ StatusOr<PageHandle> BufferManager::New(const AccessContext& ctx) {
     return allocated.status();
   }
   const storage::PageId page = *allocated;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) obs_->OnBufferRequest(page, ctx.query_id, false);
-  }
+  if (obs_ != nullptr) obs_->OnBufferRequest(page, ctx.query_id, false);
   std::memset(FrameData(f), 0, page_size_);
   InstallLoadedPage(f, page, ctx,
                     /*dirty=*/true);  // must reach disk even if never modified
@@ -192,9 +197,7 @@ StatusOr<PageHandle> BufferManager::NewAt(storage::PageId page,
   ++stats_.misses;
   StatusOr<FrameId> acquired = AcquireFrame(ctx, page);
   if (!acquired.ok()) return acquired.status();
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) obs_->OnBufferRequest(page, ctx.query_id, false);
-  }
+  if (obs_ != nullptr) obs_->OnBufferRequest(page, ctx.query_id, false);
   const FrameId f = *acquired;
   std::memset(FrameData(f), 0, page_size_);
   InstallLoadedPage(f, page, ctx, /*dirty=*/true);
@@ -261,10 +264,6 @@ void BufferManager::FlushAll() {
 storage::PageMeta BufferManager::GetMeta(FrameId frame) const {
   SDB_DCHECK(frame < frames_.size());
   SDB_DCHECK(frames_[frame].page != storage::kInvalidPageId);
-  if (!meta_cache_enabled_) {
-    ++header_decodes_;
-    return storage::ConstPageHeaderView(FrameData(frame)).ToMeta();
-  }
   MetaCacheEntry& entry = meta_cache_[frame];
   if (entry.version != meta_versions_[frame]) {
     entry.meta = storage::ConstPageHeaderView(FrameData(frame)).ToMeta();
@@ -280,7 +279,6 @@ void BufferManager::FillMeta(FrameId f) {
   // eviction in steady state). Not counted in header_decodes(), which
   // tracks decodes performed to *serve* GetMeta.
   ++meta_versions_[f];
-  if (!meta_cache_enabled_) return;
   MetaCacheEntry& entry = meta_cache_[f];
   entry.meta = storage::ConstPageHeaderView(FrameData(f)).ToMeta();
   entry.version = meta_versions_[f];
@@ -307,7 +305,7 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
   }
   // Bound on no-victim retries in concurrent mode: deferred unpin events
   // can lag the atomic pin counts, so a transiently victimless policy view
-  // is drained and re-scanned before the seed's all-pinned abort fires.
+  // is drained and re-scanned before the pool is declared exhausted.
   size_t starved_scans = 0;
   // Clean-victim preference: with background write-back enabled and the
   // pool at or below the high watermark, dirty victims are set aside
@@ -353,13 +351,17 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
         std::this_thread::yield();
         continue;
       }
-      // A healthy pool with no victim means the caller pinned everything — a
-      // bug, and the seed's abort contract. Once quarantine has eaten frames,
-      // exhaustion is an operational condition the caller must survive.
-      SDB_CHECK_MSG(quarantined_count_ > 0,
+      // A private buffer with no victim means its one caller pinned
+      // everything — a harness bug, and the seed's abort contract. A service
+      // shard (latch attached) is different: clients that together hold
+      // every pin reach this legitimately, and so does a pool shrunk by
+      // quarantine. Both are operational conditions the caller must survive.
+      SDB_CHECK_MSG(latch_ != nullptr || quarantined_count_ > 0,
                     "no evictable frame: all pages are pinned");
       return Status::ResourceExhausted(
-          "no evictable frame: pool shrunk by quarantine");
+          quarantined_count_ > 0
+              ? "no evictable frame: pool shrunk by quarantine"
+              : "no evictable frame: all pages are pinned");
     }
     const FrameId f = *victim;
     Frame& frame = frames_[f];
@@ -392,9 +394,7 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
         // reached it — a synchronous foreground write is the fallback the
         // watermark bench gates on.
         ++stats_.sync_writeback_fallbacks;
-        if constexpr (obs::kEnabled) {
-          if (obs_sync_fallbacks_ != nullptr) obs_sync_fallbacks_->Add();
-        }
+        if (obs_sync_fallbacks_ != nullptr) obs_sync_fallbacks_->Add();
       }
       if (Status written = WriteBackLocked(f, ctx); !written.ok()) {
         // The victim keeps its bytes and residency; the fetch that wanted
@@ -405,17 +405,15 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
       }
     }
     ++stats_.evictions;
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) {
-        obs_evictions_->Add();
-        obs::Event event;
-        event.kind = obs::EventKind::kEviction;
-        event.flag = was_dirty;
-        event.frame = f;
-        event.query = ctx.query_id;
-        event.page = frame.page;
-        obs_->events().Push(event);
-      }
+    if (obs_ != nullptr) {
+      obs_evictions_->Add();
+      obs::Event event;
+      event.kind = obs::EventKind::kEviction;
+      event.flag = was_dirty;
+      event.frame = f;
+      event.query = ctx.query_id;
+      event.page = frame.page;
+      obs_->events().Push(event);
     }
     page_table_.erase(frame.page);
     if (concurrent_) {
@@ -436,6 +434,30 @@ Status BufferManager::ReadPageWithRecovery(FrameId f, storage::PageId page) {
       f, page, disk_->Read(page, {FrameData(f), page_size_}));
 }
 
+Status BufferManager::ReadStagedPage(FrameId f, storage::PageId page,
+                                     const AccessContext& ctx,
+                                     StagedReads& staged) {
+  const auto slot = staged.slot.find(page);
+  if (slot == staged.slot.end()) return ReadPageWithRecovery(f, page);
+  // The complete span covers the harvest-until-this-page poll loop plus the
+  // staging copy and checksum verify — the whole wait for the device.
+  obs::ScopedSpan complete_span(ctx.span, obs::SpanKind::kAsyncComplete);
+  complete_span.set_page(page);
+  while (!staged.completed.contains(page) && async_device_->in_flight() > 0) {
+    staged.completions.clear();
+    async_device_->PollCompletions(&staged.completions, 1);
+    for (const auto& completion : staged.completions) {
+      staged.completed.emplace(completion.page, completion.status);
+    }
+  }
+  const auto done = staged.completed.find(page);
+  if (done == staged.completed.end()) return ReadPageWithRecovery(f, page);
+  complete_span.set_flag(true);
+  std::memcpy(FrameData(f), staging_.get() + slot->second * page_size_,
+              page_size_);
+  return FinishReadWithRecovery(f, page, done->second);
+}
+
 Status BufferManager::FinishReadWithRecovery(FrameId f, storage::PageId page,
                                              Status status) {
   uint32_t failures = 0;
@@ -447,11 +469,9 @@ Status BufferManager::FinishReadWithRecovery(FrameId f, storage::PageId page,
         if (actual != *expected) {
           status = Status::DataLoss("page checksum mismatch");
           ++stats_.io_checksum_mismatches;
-          if constexpr (obs::kEnabled) {
-            if (obs_ != nullptr) {
-              EnsureIoObs();
-              obs_io_mismatches_->Add();
-            }
+          if (obs_ != nullptr) {
+            EnsureIoObs();
+            obs_io_mismatches_->Add();
           }
         }
       }
@@ -459,38 +479,32 @@ Status BufferManager::FinishReadWithRecovery(FrameId f, storage::PageId page,
     if (status.ok()) {
       if (failures > 0) {
         ++stats_.io_recovered_reads;
-        if constexpr (obs::kEnabled) {
-          if (obs_ != nullptr) {
-            obs::Event event;
-            event.kind = obs::EventKind::kIoRecovered;
-            event.frame = f;
-            event.page = page;
-            event.a = failures;
-            obs_->events().Push(event);
-          }
+        if (obs_ != nullptr) {
+          obs::Event event;
+          event.kind = obs::EventKind::kIoRecovered;
+          event.frame = f;
+          event.page = page;
+          event.a = failures;
+          obs_->events().Push(event);
         }
       }
       return status;
     }
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) {
-        obs::Event event;
-        event.kind = obs::EventKind::kIoFault;
-        event.flag = status.retryable();
-        event.frame = f;
-        event.page = page;
-        event.a = failures;
-        event.b = static_cast<uint64_t>(status.code());
-        obs_->events().Push(event);
-      }
+    if (obs_ != nullptr) {
+      obs::Event event;
+      event.kind = obs::EventKind::kIoFault;
+      event.flag = status.retryable();
+      event.frame = f;
+      event.page = page;
+      event.a = failures;
+      event.b = static_cast<uint64_t>(status.code());
+      obs_->events().Push(event);
     }
     if (!status.retryable() || failures >= resilience_.max_read_retries) {
       ++stats_.io_permanent_failures;
-      if constexpr (obs::kEnabled) {
-        if (obs_ != nullptr) {
-          EnsureIoObs();
-          obs_io_permanent_->Add();
-        }
+      if (obs_ != nullptr) {
+        EnsureIoObs();
+        obs_io_permanent_->Add();
       }
       bad_pages_.emplace(page, status.code());
       QuarantineFrame(f, page);
@@ -498,11 +512,9 @@ Status BufferManager::FinishReadWithRecovery(FrameId f, storage::PageId page,
     }
     ++failures;
     ++stats_.io_read_retries;
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) {
-        EnsureIoObs();
-        obs_io_retries_->Add();
-      }
+    if (obs_ != nullptr) {
+      EnsureIoObs();
+      obs_io_retries_->Add();
     }
     BackoffBeforeRetry(failures, page);
     status = disk_->Read(page, {FrameData(f), page_size_});
@@ -520,17 +532,15 @@ void BufferManager::QuarantineFrame(FrameId f, storage::PageId page) {
     frame.quarantined = true;
     ++quarantined_count_;
     ++stats_.io_quarantined_frames;
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) {
-        EnsureIoObs();
-        obs_io_quarantined_->Add();
-        obs::Event event;
-        event.kind = obs::EventKind::kFrameQuarantined;
-        event.frame = f;
-        event.page = page;
-        event.a = quarantined_count_;
-        obs_->events().Push(event);
-      }
+    if (obs_ != nullptr) {
+      EnsureIoObs();
+      obs_io_quarantined_->Add();
+      obs::Event event;
+      event.kind = obs::EventKind::kFrameQuarantined;
+      event.frame = f;
+      event.page = page;
+      event.a = quarantined_count_;
+      obs_->events().Push(event);
     }
     return;
   }
@@ -542,22 +552,18 @@ void BufferManager::QuarantineFrame(FrameId f, storage::PageId page) {
 }
 
 void BufferManager::EnsureIoObs() {
-  if constexpr (obs::kEnabled) {
-    if (obs_ == nullptr || obs_io_retries_ != nullptr) return;
-    obs_io_retries_ = obs_->metrics().GetCounter("io.read_retries");
-    obs_io_mismatches_ = obs_->metrics().GetCounter("io.checksum_mismatches");
-    obs_io_quarantined_ = obs_->metrics().GetCounter("io.quarantined_frames");
-    obs_io_permanent_ = obs_->metrics().GetCounter("io.permanent_failures");
-  }
+  if (obs_ == nullptr || obs_io_retries_ != nullptr) return;
+  obs_io_retries_ = obs_->metrics().GetCounter("io.read_retries");
+  obs_io_mismatches_ = obs_->metrics().GetCounter("io.checksum_mismatches");
+  obs_io_quarantined_ = obs_->metrics().GetCounter("io.quarantined_frames");
+  obs_io_permanent_ = obs_->metrics().GetCounter("io.permanent_failures");
 }
 
 void BufferManager::EnsureWriteObs() {
-  if constexpr (obs::kEnabled) {
-    if (obs_ == nullptr || obs_io_write_retries_ != nullptr) return;
-    obs_io_write_retries_ = obs_->metrics().GetCounter("io.write_retries");
-    obs_io_write_quarantined_ =
-        obs_->metrics().GetCounter("io.write_quarantined");
-  }
+  if (obs_ == nullptr || obs_io_write_retries_ != nullptr) return;
+  obs_io_write_retries_ = obs_->metrics().GetCounter("io.write_retries");
+  obs_io_write_quarantined_ =
+      obs_->metrics().GetCounter("io.write_quarantined");
 }
 
 void BufferManager::QuarantineWriteFailure(FrameId f) {
@@ -592,11 +598,9 @@ void BufferManager::QuarantineWriteFailure(FrameId f) {
   frame.write_failures = 0;
   frame.page = storage::kInvalidPageId;
   ++stats_.io_write_quarantined;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) {
-      EnsureWriteObs();
-      obs_io_write_quarantined_->Add();
-    }
+  if (obs_ != nullptr) {
+    EnsureWriteObs();
+    obs_io_write_quarantined_->Add();
   }
   QuarantineFrame(f, page);
 }
@@ -618,7 +622,6 @@ void BufferManager::BackoffBeforeRetry(uint32_t failures,
 }
 
 void BufferManager::FlushObservability() {
-  if constexpr (!obs::kEnabled) return;
   if (concurrent_) DrainDeferred();  // totals must include deferred hits
   if (obs_ == nullptr) return;
   // Delta-flush: header decodes are the only total the hot path does not
@@ -748,11 +751,9 @@ Status BufferManager::WriteBackLocked(FrameId f, const AccessContext& ctx,
          failures < resilience_.max_write_retries) {
     ++failures;
     ++stats_.io_write_retries;
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) {
-        EnsureWriteObs();
-        obs_io_write_retries_->Add();
-      }
+    if (obs_ != nullptr) {
+      EnsureWriteObs();
+      obs_io_write_retries_->Add();
     }
     BackoffBeforeRetry(failures, frame.page);
     written = disk_->Write(frame.page, {FrameData(f), page_size_});
@@ -767,9 +768,7 @@ Status BufferManager::WriteBackLocked(FrameId f, const AccessContext& ctx,
   --dirty_frames_;
   frame.rec_lsn = 0;
   ++stats_.dirty_writebacks;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) obs_writebacks_->Add();
-  }
+  if (obs_ != nullptr) obs_writebacks_->Add();
   return Status::Ok();
 }
 
@@ -833,9 +832,7 @@ EvictStatus BufferManager::Evict(storage::PageId page) {
     }
   }
   ++stats_.evictions;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) obs_evictions_->Add();
-  }
+  if (obs_ != nullptr) obs_evictions_->Add();
   page_table_.erase(frame.page);
   if (concurrent_) {
     concurrent_table_->Erase(frame.page);
@@ -903,11 +900,9 @@ void BufferManager::ConfigureBackgroundWriteback(
       !options.enabled || options.low_watermark <= options.high_watermark,
       "low watermark must not exceed the high watermark");
   writeback_ = options;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr && options.enabled && obs_sync_fallbacks_ == nullptr) {
-      obs_sync_fallbacks_ =
-          obs_->metrics().GetCounter("wal.sync_writeback_fallbacks");
-    }
+  if (obs_ != nullptr && options.enabled && obs_sync_fallbacks_ == nullptr) {
+    obs_sync_fallbacks_ =
+        obs_->metrics().GetCounter("wal.sync_writeback_fallbacks");
   }
 }
 
@@ -1002,7 +997,6 @@ void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
   SDB_CHECK_MSG(!concurrent_, "EnableConcurrency is one-shot");
   SDB_CHECK_MSG(page_table_.empty() && stats_.requests == 0,
                 "enable concurrency before traffic");
-  concurrent_options_ = options;
   sync_ = std::make_unique<FrameSync[]>(frames_.size());
   concurrent_table_ = std::make_unique<ConcurrentPageTable>(frames_.size());
   deferred_ = std::make_unique<AccessEventRing>(
@@ -1020,8 +1014,7 @@ void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
 std::optional<PageHandle> BufferManager::TryOptimisticFetch(
     storage::PageId page, const AccessContext& ctx) {
   SDB_DCHECK(concurrent_);
-  for (uint32_t attempt = 0;
-       attempt <= concurrent_options_.max_optimistic_retries; ++attempt) {
+  for (uint32_t attempt = 0; attempt <= kMaxOptimisticRetries; ++attempt) {
     if (attempt > 0) {
       optimistic_retries_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -1090,10 +1083,8 @@ void BufferManager::ApplyDeferred(const DeferredEvent& event) {
     case DeferredEvent::Kind::kHit:
       ++stats_.requests;
       ++stats_.hits;
-      if constexpr (obs::kEnabled) {
-        if (obs_ != nullptr) {
-          obs_->OnBufferRequest(event.page, event.query, true);
-        }
+      if (obs_ != nullptr) {
+        obs_->OnBufferRequest(event.page, event.query, true);
       }
       if (current) {
         if (event.edge) policy_->SetEvictable(event.frame, false);
@@ -1116,9 +1107,7 @@ void BufferManager::FetchBatchLocked(
   DrainDeferred();
   const size_t depth = async_device_->queue_depth();
   std::vector<storage::PageId> staged_pages;
-  std::unordered_map<storage::PageId, size_t> staged_slot;
-  std::unordered_map<storage::PageId, Status> completed;
-  std::vector<storage::AsyncPageDevice::Completion> completions;
+  StagedReads staged;
   size_t begin = 0;
   while (begin < pages.size()) {
     // Segment the batch so its distinct predicted misses fit the queue.
@@ -1126,17 +1115,17 @@ void BufferManager::FetchBatchLocked(
     // our own installs/evictions mid-segment degrades to a sync read with
     // identical accounting.
     staged_pages.clear();
-    staged_slot.clear();
-    completed.clear();
+    staged.slot.clear();
+    staged.completed.clear();
     size_t end = begin;
     while (end < pages.size()) {
       const storage::PageId page = pages[end];
       const bool predicted_miss = !bad_pages_.contains(page) &&
                                   !page_table_.contains(page) &&
-                                  !staged_slot.contains(page);
+                                  !staged.slot.contains(page);
       if (predicted_miss && staged_pages.size() == depth) break;
       if (predicted_miss) {
-        staged_slot.emplace(page, staged_pages.size());
+        staged.slot.emplace(page, staged_pages.size());
         staged_pages.push_back(page);
       }
       ++end;
@@ -1157,9 +1146,7 @@ void BufferManager::FetchBatchLocked(
     // In-order semantic phase: the exact sequential Fetch sequence, with
     // completions harvested out of order as each miss comes due.
     for (size_t i = begin; i < end; ++i) {
-      out->push_back(
-          FetchOneInBatch(pages[i], ctx, staged_slot, &completed,
-                          &completions));
+      out->push_back(FetchDrained(pages[i], ctx, &staged));
     }
     // Whatever was staged but never consumed (its element turned resident,
     // or failed before the read) is dropped unread — no device read, no
@@ -1167,68 +1154,6 @@ void BufferManager::FetchBatchLocked(
     async_device_->CancelAll();
     begin = end;
   }
-}
-
-StatusOr<PageHandle> BufferManager::FetchOneInBatch(
-    storage::PageId page, const AccessContext& ctx,
-    const std::unordered_map<storage::PageId, size_t>& staged_slot,
-    std::unordered_map<storage::PageId, Status>* completed,
-    std::vector<storage::AsyncPageDevice::Completion>* completions) {
-  if (!bad_pages_.empty()) {
-    if (const auto it = bad_pages_.find(page); it != bad_pages_.end()) {
-      return Status(it->second, "page previously failed terminally");
-    }
-  }
-  ++stats_.requests;
-  if (auto it = page_table_.find(page); it != page_table_.end()) {
-    ++stats_.hits;
-    const FrameId f = it->second;
-    if (PinIncrement(f) == 0) policy_->SetEvictable(f, false);
-    policy_->OnPageAccessed(f, ctx);
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) obs_->OnBufferRequest(page, ctx.query_id, true);
-    }
-    return PageHandle(this, f, page);
-  }
-  ++stats_.misses;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) obs_->OnBufferRequest(page, ctx.query_id, false);
-  }
-  StatusOr<FrameId> acquired = AcquireFrame(ctx, page);
-  if (!acquired.ok()) return acquired.status();
-  const FrameId f = *acquired;
-  Status read;
-  const auto slot = staged_slot.find(page);
-  if (slot != staged_slot.end()) {
-    // The complete span covers the harvest-until-this-page poll loop plus
-    // the staging copy and checksum verify — the whole wait for the device.
-    obs::ScopedSpan complete_span(ctx.span, obs::SpanKind::kAsyncComplete);
-    complete_span.set_page(page);
-    while (!completed->contains(page) && async_device_->in_flight() > 0) {
-      completions->clear();
-      async_device_->PollCompletions(completions, 1);
-      for (const auto& completion : *completions) {
-        completed->emplace(completion.page, completion.status);
-      }
-    }
-    if (const auto done = completed->find(page); done != completed->end()) {
-      complete_span.set_flag(true);
-      std::memcpy(FrameData(f),
-                  staging_.get() + slot->second * page_size_, page_size_);
-      read = FinishReadWithRecovery(f, page, done->second);
-    } else {
-      read = ReadPageWithRecovery(f, page);
-    }
-  } else {
-    read = ReadPageWithRecovery(f, page);
-  }
-  if (!read.ok()) {
-    sync_[f].Unlock();
-    return read;
-  }
-  InstallLoadedPage(f, page, ctx, /*dirty=*/false);
-  sync_[f].Unlock();
-  return PageHandle(this, f, page);
 }
 
 void PageSource::FetchBatch(std::span<const storage::PageId> pages,

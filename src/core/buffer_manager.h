@@ -152,15 +152,9 @@ struct ResilienceOptions {
 /// Concurrency knobs of one BufferManager (EnableConcurrency). Off by
 /// default: single-threaded users never pay for any of it.
 struct ConcurrentOptions {
-  /// Latch-free optimistic read path: hits pin through per-frame version
-  /// stamps instead of the shard latch, deferring their policy/stats
-  /// bookkeeping into an event ring the next exclusive section drains.
-  bool optimistic = true;
   /// Capacity of the deferred-event ring (rounded up to a power of two). A
   /// full ring falls back to the exclusive path, so this bounds deferral.
   size_t event_ring_capacity = 1024;
-  /// Optimistic probe attempts before giving up and taking the latch.
-  uint32_t max_optimistic_retries = 3;
   /// Route batched misses (FetchBatch) through an AsyncPageDevice so the
   /// batch's reads are submitted together and complete out of order.
   bool async_reads = true;
@@ -210,7 +204,8 @@ class PageSource {
   /// device on a miss. Non-OK when the page could not be delivered after
   /// bounded retries: kUnavailable/kDataLoss exhausted their retry budget
   /// (now recorded as a permanent failure), kPermanentFailure for bad
-  /// sectors, kResourceExhausted when quarantine left no usable frame.
+  /// sectors, kResourceExhausted when quarantine left no usable frame or
+  /// (sharded sources) other clients pin every frame of the page's shard.
   virtual StatusOr<PageHandle> Fetch(storage::PageId page,
                                      const AccessContext& ctx) = 0;
 
@@ -271,8 +266,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// buffer and must not be shared. `collector` (optional) receives metrics
   /// and events from this buffer and its policy; it must outlive the buffer
   /// and is attached before the policy binds, so bind-time events (e.g.
-  /// ASB's configuration record) are captured. With observability compiled
-  /// out (SDB_OBS=OFF) the collector is ignored.
+  /// ASB's configuration record) are captured.
   BufferManager(storage::PageDevice* disk, size_t frames,
                 std::unique_ptr<ReplacementPolicy> policy,
                 obs::Collector* collector = nullptr,
@@ -494,29 +488,14 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// instead of once per victim-scan visit).
   storage::PageMeta GetMeta(FrameId frame) const override;
 
-  /// FrameMetaSource: bumped whenever a frame's cached metadata may have
-  /// changed (page load, MarkDirty, dirty unpin). With the cache disabled
-  /// this reports 0 ("assume changed") so the policies' criterion caches
-  /// are defeated too and the A/B measurement covers the whole path.
-  uint64_t MetaVersion(FrameId frame) const override {
-    return meta_cache_enabled_ ? meta_versions_[frame] : 0;
-  }
-
-  /// FrameMetaSource: the raw version array for scan hoisting (nullptr when
-  /// the cache is disabled, defeating the policies' criterion caches too).
+  /// FrameMetaSource: per-frame versions, bumped whenever a frame's cached
+  /// metadata may have changed (page load, MarkDirty, dirty unpin).
   const uint64_t* MetaVersionArray() const override {
-    return meta_cache_enabled_ ? meta_versions_.data() : nullptr;
+    return meta_versions_.data();
   }
 
-  /// Disables (or re-enables) the metadata cache, forcing every GetMeta back
-  /// to a full header decode — the pre-cache behaviour, kept for A/B
-  /// measurement in micro benches. Not for production use.
-  void set_meta_cache_enabled(bool enabled) { meta_cache_enabled_ = enabled; }
-
-  /// Header decodes performed on behalf of GetMeta. With the cache enabled
-  /// this counts only re-decodes after an in-place update (steady-state
-  /// victim scans decode nothing); with the cache disabled every GetMeta
-  /// call decodes.
+  /// Header decodes performed on behalf of GetMeta: only re-decodes after
+  /// an in-place update (steady-state victim scans decode nothing).
   uint64_t header_decodes() const { return header_decodes_; }
 
   /// Publishes the end-of-run aggregate counters (BufferStats, header
@@ -557,13 +536,24 @@ class BufferManager : public FrameMetaSource, public PageSource {
     uint64_t version = 0;  ///< 0 = never filled (versions start at 1)
   };
 
+  /// The async reads one FetchBatchLocked segment submitted: each staged
+  /// page's slot in the staging arena, plus the completions harvested so
+  /// far.
+  struct StagedReads {
+    std::unordered_map<storage::PageId, size_t> slot;
+    std::unordered_map<storage::PageId, Status> completed;
+    std::vector<storage::AsyncPageDevice::Completion> completions;
+  };
+
   std::byte* FrameData(FrameId f);
   const std::byte* FrameData(FrameId f) const;
 
   /// Finds a frame for an incoming page: free list first, else victim
   /// eviction. Returns kResourceExhausted when quarantine has shrunk the
-  /// pool to nothing evictable; still aborts when the pool is healthy and
-  /// every frame is pinned (caller bug, exactly the seed behaviour).
+  /// pool to nothing evictable, or when every frame of a latched (service
+  /// shard) buffer is pinned — in concurrent mode only after a bounded wait
+  /// for deferred unpins. A private buffer with every frame pinned still
+  /// aborts (caller bug, exactly the seed behaviour).
   StatusOr<FrameId> AcquireFrame(const AccessContext& ctx,
                                  storage::PageId incoming);
 
@@ -579,14 +569,18 @@ class BufferManager : public FrameMetaSource, public PageSource {
   Status FinishReadWithRecovery(FrameId frame, storage::PageId page,
                                 Status status);
 
-  /// One element of FetchBatchLocked's in-order phase: a sequential Fetch,
-  /// except that a staged async completion (when one exists for `page`)
-  /// replaces the first device read.
-  StatusOr<PageHandle> FetchOneInBatch(
-      storage::PageId page, const AccessContext& ctx,
-      const std::unordered_map<storage::PageId, size_t>& staged_slot,
-      std::unordered_map<storage::PageId, Status>* completed,
-      std::vector<storage::AsyncPageDevice::Completion>* completions);
+  /// ReadPageWithRecovery for a batch element: when `staged` holds an async
+  /// read of `page`, waits for its completion and uses it as the first
+  /// attempt instead of a device read.
+  Status ReadStagedPage(FrameId frame, storage::PageId page,
+                        const AccessContext& ctx, StagedReads& staged);
+
+  /// Fetch's body once the deferred ring is drained: bad-page fast-fail,
+  /// hit, or miss. FetchBatchLocked passes its `staged` reads so a miss
+  /// consumes the async completion; Fetch passes nullptr.
+  StatusOr<PageHandle> FetchDrained(storage::PageId page,
+                                    const AccessContext& ctx,
+                                    StagedReads* staged);
 
   /// Takes `frame` out of service (or recycles it once the quarantine cap
   /// is hit) after a terminal read failure.
@@ -708,10 +702,9 @@ class BufferManager : public FrameMetaSource, public PageSource {
   std::vector<uint64_t> meta_versions_;
   mutable std::vector<MetaCacheEntry> meta_cache_;
   mutable uint64_t header_decodes_ = 0;
-  bool meta_cache_enabled_ = true;
-  // Observability (all nullptr when no collector is attached or SDB_OBS is
-  // off): eviction counters/events are recorded eagerly, aggregate totals
-  // go through FlushObservability.
+  // Observability (all nullptr when no collector is attached): eviction
+  // counters/events are recorded eagerly, aggregate totals go through
+  // FlushObservability.
   obs::Collector* obs_ = nullptr;
   obs::Counter* obs_evictions_ = nullptr;
   obs::Counter* obs_writebacks_ = nullptr;
@@ -734,7 +727,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   uint64_t flushed_header_decodes_ = 0;
   // --- concurrent mode (EnableConcurrency; all null/false otherwise) ---
   bool concurrent_ = false;
-  ConcurrentOptions concurrent_options_;
   // One sync word per frame; sized with frames_ at EnableConcurrency.
   std::unique_ptr<FrameSync[]> sync_;
   // Lock-free-readable mirror of page_table_, maintained by every exclusive

@@ -18,7 +18,6 @@ AsbPolicy::AsbPolicy(const AsbConfig& config) : config_(config) {
 
 void AsbPolicy::SetCollector(obs::Collector* collector) {
   PolicyBase::SetCollector(collector);
-  if constexpr (!obs::kEnabled) return;
   if (collector == nullptr) return;
   obs_overflow_hits_ = collector->metrics().GetCounter("asb.overflow_hits");
   obs_increases_ =
@@ -52,17 +51,15 @@ void AsbPolicy::Bind(const FrameMetaSource* meta, size_t frame_count) {
   overflow_hits_ = 0;
   increases_ = 0;
   decreases_ = 0;
-  if constexpr (obs::kEnabled) {
-    if (obs::Collector* c = collector()) {
-      obs_candidate_->Set(static_cast<double>(candidate_));
-      obs::Event event;
-      event.kind = obs::EventKind::kAsbInit;
-      event.a = main_target_;
-      event.b = overflow_target_;
-      event.c = static_cast<uint64_t>(candidate_);
-      event.page = static_cast<uint64_t>(step_);
-      c->events().Push(event);
-    }
+  if (obs::Collector* c = collector()) {
+    obs_candidate_->Set(static_cast<double>(candidate_));
+    obs::Event event;
+    event.kind = obs::EventKind::kAsbInit;
+    event.a = main_target_;
+    event.b = overflow_target_;
+    event.c = static_cast<uint64_t>(candidate_);
+    event.page = static_cast<uint64_t>(step_);
+    c->events().Push(event);
   }
 }
 
@@ -158,23 +155,21 @@ void AsbPolicy::Adapt(FrameId p, const AccessContext& ctx) {
                                        static_cast<int64_t>(main_target_));
     }
   }
-  if constexpr (obs::kEnabled) {
-    if (obs::Collector* c = collector()) {
-      obs_overflow_hits_->Add();
-      if (direction > 0) obs_increases_->Add();
-      if (direction < 0) obs_decreases_->Add();
-      obs_candidate_->Set(static_cast<double>(candidate_));
-      obs::Event event;
-      event.kind = obs::EventKind::kAsbAdapt;
-      event.delta = direction;
-      event.frame = p;
-      event.query = ctx.query_id;
-      event.page = frame(p).page;
-      event.a = better_spatial;
-      event.b = better_lru;
-      event.c = static_cast<uint64_t>(candidate_);
-      c->events().Push(event);
-    }
+  if (obs::Collector* c = collector()) {
+    obs_overflow_hits_->Add();
+    if (direction > 0) obs_increases_->Add();
+    if (direction < 0) obs_decreases_->Add();
+    obs_candidate_->Set(static_cast<double>(candidate_));
+    obs::Event event;
+    event.kind = obs::EventKind::kAsbAdapt;
+    event.delta = direction;
+    event.frame = p;
+    event.query = ctx.query_id;
+    event.page = frame(p).page;
+    event.a = better_spatial;
+    event.b = better_lru;
+    event.c = static_cast<uint64_t>(candidate_);
+    c->events().Push(event);
   }
 }
 
@@ -214,7 +209,7 @@ std::optional<FrameId> AsbPolicy::SelectMainVictim() {
     if (!s.valid || !s.evictable) continue;
     // Eager warm pass: refreshes the frame's cached criterion if stale, so
     // the candidate loop below reads plain cached values.
-    CachedCriterionAt(config_.criterion, f, versions ? versions[f] : 0);
+    CachedCriterionAt(config_.criterion, f, versions[f]);
     recency_keys_.push_back(PackRecencyKey(s.last_access, f));
   }
   ObserveScanLength(recency_keys_.size());

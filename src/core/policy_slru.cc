@@ -55,7 +55,7 @@ std::optional<FrameId> SlruPolicy::ChooseVictim(const AccessContext&,
     if (!s.valid || !s.evictable) continue;
     // Eager warm pass: refreshes the frame's cached criterion if stale, so
     // the candidate loop below reads plain cached values.
-    CachedCriterionAt(criterion_, f, versions ? versions[f] : 0);
+    CachedCriterionAt(criterion_, f, versions[f]);
     recency_keys_.push_back(PackRecencyKey(s.last_access, f));
   }
   ObserveScanLength(recency_keys_.size());

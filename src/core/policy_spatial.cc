@@ -16,8 +16,7 @@ std::optional<FrameId> SpatialPolicy::ChooseVictim(const AccessContext&,
     const FrameState& s = frame(f);
     if (!s.valid || !s.evictable) continue;
     ++examined;
-    const double crit =
-        CachedCriterionAt(criterion_, f, versions ? versions[f] : 0);
+    const double crit = CachedCriterionAt(criterion_, f, versions[f]);
     if (!best || crit < best_crit ||
         (crit == best_crit && s.last_access < best_time)) {
       best = f;

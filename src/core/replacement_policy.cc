@@ -14,11 +14,10 @@ void PolicyBase::Bind(const FrameMetaSource* meta, size_t frame_count) {
 }
 
 double PolicyBase::CachedCriterion(SpatialCriterion crit, FrameId f) const {
-  return CachedCriterionAt(crit, f, meta_->MetaVersion(f));
+  return CachedCriterionAt(crit, f, meta_->MetaVersionArray()[f]);
 }
 
 void PolicyBase::SetCollector(obs::Collector* collector) {
-  if constexpr (!obs::kEnabled) return;
   obs_ = collector;
   if (obs_ == nullptr) return;
   // Buckets cover candidate counts / recency ranks up to any realistic
@@ -67,20 +66,18 @@ void PolicyBase::OnPageEvicted(FrameId f, storage::PageId page) {
   FrameState& s = frames_[f];
   SDB_CHECK(s.valid);
   SDB_CHECK(s.page == page);
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) {
-      // Victim recency rank: how many currently evictable pages are colder
-      // than the victim (0 = the LRU choice). O(frames), only when a
-      // collector is attached.
-      size_t rank = 0;
-      for (const FrameState& other : frames_) {
-        if (other.valid && other.evictable &&
-            other.last_access < s.last_access) {
-          ++rank;
-        }
+  if (obs_ != nullptr) {
+    // Victim recency rank: how many currently evictable pages are colder
+    // than the victim (0 = the LRU choice). O(frames), only when a
+    // collector is attached.
+    size_t rank = 0;
+    for (const FrameState& other : frames_) {
+      if (other.valid && other.evictable &&
+          other.last_access < s.last_access) {
+        ++rank;
       }
-      obs_victim_rank_->Observe(static_cast<double>(rank));
     }
+    obs_victim_rank_->Observe(static_cast<double>(rank));
   }
   s = FrameState{};
 }

@@ -29,21 +29,13 @@ class FrameMetaSource {
   virtual ~FrameMetaSource() = default;
   virtual storage::PageMeta GetMeta(FrameId frame) const = 0;
 
-  /// Version of the frame's metadata: changes (strictly increases) whenever
-  /// GetMeta may return a different value than before. Policies use it to
-  /// cache values derived from GetMeta across victim scans. The default —
-  /// for sources that do not track changes — returns 0, which consumers
-  /// must treat as "assume changed".
-  virtual uint64_t MetaVersion(FrameId frame) const {
-    (void)frame;
-    return 0;
-  }
-
-  /// Raw per-frame version array (frame-count entries), or nullptr if the
-  /// source does not track versions. Victim scans hoist this once per scan
-  /// so the per-frame cache check is a plain array read instead of a
-  /// virtual call. Must agree with MetaVersion while the scan runs.
-  virtual const uint64_t* MetaVersionArray() const { return nullptr; }
+  /// Per-frame metadata versions (frame-count entries). Entry f is nonzero
+  /// while a page is resident in f and strictly increases whenever
+  /// GetMeta(f) may return a different value than before, so policies can
+  /// cache values derived from GetMeta across victim scans. Victim scans
+  /// hoist the pointer once per scan, keeping the per-frame cache check a
+  /// plain array read instead of a virtual call.
+  virtual const uint64_t* MetaVersionArray() const = 0;
 };
 
 /// Strategy deciding which resident page leaves the buffer on a miss.
@@ -124,19 +116,16 @@ class PolicyBase : public ReplacementPolicy {
   double CachedCriterion(SpatialCriterion crit, FrameId f) const;
 
   /// Scan-hoisted variant: `version` is the frame's current meta version as
-  /// read from MetaVersionArray() (0 if the source is unversioned). Avoids
-  /// the per-frame virtual MetaVersion call inside hot victim scans.
+  /// read from the array meta_versions() returns.
   double CachedCriterionAt(SpatialCriterion crit, FrameId f,
                            uint64_t version) const {
     CriterionCacheEntry& entry = crit_cache_[f];
-    if (version == 0 || entry.version != version) {
+    if (entry.version != version) {
       entry.value = EvaluateCriterion(crit, meta_->GetMeta(f));
       entry.version = version;
-      if constexpr (obs::kEnabled) {
-        if (obs_ != nullptr) obs_crit_misses_->Add();
-      }
-    } else if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) obs_crit_hits_->Add();
+      if (obs_ != nullptr) obs_crit_misses_->Add();
+    } else if (obs_ != nullptr) {
+      obs_crit_hits_->Add();
     }
     return entry.value;
   }
@@ -167,16 +156,14 @@ class PolicyBase : public ReplacementPolicy {
   /// policy.scan_len). Scan policies call this once per ChooseVictim /
   /// demotion scan; a no-op without a collector.
   void ObserveScanLength(size_t examined) const {
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) {
-        obs_scan_len_->Observe(static_cast<double>(examined));
-      }
+    if (obs_ != nullptr) {
+      obs_scan_len_->Observe(static_cast<double>(examined));
     }
   }
 
  private:
   struct CriterionCacheEntry {
-    uint64_t version = 0;  ///< 0 = not cached (source versions start at 1)
+    uint64_t version = 0;  ///< 0 = not cached (resident versions are >= 1)
     double value = 0.0;
   };
 

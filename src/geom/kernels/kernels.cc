@@ -2,12 +2,14 @@
 // function-local static), clamp by what this binary was compiled with, and
 // honor the SDB_KERNELS environment override for A/B runs and CI
 // determinism checks. The override can only *lower* the tier — asking for a
-// tier the hardware or build lacks falls back to the best available one.
+// tier the hardware or build lacks, or naming no tier at all, falls back to
+// the best available one with a warning.
 
 #include "geom/kernels/kernels.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "geom/kernels/kernels_internal.h"
@@ -33,33 +35,30 @@ bool CompiledAvx2() {
 #endif
 }
 
-bool CompiledSse2() {
-#if defined(__SSE2__)
-  return true;
-#else
-  return false;
-#endif
+/// The tier an SDB_KERNELS-style name denotes; nullopt for other names.
+std::optional<Level> LookupLevel(std::string_view name) {
+  if (name == "scalar") return Level::kScalar;
+  if (name == "avx2") return Level::kAvx2;
+  return std::nullopt;
 }
 
 Level DetectBest() {
-  if (CompiledAvx2() && CpuHasAvx2()) return Level::kAvx2;
-  if (CompiledSse2()) return Level::kSse2;
-  return Level::kScalar;
+  return LevelAvailable(Level::kAvx2) ? Level::kAvx2 : Level::kScalar;
 }
 
 Level InitialLevel() {
   const Level best = DetectBest();
   const char* env = std::getenv("SDB_KERNELS");
   if (env == nullptr || env[0] == '\0') return best;
-  const Level requested = ParseLevelName(env, best);
-  if (!LevelAvailable(requested)) {
-    std::fprintf(stderr,
-                 "warning: SDB_KERNELS=%s not available on this "
-                 "machine/build, using %s\n",
-                 env, std::string(LevelName(best)).c_str());
+  const std::optional<Level> requested = LookupLevel(env);
+  if (!requested.has_value() || !LevelAvailable(*requested)) {
+    std::fprintf(stderr, "warning: SDB_KERNELS=%s %s, using %s\n", env,
+                 requested.has_value() ? "not available on this machine/build"
+                                       : "is not a kernel tier (scalar|avx2)",
+                 std::string(LevelName(best)).c_str());
     return best;
   }
-  return requested;
+  return *requested;
 }
 
 Level& ActiveLevelRef() {
@@ -72,15 +71,8 @@ Level& ActiveLevelRef() {
 Level ActiveLevel() { return ActiveLevelRef(); }
 
 const Ops& OpsFor(Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      if (LevelAvailable(Level::kAvx2)) return internal::kAvx2Ops;
-      break;
-    case Level::kSse2:
-      if (LevelAvailable(Level::kSse2)) return internal::kSse2Ops;
-      break;
-    case Level::kScalar:
-      break;
+  if (level == Level::kAvx2 && LevelAvailable(Level::kAvx2)) {
+    return internal::kAvx2Ops;
   }
   return internal::kScalarOps;
 }
@@ -91,8 +83,6 @@ bool LevelAvailable(Level level) {
   switch (level) {
     case Level::kScalar:
       return true;
-    case Level::kSse2:
-      return CompiledSse2();
     case Level::kAvx2:
       return CompiledAvx2() && CpuHasAvx2();
   }
@@ -103,8 +93,6 @@ std::string_view LevelName(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse2:
-      return "sse2";
     case Level::kAvx2:
       return "avx2";
   }
@@ -112,10 +100,7 @@ std::string_view LevelName(Level level) {
 }
 
 Level ParseLevelName(std::string_view name, Level fallback) {
-  if (name == "scalar") return Level::kScalar;
-  if (name == "sse2") return Level::kSse2;
-  if (name == "avx2") return Level::kAvx2;
-  return fallback;
+  return LookupLevel(name).value_or(fallback);
 }
 
 void ForceLevel(Level level) {

@@ -12,7 +12,7 @@ namespace sdb::geom::kernels {
 
 /// Instruction-set tiers of the batch geometry kernels, ordered by
 /// preference. One tier is selected at startup (cpuid probe, overridable via
-/// SDB_KERNELS=scalar|sse2|avx2) and used for every kernel call thereafter.
+/// SDB_KERNELS=scalar|avx2) and used for every kernel call thereafter.
 ///
 /// Every tier produces BIT-IDENTICAL results: the scalar reference
 /// implementation is the single source of truth, and it is defined in the
@@ -22,8 +22,7 @@ namespace sdb::geom::kernels {
 /// and every BENCH_*.json row are independent of the dispatch level.
 enum class Level : uint8_t {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
 
 /// Function table of one dispatch tier. All kernels operate on SoA
@@ -98,7 +97,7 @@ const Ops& OpsFor(Level level);
 /// always available.
 bool LevelAvailable(Level level);
 
-/// "scalar", "sse2", "avx2".
+/// "scalar", "avx2".
 std::string_view LevelName(Level level);
 
 /// Parses an SDB_KERNELS-style name; returns `fallback` for unknown names.

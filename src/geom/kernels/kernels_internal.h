@@ -13,10 +13,9 @@
 
 namespace sdb::geom::kernels::internal {
 
-/// Per-tier implementation tables (kScalarOps always real; the SSE2/AVX2
-/// tables alias the scalar one when the tier is not compiled in).
+/// Per-tier implementation tables (kScalarOps always real; the AVX2 table
+/// aliases the scalar one when the tier is not compiled in).
 extern const Ops kScalarOps;
-extern const Ops kSse2Ops;
 extern const Ops kAvx2Ops;
 
 /// Element semantics of geom::Rect::Area(): empty (inverted on either axis)

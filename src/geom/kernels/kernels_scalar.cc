@@ -1,6 +1,6 @@
 // Scalar reference implementation — the single source of truth for all
-// kernel semantics. The vector tiers (kernels_sse2.cc, kernels_avx2.cc)
-// must reproduce these results bit-for-bit; the property suite
+// kernel semantics. The vector tier (kernels_avx2.cc) must reproduce
+// these results bit-for-bit; the property suite
 // (tests/geom_kernels_test.cc) enforces it over adversarial rect sets.
 
 #include "geom/kernels/kernels_internal.h"

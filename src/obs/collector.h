@@ -30,11 +30,10 @@ struct CollectorOptions {
 ///
 /// Overhead contract: with no collector attached (the default) every
 /// instrumentation site in the buffer/policy hot paths is one pointer
-/// compare; compiled with SDB_OBS=OFF the sites vanish entirely. With a
-/// collector attached, the per-request cost is a handful of plain counter
-/// increments, per-eviction cost adds two histogram observations plus an
-/// O(frames) victim-recency-rank scan, and event pushes are copies into a
-/// preallocated ring.
+/// compare. With a collector attached, the per-request cost is a handful of
+/// plain counter increments, per-eviction cost adds two histogram
+/// observations plus an O(frames) victim-recency-rank scan, and event
+/// pushes are copies into a preallocated ring.
 class Collector {
  public:
   explicit Collector(const CollectorOptions& options = CollectorOptions{})

@@ -12,16 +12,6 @@
 
 namespace sdb::obs {
 
-/// Compile-time master switch. Building with -DSDB_OBS_ENABLED=0 (CMake
-/// option SDB_OBS=OFF) turns every instrumentation site in the buffer and
-/// policy code into dead code: BufferManager refuses to attach a collector,
-/// and all emission sites sit behind `if constexpr (obs::kEnabled)`.
-#ifndef SDB_OBS_ENABLED
-#define SDB_OBS_ENABLED 1
-#endif
-
-inline constexpr bool kEnabled = SDB_OBS_ENABLED != 0;
-
 /// Monotonically increasing event/sample counter. The fast path is a single
 /// pointer-indirect increment; no allocation, no atomics (a registry belongs
 /// to exactly one replay — the sweep runner gives every worker task its own

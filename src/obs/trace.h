@@ -125,19 +125,15 @@ struct SpanContext {
 };
 
 /// RAII span: mints an id, re-parents the context for spans opened inside
-/// its scope, and emits one kSpan event on destruction. A null context (or
-/// SDB_OBS=OFF) makes construction and destruction a single compare.
+/// its scope, and emits one kSpan event on destruction. A null context
+/// makes construction and destruction a single compare.
 class ScopedSpan {
  public:
   ScopedSpan(SpanContext* span, SpanKind kind) {
-    if constexpr (kEnabled) {
-      if (span != nullptr && span->tracer != nullptr) Begin(span, kind);
-    }
+    if (span != nullptr && span->tracer != nullptr) Begin(span, kind);
   }
   ~ScopedSpan() {
-    if constexpr (kEnabled) {
-      if (span_ != nullptr) End();
-    }
+    if (span_ != nullptr) End();
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;

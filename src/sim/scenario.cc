@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/macros.h"
@@ -124,7 +125,14 @@ Scenario BuildCachedScenario(const ScenarioOptions& options) {
     }
   }
   Scenario scenario = BuildScenario(options);
-  scenario.disk->SaveImage(path);  // best effort; failures are harmless
+  // Best effort: the scenario is valid either way, but an unwritable cache
+  // means every later run rebuilds it too, so say why.
+  if (!scenario.disk->SaveImage(path)) {
+    std::fprintf(stderr,
+                 "warning: could not write scenario cache %s "
+                 "(SDB_CACHE_DIR=%s); every run will rebuild it\n",
+                 path, cache_dir);
+  }
   return scenario;
 }
 

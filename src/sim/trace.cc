@@ -13,9 +13,6 @@ AccessTrace RecordQueryTrace(storage::DiskManager* disk,
                              const workload::QuerySet& queries,
                              size_t buffer_frames,
                              const std::string& policy_spec) {
-  SDB_CHECK_MSG(obs::kEnabled,
-                "trace recording needs SDB_OBS=ON (it rides on the "
-                "observability event stream)");
   std::unique_ptr<core::ReplacementPolicy> policy =
       core::CreatePolicy(policy_spec);
   SDB_CHECK_MSG(policy != nullptr, "unknown policy spec");

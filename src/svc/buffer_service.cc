@@ -54,7 +54,7 @@ void BufferService::Init(const storage::DiskManager& disk,
   total_frames_ = config.total_frames;
   policy_spec_ = config.policy_spec;
   latch_mode_ = config.latch_mode;
-  collect_metrics_ = config.collect_metrics && obs::kEnabled;
+  collect_metrics_ = config.collect_metrics;
   SDB_CHECK_MSG(config.shard_count > 0, "service needs at least one shard");
   SDB_CHECK_MSG(config.total_frames >= config.shard_count,
                 "fewer frames than shards: some shard would be empty");
@@ -67,13 +67,14 @@ void BufferService::Init(const storage::DiskManager& disk,
       shard->collector = std::make_unique<obs::Collector>(options);
     }
     auto policy = core::CreatePolicy(config.policy_spec);
-    if (config.share_asb_tuning) {
-      // Attach before the buffer constructs (construction binds the policy,
-      // and Bind is where the shard registers with the global tuning).
-      if (auto* asb = dynamic_cast<core::AsbPolicy*>(policy.get())) {
-        asb->set_shared_tuning(&asb_tuning_);
-        asb_shared_ = true;
-      }
+    // ASB shards publish one global candidate-set size that every shard
+    // adapts (clamped CAS) and re-reads before its next demotion scan, so
+    // the self-tuning sees the full overflow-hit evidence instead of a 1/N
+    // slice per shard. Attached before the buffer constructs: construction
+    // binds the policy, and Bind is where the shard registers.
+    if (auto* asb = dynamic_cast<core::AsbPolicy*>(policy.get())) {
+      asb->set_shared_tuning(&asb_tuning_);
+      asb_shared_ = true;
     }
     storage::PageDevice* device = &shard->view;
     if (writable_disk_ != nullptr) {
@@ -97,10 +98,8 @@ void BufferService::Init(const storage::DiskManager& disk,
     shard->buffer->set_latch(&shard->latch);
     if (latch_mode_ == LatchMode::kOptimistic) {
       core::ConcurrentOptions concurrent;
-      concurrent.optimistic = true;
       concurrent.event_ring_capacity = config.event_ring_capacity;
       concurrent.async_reads = config.async_reads;
-      concurrent.async.queue_depth = config.async_queue_depth;
       // Deterministic per-shard completion schedule: the whole service
       // replays for a fixed shard layout, but shards do not mirror each
       // other's reordering.
@@ -113,7 +112,6 @@ void BufferService::Init(const storage::DiskManager& disk,
       core::WritebackOptions writeback;
       writeback.enabled = true;
       writeback.low_watermark = config.dirty_low_watermark;
-      writeback.high_watermark = config.dirty_high_watermark;
       shard->buffer->ConfigureBackgroundWriteback(writeback);
     }
     shards_.push_back(std::move(shard));
@@ -123,7 +121,6 @@ void BufferService::Init(const storage::DiskManager& disk,
   if (writable_disk_ != nullptr && config.flusher_threads > 0) {
     FlushCoordinatorOptions flusher;
     flusher.threads = std::min(config.flusher_threads, shards_.size());
-    flusher.idle_wait_us = config.flusher_idle_us;
     flusher.batch_pages = config.flusher_batch_pages;
     flusher_ = std::make_unique<FlushCoordinator>(this, flusher);
   }
@@ -557,7 +554,6 @@ size_t BufferService::shared_candidate() const {
 }
 
 void BufferService::FlushShardLocked(Shard& shard) {
-  if constexpr (!obs::kEnabled) return;
   if (shard.collector == nullptr) return;
   // Ordering contract of the idempotent flush: (1) replay the deferred
   // optimistic events so every total they feed is final for this sample,

@@ -56,12 +56,11 @@ enum class DegradedState : uint8_t {
 struct BufferServiceConfig {
   /// Logical buffer capacity in frames, split over the shards (every shard
   /// gets total/shards frames; the remainder is distributed one frame each
-  /// to the lowest-numbered shards). Must be >= shard_count — and since a
-  /// fetch whose shard has every frame pinned aborts (inherited from
-  /// BufferManager: an unevictable buffer is a caller bug), clients holding
-  /// pins concurrently need every shard to have at least
+  /// to the lowest-numbered shards). Must be >= shard_count. A fetch whose
+  /// shard has every frame pinned fails with kResourceExhausted, so clients
+  /// holding pins concurrently want every shard to have at least
   /// (max concurrent pins + 1) frames. Query traversal pins one page at a
-  /// time, so shard_count * (clients + 1) total frames is always safe.
+  /// time, so shard_count * (clients + 1) total frames always suffices.
   size_t total_frames = 256;
   size_t shard_count = 4;
   /// Replacement policy of every shard (core::CreatePolicy spec).
@@ -69,11 +68,6 @@ struct BufferServiceConfig {
   /// Attach one obs::Collector per shard (mutated only under the shard
   /// latch), feeding per-shard hit/miss/eviction metrics and events.
   bool collect_metrics = false;
-  /// With an ASB policy: publish one global candidate-set size that every
-  /// shard adapts (clamped CAS) and re-reads before its next demotion scan,
-  /// so the self-tuning sees the full overflow-hit evidence instead of a
-  /// 1/N slice per shard. OFF = each shard tunes privately.
-  bool share_asb_tuning = true;
   /// Per-shard fault handling (retry budget, checksum verification,
   /// quarantine cap), forwarded to every shard's BufferManager.
   core::ResilienceOptions resilience;
@@ -86,10 +80,9 @@ struct BufferServiceConfig {
   /// more often.
   size_t event_ring_capacity = 1024;
   /// Route FetchBatch misses through a per-shard AsyncPageDevice (batched
-  /// submit, out-of-order completion). Only effective in optimistic mode.
+  /// submit, out-of-order completion, storage::AsyncDeviceOptions' queue
+  /// depth). Only effective in optimistic mode.
   bool async_reads = true;
-  /// Submission-queue depth of each shard's async device.
-  size_t async_queue_depth = 8;
   /// When enabled, every shard reads through its own FaultInjectingDevice
   /// wrapping the shard view; the profile seed is mixed with the shard
   /// index so shards draw independent fault sequences but the whole service
@@ -100,19 +93,17 @@ struct BufferServiceConfig {
   /// clean victims instead of stalling on device writes. 0 (the default)
   /// keeps the synchronous-eviction behaviour, bit-for-bit.
   size_t flusher_threads = 0;
-  /// Watermarks on the per-shard dirty ratio (dirty / usable frames): the
-  /// flusher idles at or below the low mark; between the marks it drains
-  /// while eviction skips dirty victims; above the high mark eviction stops
-  /// waiting and writes back synchronously (counted as
+  /// Per-shard dirty ratio (dirty / usable frames) at or below which the
+  /// flusher idles. Above it the flusher drains while eviction skips dirty
+  /// victims, up to core::WritebackOptions' high watermark; past that
+  /// eviction stops waiting and writes back synchronously (counted as
   /// sync_writeback_fallbacks — the bench gate expects zero in steady
-  /// state under the defaults).
+  /// state). Between commit nudges the flusher polls at
+  /// FlushCoordinatorOptions' idle cadence.
   double dirty_low_watermark = 0.10;
-  double dirty_high_watermark = 0.50;
   /// Pages one flusher round harvests from one shard (bounds the latch
   /// hold; a capped round re-runs immediately).
   size_t flusher_batch_pages = 16;
-  /// Idle poll cadence of the flusher between commit nudges.
-  uint32_t flusher_idle_us = 200;
   /// Fuzzy checkpoints: Checkpoint() appends a record carrying the redo
   /// low-water mark (min rec_lsn over all shards) instead of forcing every
   /// dirty page to the device first — so it runs concurrently with
@@ -192,8 +183,9 @@ class BufferService final : public core::PageSource {
 
   /// Thread-safe pinned fetch through the page's shard. Errors are
   /// per-shard and per-page: a fetch on a degraded shard fails with the
-  /// recorded terminal status (or kResourceExhausted when quarantine left
-  /// the shard nothing evictable) while every other shard keeps serving.
+  /// recorded terminal status (or kResourceExhausted when quarantine or
+  /// held pins left the shard nothing evictable) while every other shard
+  /// keeps serving.
   core::StatusOr<core::PageHandle> Fetch(storage::PageId page,
                                          const core::AccessContext& ctx)
       override;
@@ -218,7 +210,7 @@ class BufferService final : public core::PageSource {
   /// Per-shard pin budget: the page-id hash can land a whole batch on one
   /// shard, so the safe chunk is the smallest shard's frame count minus
   /// headroom for the caller's own enclosing pins. A batch wider than this
-  /// can pin a shard wall-to-wall and trip the all-pinned abort.
+  /// can pin a shard wall-to-wall and fail with kResourceExhausted.
   size_t BatchPinBudget() const override {
     const size_t per_shard = total_frames_ / shards_.size();
     return per_shard > 3 ? per_shard - 2 : 1;
@@ -303,8 +295,8 @@ class BufferService final : public core::PageSource {
   ShardStats StatsOfShard(size_t shard) const;
   ShardStats AggregateStats() const;
 
-  /// The globally-published ASB candidate-set size, or 0 when the service
-  /// does not run shared ASB tuning.
+  /// The globally-published ASB candidate-set size, or 0 when the shards
+  /// do not run ASB.
   size_t shared_candidate() const;
   const core::AsbSharedTuning* shared_tuning() const {
     return asb_shared_ ? &asb_tuning_ : nullptr;

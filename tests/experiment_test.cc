@@ -250,6 +250,28 @@ TEST_F(ExperimentTest, CachedScenarioReplaysIdentically) {
   EXPECT_EQ(a.result_objects, b.result_objects);
 }
 
+TEST_F(ExperimentTest, MissingCacheDirWarnsAndStillBuilds) {
+  // A mistyped SDB_CACHE_DIR must not silently turn every run into a full
+  // rebuild: the failed save names the path on stderr.
+  const std::string cache_dir =
+      ::testing::TempDir() + "/sdb_missing_cache_dir/nested";
+  ASSERT_EQ(setenv("SDB_CACHE_DIR", cache_dir.c_str(), 1), 0);
+  ScenarioOptions options;
+  options.kind = DatabaseKind::kUsLike;
+  options.build = BuildMode::kBulkLoad;
+  options.scale = 0.02;
+  options.seed = 778;
+  ::testing::internal::CaptureStderr();
+  const Scenario scenario = BuildCachedScenario(options);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ASSERT_EQ(unsetenv("SDB_CACHE_DIR"), 0);
+  EXPECT_NE(err.find("warning"), std::string::npos) << err;
+  EXPECT_NE(err.find(cache_dir), std::string::npos) << err;
+  EXPECT_GT(scenario.tree_stats.total_pages(), 0u);
+  EXPECT_EQ(scenario.tree_stats.object_count,
+            scenario.dataset.objects.size());
+}
+
 TEST_F(ExperimentTest, TablePrinting) {
   Table table({"set", "LRU", "ASB"});
   table.AddRow({"U-P", "100", "90"});

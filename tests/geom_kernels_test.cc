@@ -33,7 +33,6 @@ namespace {
 
 std::vector<Level> AvailableLevels() {
   std::vector<Level> levels{Level::kScalar};
-  if (LevelAvailable(Level::kSse2)) levels.push_back(Level::kSse2);
   if (LevelAvailable(Level::kAvx2)) levels.push_back(Level::kAvx2);
   return levels;
 }
@@ -209,12 +208,15 @@ TEST(KernelsTest, ScalarSumsMatchSequentialWithinTolerance) {
 }
 
 TEST(KernelsTest, LevelNamesRoundTrip) {
-  for (const Level level :
-       {Level::kScalar, Level::kSse2, Level::kAvx2}) {
+  for (const Level level : {Level::kScalar, Level::kAvx2}) {
     EXPECT_EQ(ParseLevelName(LevelName(level), Level::kScalar), level);
   }
-  EXPECT_EQ(ParseLevelName("bogus", Level::kSse2), Level::kSse2);
+  EXPECT_EQ(ParseLevelName("bogus", Level::kScalar), Level::kScalar);
   EXPECT_EQ(ParseLevelName("", Level::kAvx2), Level::kAvx2);
+  // Names are exact: a retired tier and a miscased one are both unknown.
+  EXPECT_EQ(ParseLevelName("sse2", Level::kScalar), Level::kScalar);
+  EXPECT_EQ(ParseLevelName("sse2", Level::kAvx2), Level::kAvx2);
+  EXPECT_EQ(ParseLevelName("AVX2", Level::kScalar), Level::kScalar);
 }
 
 TEST(KernelsTest, ScalarAlwaysAvailableAndActiveLevelValid) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <thread>
@@ -41,6 +42,65 @@ class BufferServiceTest : public ::testing::Test {
     std::vector<PageId> pages;
     for (PageId id = 0; id < disk().page_count(); ++id) pages.push_back(id);
     return pages;
+  }
+
+  /// Runs one serial op sequence — single fetches, immediate re-touches
+  /// and 3-page FetchBatch calls whose handles live until the batch ends —
+  /// against a service built from `config` and against plain
+  /// BufferManagers, one per shard (routed by ShardOf, sized by
+  /// ShardFrames). Every shard must match its reference counter for
+  /// counter. Returns the service's aggregate stats.
+  static ShardStats ExpectSerialServiceMatchesPlainBuffers(
+      const BufferServiceConfig& config) {
+    BufferService service(disk(), config);
+    std::vector<std::unique_ptr<storage::ReadOnlyDiskView>> views;
+    std::vector<std::unique_ptr<core::BufferManager>> plain;
+    for (size_t s = 0; s < service.shard_count(); ++s) {
+      views.push_back(std::make_unique<storage::ReadOnlyDiskView>(disk()));
+      plain.push_back(std::make_unique<core::BufferManager>(
+          views.back().get(), service.ShardFrames(s),
+          core::CreatePolicy(config.policy_spec)));
+    }
+    const auto reference = [&](PageId page) -> core::BufferManager& {
+      return *plain[service.ShardOf(page)];
+    };
+    const std::vector<PageId> pages = AllPages();
+    uint64_t query = 0;
+    std::vector<core::StatusOr<core::PageHandle>> batch;
+    std::vector<core::PageHandle> reference_batch;
+    for (size_t round = 0; round < 3; ++round) {
+      for (size_t i = 0; i < pages.size(); ++i) {
+        const core::AccessContext ctx{++query};
+        if (i % 7 == 0 && i + 3 <= pages.size()) {
+          const std::span<const PageId> ids(&pages[i], 3);
+          service.FetchBatch(ids, ctx, &batch);
+          for (const auto& handle : batch) EXPECT_TRUE(handle.ok());
+          for (const PageId id : ids) {
+            reference_batch.push_back(reference(id).FetchOrDie(id, ctx));
+          }
+          batch.clear();
+          reference_batch.clear();
+          i += 2;
+        } else {
+          service.FetchOrDie(pages[i], ctx).Release();
+          reference(pages[i]).FetchOrDie(pages[i], ctx).Release();
+          const core::AccessContext again{++query};
+          service.FetchOrDie(pages[i], again).Release();
+          reference(pages[i]).FetchOrDie(pages[i], again).Release();
+        }
+      }
+    }
+    for (size_t s = 0; s < service.shard_count(); ++s) {
+      const ShardStats stats = service.StatsOfShard(s);
+      const core::BufferStats& want = plain[s]->stats();
+      EXPECT_GT(want.evictions, 0u) << "shard " << s << " never evicted";
+      EXPECT_EQ(stats.buffer.requests, want.requests) << "shard " << s;
+      EXPECT_EQ(stats.buffer.hits, want.hits) << "shard " << s;
+      EXPECT_EQ(stats.buffer.misses, want.misses) << "shard " << s;
+      EXPECT_EQ(stats.buffer.evictions, want.evictions) << "shard " << s;
+      EXPECT_EQ(stats.io.reads, views[s]->stats().reads) << "shard " << s;
+    }
+    return service.AggregateStats();
   }
 
   static sim::Scenario* scenario_;
@@ -195,7 +255,6 @@ TEST_F(BufferServiceTest, SharedAsbTuningPublishesOneClampedCandidate) {
   config.total_frames = 60;
   config.shard_count = 3;
   config.policy_spec = "ASB";
-  config.share_asb_tuning = true;
   BufferService service(disk(), config);
   ASSERT_NE(service.shared_tuning(), nullptr);
 
@@ -239,35 +298,17 @@ TEST_F(BufferServiceTest, SharedAsbTuningPublishesOneClampedCandidate) {
   }
 }
 
-TEST_F(BufferServiceTest, PrivateTuningWhenSharingDisabled) {
-  BufferServiceConfig config;
-  config.total_frames = 30;
-  config.shard_count = 3;
-  config.policy_spec = "ASB";
-  config.share_asb_tuning = false;
-  BufferService service(disk(), config);
-  EXPECT_EQ(service.shared_tuning(), nullptr);
-  EXPECT_EQ(service.shared_candidate(), 0u);
-  for (size_t s = 0; s < service.shard_count(); ++s) {
-    const auto& policy = dynamic_cast<const core::AsbPolicy&>(
-        service.shard_buffer(s).policy());
-    EXPECT_EQ(policy.shared_tuning(), nullptr);
-  }
-}
-
 TEST_F(BufferServiceTest, NonAsbPolicyIgnoresSharing) {
   BufferServiceConfig config;
   config.total_frames = 12;
   config.shard_count = 2;
   config.policy_spec = "LRU";
-  config.share_asb_tuning = true;
   BufferService service(disk(), config);
   EXPECT_EQ(service.shared_tuning(), nullptr);
   EXPECT_EQ(service.shared_candidate(), 0u);
 }
 
 TEST_F(BufferServiceTest, MetricsMergeShardsAndFlushDeltas) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   BufferServiceConfig config;
   config.total_frames = 24;
   config.shard_count = 3;
@@ -364,6 +405,27 @@ TEST_F(BufferServiceTest, OptimisticSerialRunIsBitIdenticalToMutex) {
   EXPECT_EQ(optimistic_stats.io.reads, mutex_stats.io.reads);
   EXPECT_GT(optimistic_stats.optimistic_hits, 0u);
   EXPECT_EQ(mutex_stats.optimistic_hits, 0u);
+}
+
+TEST_F(BufferServiceTest, SerialOneShardAsbServiceMatchesPlainBuffer) {
+  // One shard: the shared ASB tuning has a single participant, so it
+  // adapts exactly like a private policy. The 3-page batches all land on
+  // that shard and run through the async batch pipeline.
+  BufferServiceConfig config;
+  config.total_frames = 24;
+  config.shard_count = 1;
+  config.policy_spec = "ASB";
+  const ShardStats stats = ExpectSerialServiceMatchesPlainBuffers(config);
+  EXPECT_GT(stats.async_reads, 0u) << "batch misses must take the async path";
+  EXPECT_GT(stats.optimistic_hits, 0u);
+}
+
+TEST_F(BufferServiceTest, SerialFourShardLruServiceMatchesPlainBuffers) {
+  BufferServiceConfig config;
+  config.total_frames = 40;
+  config.shard_count = 4;
+  config.policy_spec = "LRU";
+  ExpectSerialServiceMatchesPlainBuffers(config);
 }
 
 TEST_F(BufferServiceTest, FetchBatchDeliversInputOrderAndCountsEachAccess) {
@@ -538,7 +600,6 @@ TEST_F(BufferServiceTest, TinyEventRingFallsBackWithoutLosingEvents) {
 }
 
 TEST_F(BufferServiceTest, MetricsStayMonotonicAcrossMidRunQuarantine) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   // Satellite regression for the delta-flush: quarantine (and the frame
   // churn it causes) mid-run must never make a flushed counter go
   // backwards or under-report — the saturating delta samples each source
@@ -586,6 +647,34 @@ TEST_F(BufferServiceTest, MetricsStayMonotonicAcrossMidRunQuarantine) {
   EXPECT_EQ(counter_value(final_snapshot, "svc.disk_reads"), stats.io.reads);
   EXPECT_EQ(counter_value(final_snapshot, "buffer.requests"),
             stats.buffer.requests);
+}
+
+TEST_F(BufferServiceTest, FullyPinnedShardReturnsResourceExhausted) {
+  // A client holding every frame of a shard is an operational condition,
+  // not a harness bug: the next fetch that needs a frame gets an error,
+  // and succeeds again once a pin is released. Both latch protocols.
+  for (const LatchMode mode : {LatchMode::kOptimistic, LatchMode::kMutex}) {
+    BufferServiceConfig config;
+    config.total_frames = 8;
+    config.shard_count = 1;
+    config.latch_mode = mode;
+    BufferService service(disk(), config);
+    uint64_t query = 0;
+    std::vector<core::PageHandle> held;
+    for (PageId id = 0; id < config.total_frames; ++id) {
+      held.push_back(service.FetchOrDie(id, core::AccessContext{++query}));
+    }
+    const PageId other = config.total_frames;
+    core::StatusOr<core::PageHandle> refused =
+        service.Fetch(other, core::AccessContext{++query});
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), core::StatusCode::kResourceExhausted);
+    held.front().Release();
+    core::StatusOr<core::PageHandle> served =
+        service.Fetch(other, core::AccessContext{++query});
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served.value().page_id(), other);
+  }
 }
 
 TEST_F(BufferServiceTest, NewFailsOnReadOnlyService) {
