@@ -115,8 +115,8 @@ class PolicyBase : public ReplacementPolicy {
   /// (all spatial policies do); mixing criteria would thrash the cache.
   double CachedCriterion(SpatialCriterion crit, FrameId f) const;
 
-  /// Scan-hoisted variant: `version` is the frame's current meta version as
-  /// read from the array meta_versions() returns.
+  /// Scan-hoisted variant: `version` is meta_versions()[f], read by the
+  /// caller from the array it hoisted once per scan.
   double CachedCriterionAt(SpatialCriterion crit, FrameId f,
                            uint64_t version) const {
     CriterionCacheEntry& entry = crit_cache_[f];

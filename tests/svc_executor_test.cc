@@ -181,6 +181,11 @@ TEST_F(SessionExecutorTest, SharedCandidateStaysClampedUnderRaces) {
       samples.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // Start the race only once the sampler is observing: on a loaded machine
+  // the short session batch can otherwise finish before it is scheduled.
+  while (samples.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
 
   {
     SessionExecutorConfig executor_config;
