@@ -1001,13 +1001,10 @@ void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
   concurrent_table_ = std::make_unique<ConcurrentPageTable>(frames_.size());
   deferred_ = std::make_unique<AccessEventRing>(
       std::max<size_t>(options.event_ring_capacity, 8));
-  if (options.async_reads) {
-    storage::AsyncDeviceOptions async = options.async;
-    async.queue_depth =
-        std::clamp<size_t>(async.queue_depth, 1, frames_.size());
-    async_device_ = std::make_unique<storage::AsyncPageDevice>(disk_, async);
-    staging_ = std::make_unique<std::byte[]>(async.queue_depth * page_size_);
-  }
+  storage::AsyncDeviceOptions async = options.async;
+  async.queue_depth = std::clamp<size_t>(async.queue_depth, 1, frames_.size());
+  async_device_ = std::make_unique<storage::AsyncPageDevice>(disk_, async);
+  staging_ = std::make_unique<std::byte[]>(async.queue_depth * page_size_);
   concurrent_ = true;
 }
 
@@ -1100,7 +1097,7 @@ void BufferManager::ApplyDeferred(const DeferredEvent& event) {
 void BufferManager::FetchBatchLocked(
     std::span<const storage::PageId> pages, const AccessContext& ctx,
     std::vector<StatusOr<PageHandle>>* out) {
-  if (!concurrent_ || async_device_ == nullptr || pages.size() < 2) {
+  if (!concurrent_ || pages.size() < 2) {
     for (const storage::PageId page : pages) out->push_back(Fetch(page, ctx));
     return;
   }

@@ -155,9 +155,8 @@ struct ConcurrentOptions {
   /// Capacity of the deferred-event ring (rounded up to a power of two). A
   /// full ring falls back to the exclusive path, so this bounds deferral.
   size_t event_ring_capacity = 1024;
-  /// Route batched misses (FetchBatch) through an AsyncPageDevice so the
+  /// The AsyncPageDevice batched misses (FetchBatchLocked) go through: the
   /// batch's reads are submitted together and complete out of order.
-  bool async_reads = true;
   storage::AsyncDeviceOptions async;
 };
 
@@ -286,15 +285,20 @@ class BufferManager : public FrameMetaSource, public PageSource {
                              const AccessContext& ctx) override;
 
   /// Allocates a fresh zeroed page on disk and pins it (no disk read).
-  /// Fails only with kResourceExhausted once quarantine has consumed the
-  /// evictable pool.
+  /// Fails with kResourceExhausted when no frame can be freed — quarantine
+  /// consumed the evictable pool, or (latch attached) other clients pin
+  /// every frame — and with the device's Allocate error (disk full), in
+  /// which case the acquired frame returns to the free list. A private
+  /// buffer whose caller pinned every frame aborts instead.
   StatusOr<PageHandle> New(const AccessContext& ctx) override;
 
   /// Installs an externally-allocated, still-zeroed page and pins it —
   /// New() split in two for callers that must route a page to a specific
   /// buffer after allocating it elsewhere (the sharded service allocates on
   /// the shared device, then installs into the page's home shard). The page
-  /// must not be resident anywhere.
+  /// must not be resident anywhere. Fails with kResourceExhausted exactly
+  /// when New's frame acquisition would; the page is then not installed and
+  /// stays allocated on its device.
   StatusOr<PageHandle> NewAt(storage::PageId page, const AccessContext& ctx);
 
   /// True if the page is currently resident.
@@ -346,9 +350,9 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// Batched miss pipeline body (latch held, ring drained by the caller or
   /// a prior exclusive section): semantically a sequential Fetch loop over
   /// `pages`, but with the misses' device reads submitted as one batch
-  /// through the async device (when enabled) so they complete out of order
-  /// ahead of the in-order install/policy phase. Appends one result per
-  /// page to `out`.
+  /// through the async device (concurrent mode) so they complete out of
+  /// order ahead of the in-order install/policy phase. Appends one result
+  /// per page to `out`.
   void FetchBatchLocked(std::span<const storage::PageId> pages,
                         const AccessContext& ctx,
                         std::vector<StatusOr<PageHandle>>* out);
@@ -366,7 +370,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
     return version_conflicts_.load(std::memory_order_relaxed);
   }
 
-  /// The async read pipeline (nullptr when async reads are off).
+  /// The async read pipeline (nullptr until EnableConcurrency).
   const storage::AsyncPageDevice* async_device() const {
     return async_device_.get();
   }

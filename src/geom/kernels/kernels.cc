@@ -35,13 +35,6 @@ bool CompiledAvx2() {
 #endif
 }
 
-/// The tier an SDB_KERNELS-style name denotes; nullopt for other names.
-std::optional<Level> LookupLevel(std::string_view name) {
-  if (name == "scalar") return Level::kScalar;
-  if (name == "avx2") return Level::kAvx2;
-  return std::nullopt;
-}
-
 Level DetectBest() {
   return LevelAvailable(Level::kAvx2) ? Level::kAvx2 : Level::kScalar;
 }
@@ -50,7 +43,7 @@ Level InitialLevel() {
   const Level best = DetectBest();
   const char* env = std::getenv("SDB_KERNELS");
   if (env == nullptr || env[0] == '\0') return best;
-  const std::optional<Level> requested = LookupLevel(env);
+  const std::optional<Level> requested = ParseLevelName(env);
   if (!requested.has_value() || !LevelAvailable(*requested)) {
     std::fprintf(stderr, "warning: SDB_KERNELS=%s %s, using %s\n", env,
                  requested.has_value() ? "not available on this machine/build"
@@ -99,8 +92,10 @@ std::string_view LevelName(Level level) {
   return "unknown";
 }
 
-Level ParseLevelName(std::string_view name, Level fallback) {
-  return LookupLevel(name).value_or(fallback);
+std::optional<Level> ParseLevelName(std::string_view name) {
+  if (name == "scalar") return Level::kScalar;
+  if (name == "avx2") return Level::kAvx2;
+  return std::nullopt;
 }
 
 void ForceLevel(Level level) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -100,8 +101,9 @@ bool LevelAvailable(Level level);
 /// "scalar", "avx2".
 std::string_view LevelName(Level level);
 
-/// Parses an SDB_KERNELS-style name; returns `fallback` for unknown names.
-Level ParseLevelName(std::string_view name, Level fallback);
+/// Parses an SDB_KERNELS-style name (exact, lower-case); nullopt for any
+/// other name.
+std::optional<Level> ParseLevelName(std::string_view name);
 
 /// Overrides the active tier for the rest of the process (bench/test A/B
 /// only — not thread-safe against concurrent kernel calls).

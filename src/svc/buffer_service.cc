@@ -99,7 +99,6 @@ void BufferService::Init(const storage::DiskManager& disk,
     if (latch_mode_ == LatchMode::kOptimistic) {
       core::ConcurrentOptions concurrent;
       concurrent.event_ring_capacity = config.event_ring_capacity;
-      concurrent.async_reads = config.async_reads;
       // Deterministic per-shard completion schedule: the whole service
       // replays for a fixed shard layout, but shards do not mirror each
       // other's reordering.
@@ -252,6 +251,7 @@ core::StatusOr<core::PageHandle> BufferService::New(
   span.set_page(page);
   span.set_payload(ShardOf(page));
   const std::unique_lock<std::mutex> lock = LockShard(shard);
+  // A refused install leaks `page` (see the contract in the header).
   return shard.buffer->NewAt(page, ctx);
 }
 

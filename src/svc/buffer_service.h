@@ -72,17 +72,15 @@ struct BufferServiceConfig {
   /// quarantine cap), forwarded to every shard's BufferManager.
   core::ResilienceOptions resilience;
   /// Hot-path latching protocol (see LatchMode). Optimistic is the
-  /// default; kMutex preserves the previous blocking behaviour for A/B
+  /// default, and it also routes FetchBatch misses through a per-shard
+  /// AsyncPageDevice (batched submit, out-of-order completion); kMutex
+  /// preserves the previous blocking, synchronous-read behaviour for A/B
   /// comparison and as a fallback.
   LatchMode latch_mode = LatchMode::kOptimistic;
   /// Per-shard deferred-event ring capacity in optimistic mode (rounded up
   /// to a power of two). Small rings just fall back to the latched path
   /// more often.
   size_t event_ring_capacity = 1024;
-  /// Route FetchBatch misses through a per-shard AsyncPageDevice (batched
-  /// submit, out-of-order completion, storage::AsyncDeviceOptions' queue
-  /// depth). Only effective in optimistic mode.
-  bool async_reads = true;
   /// When enabled, every shard reads through its own FaultInjectingDevice
   /// wrapping the shard view; the profile seed is mixed with the shard
   /// index so shards draw independent fault sequences but the whole service
@@ -139,7 +137,7 @@ struct ShardStats {
   uint64_t optimistic_retries = 0;
   uint64_t version_conflicts = 0;
   /// Async read pipeline: batches submitted and reads delivered through it
-  /// (zero when async reads are off).
+  /// (zero in mutex mode, which has no async device).
   uint64_t batch_submits = 0;
   uint64_t async_reads = 0;
   /// Service-wide degraded-mode accounting, mirrored into every shard's
@@ -218,7 +216,11 @@ class BufferService final : public core::PageSource {
 
   /// Writable service: allocates a fresh page on the shared device and
   /// installs it zero-filled and dirty in its shard. Read-only service:
-  /// always kUnimplemented.
+  /// always kUnimplemented. The page id picks the shard, so allocation
+  /// comes first: when the shard then refuses the install with
+  /// kResourceExhausted (every frame pinned, or quarantine emptied it), the
+  /// allocated page id is leaked — a zeroed device page nothing references,
+  /// since the device has no free list to return it to.
   core::StatusOr<core::PageHandle> New(const core::AccessContext& ctx)
       override;
 

@@ -13,9 +13,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -209,14 +212,32 @@ TEST(KernelsTest, ScalarSumsMatchSequentialWithinTolerance) {
 
 TEST(KernelsTest, LevelNamesRoundTrip) {
   for (const Level level : {Level::kScalar, Level::kAvx2}) {
-    EXPECT_EQ(ParseLevelName(LevelName(level), Level::kScalar), level);
+    EXPECT_EQ(ParseLevelName(LevelName(level)), level);
   }
-  EXPECT_EQ(ParseLevelName("bogus", Level::kScalar), Level::kScalar);
-  EXPECT_EQ(ParseLevelName("", Level::kAvx2), Level::kAvx2);
+  EXPECT_EQ(ParseLevelName("bogus"), std::nullopt);
+  EXPECT_EQ(ParseLevelName(""), std::nullopt);
   // Names are exact: a retired tier and a miscased one are both unknown.
-  EXPECT_EQ(ParseLevelName("sse2", Level::kScalar), Level::kScalar);
-  EXPECT_EQ(ParseLevelName("sse2", Level::kAvx2), Level::kAvx2);
-  EXPECT_EQ(ParseLevelName("AVX2", Level::kScalar), Level::kScalar);
+  EXPECT_EQ(ParseLevelName("sse2"), std::nullopt);
+  EXPECT_EQ(ParseLevelName("AVX2"), std::nullopt);
+}
+
+// The first kernel call reads SDB_KERNELS once per process, so each case
+// runs in a freshly executed child ("threadsafe" death-test style re-runs
+// the binary instead of forking this already-initialized process).
+TEST(KernelsTest, UnknownKernelNameWarnsAndUsesBestTier) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto activate = [](const char* name) {
+    setenv("SDB_KERNELS", name, /*overwrite=*/1);
+    const Level best =
+        LevelAvailable(Level::kAvx2) ? Level::kAvx2 : Level::kScalar;
+    std::exit(ActiveLevel() == best ? 0 : 1);
+  };
+  for (const char* name : {"bogus", "sse2", "AVX2"}) {
+    EXPECT_EXIT(activate(name), testing::ExitedWithCode(0),
+                std::string("warning: SDB_KERNELS=") + name +
+                    " is not a kernel tier")
+        << name;
+  }
 }
 
 TEST(KernelsTest, ScalarAlwaysAvailableAndActiveLevelValid) {
