@@ -4,21 +4,20 @@
 // the sharded BufferService via the SessionExecutor and reports throughput
 // (pages accessed per second), hit rate, and per-pin latency percentiles
 // (p50/p95/p99 from the executor's fixed-bucket histogram) as the worker
-// count (1..16) and shard count (1, 4, 16) grow. The whole grid runs twice
-// — latch_mode=mutex (blocking baseline) and latch_mode=optimistic
-// (version-stamped latch-free hits + batched async misses) — so the A/B
-// isolates the latching protocol.
+// count (1..16) and shard count (1, 4, 16) grow. The service is read-only,
+// so its shards run the optimistic protocol (version-stamped latch-free
+// hits + batched async misses); micro_policy_overhead's latch_overhead row
+// compares it with the shard mutex a writable service takes.
 //
 // Accounting contracts verified on every cell: total logical page accesses
-// are identical for every (latch mode, workers, shards) configuration —
-// concurrency must never change what the workload reads — a repeated
-// 1-worker run reproduces its hit count exactly at a fixed seed, and both
-// latch modes produce the same serial hit count (the optimistic path's
+// are identical for every (workers, shards) configuration — concurrency
+// must never change what the workload reads — and a repeated 1-worker run
+// reproduces its hit count exactly at a fixed seed (the optimistic path's
 // deferred policy events replay in arrival order, so a single-threaded run
-// is bit-identical to the mutex path). Rows are appended as JSON-Lines to
+// is deterministic). Rows are appended as JSON-Lines to
 // BENCH_concurrent.json (override with SDB_BENCH_CONCURRENT; empty
-// disables). Note that speedup numbers are only meaningful on a multi-core
-// host; the invariants hold anywhere.
+// disables). Note that speedup numbers are only meaningful on a
+// multi-core host; the invariants hold anywhere.
 
 #include <algorithm>
 #include <atomic>
@@ -45,12 +44,7 @@ namespace {
 
 using namespace sdb;
 
-const char* ModeName(svc::LatchMode mode) {
-  return mode == svc::LatchMode::kMutex ? "mutex" : "optimistic";
-}
-
 struct CellResult {
-  svc::LatchMode mode = svc::LatchMode::kOptimistic;
   size_t workers = 0;
   size_t shards = 0;
   double seconds = 0.0;
@@ -74,13 +68,11 @@ struct CellResult {
 
 CellResult RunCell(const sim::Scenario& scenario,
                    const std::vector<workload::QuerySet>& sessions,
-                   size_t total_frames, svc::LatchMode mode, size_t workers,
-                   size_t shards) {
+                   size_t total_frames, size_t workers, size_t shards) {
   svc::BufferServiceConfig service_config;
   service_config.total_frames = total_frames;
   service_config.shard_count = shards;
   service_config.policy_spec = "ASB";
-  service_config.latch_mode = mode;
   // Collectors only count — attaching them must not (and does not) perturb
   // the grid's access/hit invariants.
   service_config.collect_metrics = true;
@@ -97,7 +89,6 @@ CellResult RunCell(const sim::Scenario& scenario,
   executor_config.record_pin_latency = true;
 
   CellResult cell;
-  cell.mode = mode;
   cell.workers = workers;
   cell.shards = shards;
   const auto begin = std::chrono::steady_clock::now();
@@ -137,7 +128,7 @@ std::string CellJson(const std::string& workload_name, size_t total_frames,
   std::snprintf(
       buf, sizeof(buf),
       "{\"schema_version\":%d,\"bench\":\"concurrent_service\","
-      "\"workload\":\"%s\",\"policy\":\"ASB\",\"latch_mode\":\"%s\","
+      "\"workload\":\"%s\",\"policy\":\"ASB\","
       "\"buffer_frames\":%zu,\"workers\":%zu,\"shards\":%zu,"
       "\"seconds\":%.6f,\"pages_per_sec\":%.1f,\"accesses\":%llu,"
       "\"hits\":%llu,\"hit_rate\":%.6f,\"disk_reads\":%llu,"
@@ -146,9 +137,8 @@ std::string CellJson(const std::string& workload_name, size_t total_frames,
       "\"version_conflicts\":%llu,\"batch_submits\":%llu,"
       "\"async_reads\":%llu,\"pin_p50_ns\":%.0f,\"pin_p95_ns\":%.0f,"
       "\"pin_p99_ns\":%.0f,\"backpressure_waits\":%llu",
-      obs::kBenchJsonSchemaVersion, workload_name.c_str(),
-      ModeName(cell.mode), total_frames, cell.workers, cell.shards,
-      cell.seconds, cell.PagesPerSecond(),
+      obs::kBenchJsonSchemaVersion, workload_name.c_str(), total_frames,
+      cell.workers, cell.shards, cell.seconds, cell.PagesPerSecond(),
       static_cast<unsigned long long>(cell.accesses),
       static_cast<unsigned long long>(cell.stats.buffer.hits),
       cell.stats.buffer.HitRate(),
@@ -217,79 +207,67 @@ void RunGrid(const sim::Scenario& scenario, const std::string& workload_name,
                shard_counts.back() *
                    (worker_counts.back() * kMaxBatchPins + 1));
 
-  sim::Table table({"mode", "workers", "shards", "pages/s", "hit rate",
+  sim::Table table({"workers", "shards", "pages/s", "hit rate",
                     "latch waits", "p50 ns", "p99 ns", "speedup vs 1w/1s"});
   bool json_ok = true;
   uint64_t expected_accesses = 0;
-  uint64_t serial_hits = 0;  // shared across modes: serial runs must agree
-  for (const svc::LatchMode mode :
-       {svc::LatchMode::kMutex, svc::LatchMode::kOptimistic}) {
-    double base_pages_per_sec = 0.0;
-    for (const size_t shards : shard_counts) {
-      for (const size_t workers : worker_counts) {
-        const CellResult cell = RunCell(scenario, sessions, total_frames,
-                                        mode, workers, shards);
-        // Hard contract: the logical workload is configuration-invariant
-        // (across worker counts, shard counts, AND latch modes).
-        if (expected_accesses == 0) {
-          expected_accesses = cell.accesses;
-        } else if (cell.accesses != expected_accesses) {
-          std::fprintf(
-              stderr,
-              "FATAL: %s %zuw/%zus accessed %llu pages, expected %llu\n",
-              ModeName(mode), workers, shards,
-              static_cast<unsigned long long>(cell.accesses),
-              static_cast<unsigned long long>(expected_accesses));
+  double base_pages_per_sec = 0.0;
+  for (const size_t shards : shard_counts) {
+    for (const size_t workers : worker_counts) {
+      const CellResult cell =
+          RunCell(scenario, sessions, total_frames, workers, shards);
+      // Hard contract: the logical workload is configuration-invariant
+      // (across worker counts and shard counts).
+      if (expected_accesses == 0) {
+        expected_accesses = cell.accesses;
+      } else if (cell.accesses != expected_accesses) {
+        std::fprintf(stderr,
+                     "FATAL: %zuw/%zus accessed %llu pages, expected %llu\n",
+                     workers, shards,
+                     static_cast<unsigned long long>(cell.accesses),
+                     static_cast<unsigned long long>(expected_accesses));
+        std::exit(1);
+      }
+      if (workers == 1 && shards == 1) {
+        // Reproducibility: a second serial run must reproduce the hit
+        // count bit-for-bit at the fixed seed (deferred events replay in
+        // arrival order).
+        const CellResult again =
+            RunCell(scenario, sessions, total_frames, workers, shards);
+        if (again.stats.buffer.hits != cell.stats.buffer.hits) {
+          std::fprintf(stderr,
+                       "FATAL: serial runs hit %llu/%llu pages\n",
+                       static_cast<unsigned long long>(cell.stats.buffer.hits),
+                       static_cast<unsigned long long>(
+                           again.stats.buffer.hits));
           std::exit(1);
         }
-        if (workers == 1 && shards == 1) {
-          // Reproducibility: a second serial run must reproduce the hit
-          // count bit-for-bit at the fixed seed — and the optimistic
-          // protocol's serial execution must match the mutex baseline
-          // exactly (deferred events replay in arrival order).
-          if (serial_hits == 0) serial_hits = cell.stats.buffer.hits;
-          const CellResult again = RunCell(scenario, sessions, total_frames,
-                                           mode, workers, shards);
-          if (again.stats.buffer.hits != serial_hits ||
-              cell.stats.buffer.hits != serial_hits) {
-            std::fprintf(
-                stderr,
-                "FATAL: %s serial runs hit %llu/%llu pages, expected %llu\n",
-                ModeName(mode),
-                static_cast<unsigned long long>(cell.stats.buffer.hits),
-                static_cast<unsigned long long>(again.stats.buffer.hits),
-                static_cast<unsigned long long>(serial_hits));
-            std::exit(1);
-          }
-          base_pages_per_sec = cell.PagesPerSecond();
-        }
-        char speedup[32];
-        std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                      base_pages_per_sec <= 0.0
-                          ? 0.0
-                          : cell.PagesPerSecond() / base_pages_per_sec);
-        table.AddRow({ModeName(mode), std::to_string(workers),
-                      std::to_string(shards),
-                      sim::FormatDouble(cell.PagesPerSecond(), 0),
-                      sim::FormatDouble(cell.stats.buffer.HitRate(), 4),
-                      std::to_string(cell.stats.latch_waits),
-                      sim::FormatDouble(cell.PinQuantileNs(0.50), 0),
-                      sim::FormatDouble(cell.PinQuantileNs(0.99), 0),
-                      speedup});
-        if (!json_path.empty()) {
-          json_ok =
-              sim::AppendJsonLine(json_path,
-                                  CellJson(workload_name, total_frames,
-                                           cell)) &&
-              json_ok;
-        }
+        base_pages_per_sec = cell.PagesPerSecond();
+      }
+      char speedup[32];
+      std::snprintf(speedup, sizeof(speedup), "%.2fx",
+                    base_pages_per_sec <= 0.0
+                        ? 0.0
+                        : cell.PagesPerSecond() / base_pages_per_sec);
+      table.AddRow({std::to_string(workers), std::to_string(shards),
+                    sim::FormatDouble(cell.PagesPerSecond(), 0),
+                    sim::FormatDouble(cell.stats.buffer.HitRate(), 4),
+                    std::to_string(cell.stats.latch_waits),
+                    sim::FormatDouble(cell.PinQuantileNs(0.50), 0),
+                    sim::FormatDouble(cell.PinQuantileNs(0.99), 0),
+                    speedup});
+      if (!json_path.empty()) {
+        json_ok = sim::AppendJsonLine(json_path,
+                                      CellJson(workload_name, total_frames,
+                                               cell)) &&
+                  json_ok;
       }
     }
   }
   char title[160];
   std::snprintf(title, sizeof(title),
                 "Extension — concurrent service, %s, %zu sessions x %zu "
-                "queries, ASB, buffer %zu frames, mutex vs optimistic",
+                "queries, ASB, buffer %zu frames",
                 workload_name.c_str(), session_count, steps, total_frames);
   table.Print(title);
   if (!json_ok) {

@@ -8,7 +8,11 @@
 // eviction-cost table for the spatial policies: ns per eviction with and
 // without a collector attached, and header decodes per eviction (0 in
 // steady state, served by the frame-metadata cache). The table is also
-// appended as JSON-Lines to BENCH_policy_overhead.json.
+// appended as JSON-Lines to BENCH_policy_overhead.json. So is the
+// latch_overhead table: ns per fetch on the all-hit path of a 1-shard
+// service, a writable one (shard mutex) against a read-only one
+// (optimistic protocol) over the same pages — the service picks its latch
+// protocol from writability.
 
 #include <benchmark/benchmark.h>
 
@@ -285,20 +289,24 @@ void RunFaultOverheadTable() {
 }
 
 /// ns per fetch through a 1-shard BufferService driven single-threaded
-/// with a hit-dominated loop (working set = half the buffer). The
-/// mutex-vs-optimistic delta measured this way is the raw per-pin protocol
-/// cost: one uncontended mutex round-trip versus a version-stamp probe,
-/// pin-validate, and deferred policy event — with zero contention on either
-/// side.
-double MeasureServiceFetchNs(const storage::DiskManager& disk,
-                             svc::LatchMode mode, size_t frames,
-                             size_t pages) {
+/// with a hit-dominated loop (working set = half the buffer). The service's
+/// latch protocol follows writability, so a writable service (with a WAL)
+/// measures the mutex and a read-only one over the same pages the
+/// optimistic protocol. The delta is the raw per-pin protocol cost: one
+/// uncontended mutex round-trip versus a version-stamp probe, pin-validate,
+/// and deferred policy event — with zero contention on either side.
+double MeasureServiceFetchNs(storage::DiskManager& disk, bool writable,
+                             size_t frames, size_t pages) {
   svc::BufferServiceConfig config;
   config.total_frames = frames;
   config.shard_count = 1;
   config.policy_spec = "ASB";
-  config.latch_mode = mode;
-  svc::BufferService service(disk, config);
+  storage::DiskManager log;
+  wal::WalManager wal(&log);
+  const std::unique_ptr<svc::BufferService> owned =
+      writable ? std::make_unique<svc::BufferService>(&disk, &wal, config)
+               : std::make_unique<svc::BufferService>(disk, config);
+  svc::BufferService& service = *owned;
   uint64_t query = 0;
   storage::PageId next = 0;
   const auto touch = [&] {
@@ -341,9 +349,9 @@ void RunLatchOverheadTable() {
     double mutex_ns = 0.0, optimistic_ns = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
       const double m =
-          MeasureServiceFetchNs(*disk, svc::LatchMode::kMutex, frames, pages);
-      const double o = MeasureServiceFetchNs(
-          *disk, svc::LatchMode::kOptimistic, frames, pages);
+          MeasureServiceFetchNs(*disk, /*writable=*/true, frames, pages);
+      const double o =
+          MeasureServiceFetchNs(*disk, /*writable=*/false, frames, pages);
       if (rep == 0 || m < mutex_ns) mutex_ns = m;
       if (rep == 0 || o < optimistic_ns) optimistic_ns = o;
     }
@@ -364,7 +372,7 @@ void RunLatchOverheadTable() {
   }
   table.Print(
       "single-threaded latch-protocol cost on the service pin path, "
-      "mutex vs optimistic (1 shard, all hits)");
+      "mutex (writable) vs optimistic (read-only) (1 shard, all hits)");
   if (!json_ok) {
     std::fprintf(stderr, "warning: could not write %s\n", json_path.c_str());
   }

@@ -5,12 +5,14 @@
 #   BENCH_sweep.json            all figure benches' sweep rows (concatenated)
 #   BENCH_metrics.json          the figure sweeps' merged metrics registries
 #   BENCH_policy_overhead.json  eviction-cost + EO-refresh A/B rows, plus a
-#                               latch_overhead row (mutex vs optimistic
-#                               ns/fetch on the uncontended hit path)
+#                               latch_overhead row (ns/fetch on the
+#                               uncontended hit path: a writable service's
+#                               shard mutex vs a read-only service's
+#                               optimistic protocol)
 #   BENCH_kernels.json          geometry-kernel dispatch-tier A/B rows
-#   BENCH_concurrent.json       concurrent shared-buffer service rows; the
-#                               grid runs twice (latch_mode mutex vs
-#                               optimistic) and each row carries pin-latency
+#   BENCH_concurrent.json       concurrent shared-buffer service rows (a
+#                               read-only service, so the optimistic
+#                               protocol); each row carries pin-latency
 #                               percentiles (pin_p50_ns/p95/p99)
 #   BENCH_fault.json            fault-resilience rows (hit rate + fetch
 #                               latency vs injected fault rate, LRU vs ASB)

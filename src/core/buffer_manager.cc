@@ -29,6 +29,9 @@ constexpr size_t kVictimScanLimit = 1u << 16;
 /// Optimistic probe retries (after the first attempt) before
 /// TryOptimisticFetch gives up and the caller takes the latch.
 constexpr uint32_t kMaxOptimisticRetries = 3;
+
+/// Abort message of the read-only-shard invariant (EnableConcurrency).
+constexpr char kReadOnlyShard[] = "a concurrent buffer is a read-only shard";
 }  // namespace
 
 PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
@@ -165,7 +168,7 @@ StatusOr<PageHandle> BufferManager::FetchDrained(storage::PageId page,
 }
 
 StatusOr<PageHandle> BufferManager::New(const AccessContext& ctx) {
-  if (concurrent_) DrainDeferred();
+  SDB_DCHECK(!concurrent_);
   ++stats_.requests;
   ++stats_.misses;  // a new page is never a hit
   StatusOr<FrameId> acquired = AcquireFrame(ctx, storage::kInvalidPageId);
@@ -177,7 +180,6 @@ StatusOr<PageHandle> BufferManager::New(const AccessContext& ctx) {
     // status — the caller's New fails, the pool (and its resident pages)
     // stays intact and keeps serving reads.
     free_frames_.push_back(f);
-    if (concurrent_) sync_[f].Unlock();
     return allocated.status();
   }
   const storage::PageId page = *allocated;
@@ -185,13 +187,12 @@ StatusOr<PageHandle> BufferManager::New(const AccessContext& ctx) {
   std::memset(FrameData(f), 0, page_size_);
   InstallLoadedPage(f, page, ctx,
                     /*dirty=*/true);  // must reach disk even if never modified
-  if (concurrent_) sync_[f].Unlock();
   return PageHandle(this, f, page);
 }
 
 StatusOr<PageHandle> BufferManager::NewAt(storage::PageId page,
                                           const AccessContext& ctx) {
-  if (concurrent_) DrainDeferred();
+  SDB_DCHECK(!concurrent_);
   SDB_CHECK_MSG(!page_table_.contains(page), "NewAt of a resident page");
   ++stats_.requests;
   ++stats_.misses;
@@ -201,7 +202,6 @@ StatusOr<PageHandle> BufferManager::NewAt(storage::PageId page,
   const FrameId f = *acquired;
   std::memset(FrameData(f), 0, page_size_);
   InstallLoadedPage(f, page, ctx, /*dirty=*/true);
-  if (concurrent_) sync_[f].Unlock();
   return PageHandle(this, f, page);
 }
 
@@ -382,7 +382,6 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
     SDB_CHECK(frame.page != storage::kInvalidPageId);
     if (prefer_clean && frame.dirty &&
         dirty_skipped.size() < writeback_.max_clean_scan) {
-      if (concurrent_) sync_[f].Unlock();
       policy_->SetEvictable(f, false);
       dirty_skipped.push_back(f);
       continue;
@@ -398,7 +397,8 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
       }
       if (Status written = WriteBackLocked(f, ctx); !written.ok()) {
         // The victim keeps its bytes and residency; the fetch that wanted
-        // the frame fails instead of evicting a page the device refused.
+        // the frame fails instead of evicting a page the device refused (a
+        // read-only shard refuses every write a client's MarkDirty causes).
         if (concurrent_) sync_[f].Unlock();
         restore_skipped();
         return written;
@@ -584,10 +584,6 @@ void BufferManager::QuarantineWriteFailure(FrameId f) {
   }
   bad_pages_.emplace(page, StatusCode::kPermanentFailure);
   page_table_.erase(page);
-  if (concurrent_) {
-    concurrent_table_->Erase(page);
-    sync_[f].page.store(storage::kInvalidPageId, std::memory_order_release);
-  }
   policy_->OnPageEvicted(f, page);
   SDB_DCHECK(dirty_frames_ > 0);
   --dirty_frames_;
@@ -776,7 +772,6 @@ Status BufferManager::Commit(const AccessContext& ctx) {
   if (wal_ == nullptr) {
     return Status::Unimplemented("no write-ahead log attached");
   }
-  if (concurrent_) DrainDeferred();
   std::vector<wal::PageImageRef> images;
   std::vector<FrameId> dirty;
   CollectDirtyPages(&images, &dirty);
@@ -810,38 +805,22 @@ Status BufferManager::ForceDirty(const AccessContext& ctx) {
 }
 
 EvictStatus BufferManager::Evict(storage::PageId page) {
-  if (concurrent_) DrainDeferred();
+  SDB_DCHECK(!concurrent_);
   const auto it = page_table_.find(page);
   if (it == page_table_.end()) return EvictStatus::kNotResident;
   const FrameId f = it->second;
   Frame& frame = frames_[f];
   if (frame.quarantined) return EvictStatus::kQuarantined;
-  if (concurrent_) {
-    sync_[f].Lock();
-    if (sync_[f].pins.load(std::memory_order_acquire) != 0) {
-      sync_[f].Unlock();
-      return EvictStatus::kPinned;
-    }
-  } else if (frame.pin_count != 0) {
-    return EvictStatus::kPinned;
-  }
-  if (frame.dirty) {
-    if (Status written = WriteBackLocked(f, AccessContext{}); !written.ok()) {
-      if (concurrent_) sync_[f].Unlock();
-      return EvictStatus::kWriteBackFailed;
-    }
+  if (frame.pin_count != 0) return EvictStatus::kPinned;
+  if (frame.dirty && !WriteBackLocked(f, AccessContext{}).ok()) {
+    return EvictStatus::kWriteBackFailed;
   }
   ++stats_.evictions;
   if (obs_ != nullptr) obs_evictions_->Add();
   page_table_.erase(frame.page);
-  if (concurrent_) {
-    concurrent_table_->Erase(frame.page);
-    sync_[f].page.store(storage::kInvalidPageId, std::memory_order_release);
-  }
   policy_->OnPageEvicted(f, frame.page);
   frame.page = storage::kInvalidPageId;
   free_frames_.push_back(f);
-  if (concurrent_) sync_[f].Unlock();
   return EvictStatus::kOk;
 }
 
@@ -869,7 +848,6 @@ uint64_t BufferManager::min_rec_lsn() const {
 
 void BufferManager::CollectDirtyPages(std::vector<wal::PageImageRef>* images,
                                       std::vector<FrameId>* frames) {
-  if (concurrent_) DrainDeferred();
   for (FrameId f = 0; f < frames_.size(); ++f) {
     const Frame& frame = frames_[f];
     // wal_logged dirty frames already have their current bytes in a
@@ -894,11 +872,17 @@ void BufferManager::MarkFramesCommitted(std::span<const FrameId> frames,
   }
 }
 
+void BufferManager::AttachWal(wal::WalManager* wal) {
+  SDB_CHECK_MSG(wal == nullptr || !concurrent_, kReadOnlyShard);
+  wal_ = wal;
+}
+
 void BufferManager::ConfigureBackgroundWriteback(
     const WritebackOptions& options) {
   SDB_CHECK_MSG(
       !options.enabled || options.low_watermark <= options.high_watermark,
       "low watermark must not exceed the high watermark");
+  SDB_CHECK_MSG(!options.enabled || !concurrent_, kReadOnlyShard);
   writeback_ = options;
   if (obs_ != nullptr && options.enabled && obs_sync_fallbacks_ == nullptr) {
     obs_sync_fallbacks_ =
@@ -908,7 +892,6 @@ void BufferManager::ConfigureBackgroundWriteback(
 
 size_t BufferManager::HarvestFlushCandidates(size_t max,
                                              std::vector<DirtyCandidate>* out) {
-  if (concurrent_) DrainDeferred();
   const size_t before = out->size();
   for (FrameId f = 0; f < frames_.size(); ++f) {
     const Frame& frame = frames_[f];
@@ -916,7 +899,7 @@ size_t BufferManager::HarvestFlushCandidates(size_t max,
     // durable committed image, so flushing them never forces a steal commit
     // (the flusher's steal-avoidance invariant) and never blocks on the log.
     if (frame.page == storage::kInvalidPageId || !frame.dirty ||
-        frame.quarantined || !frame.wal_logged || PinCount(f) != 0) {
+        frame.quarantined || !frame.wal_logged || frame.pin_count != 0) {
       continue;
     }
     out->push_back(
@@ -935,7 +918,6 @@ size_t BufferManager::HarvestFlushCandidates(size_t max,
 
 StatusOr<size_t> BufferManager::FlushFrames(
     std::span<const DirtyCandidate> candidates, const AccessContext& ctx) {
-  if (concurrent_) DrainDeferred();
   // Device writes go out in ascending page-id order so adjacent dirty pages
   // coalesce into sequential device writes (write clustering) regardless of
   // the rec_lsn order the harvest selected them in.
@@ -953,21 +935,7 @@ StatusOr<size_t> BufferManager::FlushFrames(
     // is always safe — the page stays dirty and a later round, a commit, or
     // the eviction fallback picks it up.
     if (frame.page != candidate.page || !frame.dirty || !frame.wal_logged ||
-        frame.quarantined) {
-      continue;
-    }
-    if (concurrent_) {
-      // Same protocol as eviction: the version lock fences out optimistic
-      // pins (their validation fails while it is held), and the live pin
-      // count is re-checked under it — so nobody can be mutating the bytes
-      // while they stream to the device.
-      sync_[f].Lock();
-      if (sync_[f].pins.load(std::memory_order_acquire) != 0 ||
-          frame.page != candidate.page || !frame.dirty || !frame.wal_logged) {
-        sync_[f].Unlock();
-        continue;
-      }
-    } else if (frame.pin_count != 0) {
+        frame.quarantined || frame.pin_count != 0) {
       continue;
     }
     bool device_write_failed = false;
@@ -982,11 +950,9 @@ StatusOr<size_t> BufferManager::FlushFrames(
       if (!written.retryable() ||
           frame.write_failures > resilience_.max_write_retries) {
         QuarantineWriteFailure(f);
-        if (concurrent_) sync_[f].Unlock();
         continue;  // the page is absorbed, keep flushing the rest
       }
     }
-    if (concurrent_) sync_[f].Unlock();
     if (!written.ok()) return written;
     ++flushed;
   }
@@ -997,6 +963,7 @@ void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
   SDB_CHECK_MSG(!concurrent_, "EnableConcurrency is one-shot");
   SDB_CHECK_MSG(page_table_.empty() && stats_.requests == 0,
                 "enable concurrency before traffic");
+  SDB_CHECK_MSG(wal_ == nullptr && !writeback_.enabled, kReadOnlyShard);
   sync_ = std::make_unique<FrameSync[]>(frames_.size());
   concurrent_table_ = std::make_unique<ConcurrentPageTable>(frames_.size());
   deferred_ = std::make_unique<AccessEventRing>(

@@ -326,10 +326,12 @@ class BufferManager : public FrameMetaSource, public PageSource {
 
   /// Switches this buffer into concurrent mode (call once, before traffic,
   /// with the external latch already attached): allocates the per-frame
-  /// version stamps, the lock-free page table mirror and the deferred-event
-  /// ring, and optionally the async read pipeline. From then on
-  /// TryOptimisticFetch may serve hits without the latch, and exclusive
-  /// sections (Fetch/New/Unpin/stats under the latch) drain the ring first.
+  /// version stamps, the lock-free page table mirror, the deferred-event
+  /// ring and the async read pipeline. From then on TryOptimisticFetch may
+  /// serve hits without the latch, and exclusive sections (Fetch/Unpin/
+  /// stats under the latch) drain the ring first. A concurrent buffer is a
+  /// read-only service shard: a WAL or background write-back attached
+  /// before or after aborts, and New, NewAt and Evict are not for it.
   void EnableConcurrency(const ConcurrentOptions& options);
   bool concurrent() const { return concurrent_; }
 
@@ -382,7 +384,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// forces a steal commit of that single page first. Callers that want
   /// crash consistency without steals must size the buffer so dirty pages
   /// survive until the next Commit/Checkpoint.
-  void AttachWal(wal::WalManager* wal) { wal_ = wal; }
+  void AttachWal(wal::WalManager* wal);
   wal::WalManager* wal() const { return wal_; }
 
   /// Logs the after-image of every dirty-and-not-yet-logged frame plus one
@@ -593,8 +595,8 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// Write-side escalation: detaches the (dirty, wal_logged) page from the
   /// tables, pins the redo low-water mark so log truncation cannot drop the
   /// page's only current image, remembers the page as bad, then hands the
-  /// frame to QuarantineFrame. Caller holds the latch (and, in concurrent
-  /// mode, the frame's version lock with a zero pin count).
+  /// frame to QuarantineFrame. Caller holds the latch; the frame has a zero
+  /// pin count (and the buffer, having a WAL, is not concurrent).
   void QuarantineWriteFailure(FrameId frame);
 
   /// Registers the io.* counters in the collector on first fault — lazily,

@@ -53,7 +53,6 @@ void BufferService::Init(const storage::DiskManager& disk,
                          const BufferServiceConfig& config) {
   total_frames_ = config.total_frames;
   policy_spec_ = config.policy_spec;
-  latch_mode_ = config.latch_mode;
   collect_metrics_ = config.collect_metrics;
   SDB_CHECK_MSG(config.shard_count > 0, "service needs at least one shard");
   SDB_CHECK_MSG(config.total_frames >= config.shard_count,
@@ -96,7 +95,8 @@ void BufferService::Init(const storage::DiskManager& disk,
         device, SplitFrames(total_frames_, config.shard_count, s),
         std::move(policy), shard->collector.get(), config.resilience);
     shard->buffer->set_latch(&shard->latch);
-    if (latch_mode_ == LatchMode::kOptimistic) {
+    // Read-only shards go optimistic; writable ones keep the shard mutex.
+    if (writable_disk_ == nullptr) {
       core::ConcurrentOptions concurrent;
       concurrent.event_ring_capacity = config.event_ring_capacity;
       // Deterministic per-shard completion schedule: the whole service
@@ -155,7 +155,7 @@ core::StatusOr<core::PageHandle> BufferService::Fetch(
   obs::ScopedSpan span(ctx.span, obs::SpanKind::kShardFetch);
   span.set_page(page);
   span.set_payload(s);
-  if (latch_mode_ == LatchMode::kOptimistic) {
+  if (shard.buffer->concurrent()) {
     // Latch-free hit path: version-validated pin, bookkeeping deferred.
     if (std::optional<core::PageHandle> hit =
             shard.buffer->TryOptimisticFetch(page, ctx)) {
@@ -170,17 +170,18 @@ core::StatusOr<core::PageHandle> BufferService::Fetch(
 void BufferService::FetchBatch(
     std::span<const storage::PageId> pages, const core::AccessContext& ctx,
     std::vector<core::StatusOr<core::PageHandle>>* out) {
-  // Phase 1 (latch-free): serve what the optimistic path can — but keep
-  // each shard's access sequence in input order. Once one page of a shard
-  // has to take the latched path, serving a LATER page of that same shard
-  // optimistically here would reorder the two accesses as the shard's
-  // policy sees them (the optimistic hit lands first, the latched fetch
-  // after), diverging from the mutex baseline's per-shard sequence. So the
-  // first probe failure blocks the rest of that shard into phase 2, where
-  // the batch pipeline replays them in order under one latch hold.
+  // Phase 1 (latch-free, read-only service): serve what the optimistic
+  // path can — but keep each shard's access sequence in input order. Once
+  // one page of a shard has to take the latched path, serving a LATER page
+  // of that same shard optimistically here would reorder the two accesses
+  // as the shard's policy sees them (the optimistic hit lands first, the
+  // latched fetch after), diverging from the all-latched sequence of a
+  // writable service. So the first probe failure blocks the rest of that
+  // shard into phase 2, where the batch pipeline replays them in order
+  // under one latch hold.
   std::vector<std::optional<core::StatusOr<core::PageHandle>>> slots(
       pages.size());
-  if (latch_mode_ == LatchMode::kOptimistic) {
+  if (shards_.front()->buffer->concurrent()) {
     std::vector<bool> shard_blocked(shards_.size(), false);
     for (size_t i = 0; i < pages.size(); ++i) {
       const size_t s = ShardOf(pages[i]);
@@ -432,7 +433,7 @@ ShardStats BufferService::StatsOfShard(size_t s) const {
   Shard& shard = *shards_[s];
   const std::unique_lock<std::mutex> lock = LockShard(shard);
   // Deferred optimistic events must reach the buffer's stats before they
-  // are sampled (no-op in mutex mode).
+  // are sampled (no-op on a writable service's shards).
   shard.buffer->DrainDeferred();
   ShardStats stats;
   stats.buffer = shard.buffer->stats();
@@ -579,7 +580,7 @@ void BufferService::FlushShardLocked(Shard& shard) {
                   &shard.flushed_latch_acquires));
   metrics.GetCounter("svc.disk_reads")
       ->Add(delta(ShardIoStats(shard).reads, &shard.flushed_disk_reads));
-  if (latch_mode_ == LatchMode::kOptimistic) {
+  if (shard.buffer->concurrent()) {
     metrics.GetCounter("svc.optimistic_hits")
         ->Add(delta(shard.buffer->optimistic_hits(),
                     &shard.flushed_optimistic_hits));

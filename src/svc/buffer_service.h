@@ -24,16 +24,6 @@ namespace sdb::svc {
 
 class FlushCoordinator;
 
-/// How the service guards each shard's buffer on the pin/unpin hot path.
-enum class LatchMode : uint8_t {
-  /// Every fetch takes the shard's std::mutex (the pre-optimistic
-  /// behaviour, kept as the A/B baseline).
-  kMutex,
-  /// Hits pin latch-free through per-frame version stamps; the mutex
-  /// becomes a writer-side lock (misses, eviction, quarantine, stats).
-  kOptimistic,
-};
-
 /// Health of the whole service's write path. The service degrades instead
 /// of dying: once a write-side failure survives every retry budget below it
 /// (WAL sticky error) or quarantine eats the last spare frame of a shard,
@@ -71,14 +61,8 @@ struct BufferServiceConfig {
   /// Per-shard fault handling (retry budget, checksum verification,
   /// quarantine cap), forwarded to every shard's BufferManager.
   core::ResilienceOptions resilience;
-  /// Hot-path latching protocol (see LatchMode). Optimistic is the
-  /// default, and it also routes FetchBatch misses through a per-shard
-  /// AsyncPageDevice (batched submit, out-of-order completion); kMutex
-  /// preserves the previous blocking, synchronous-read behaviour for A/B
-  /// comparison and as a fallback.
-  LatchMode latch_mode = LatchMode::kOptimistic;
-  /// Per-shard deferred-event ring capacity in optimistic mode (rounded up
-  /// to a power of two). Small rings just fall back to the latched path
+  /// Per-shard deferred-event ring capacity of a read-only service (rounded
+  /// up to a power of two). Small rings just fall back to the latched path
   /// more often.
   size_t event_ring_capacity = 1024;
   /// When enabled, every shard reads through its own FaultInjectingDevice
@@ -130,14 +114,14 @@ struct ShardStats {
   uint64_t bad_pages = 0;
   /// Frames still in service (capacity minus quarantined).
   uint64_t usable_frames = 0;
-  /// Optimistic-path accounting (all zero in mutex mode): hits served
-  /// without the shard latch, probe attempts abandoned, and version
+  /// Optimistic-path accounting (all zero on a writable service): hits
+  /// served without the shard latch, probe attempts abandoned, and version
   /// validations lost against a concurrent writer.
   uint64_t optimistic_hits = 0;
   uint64_t optimistic_retries = 0;
   uint64_t version_conflicts = 0;
   /// Async read pipeline: batches submitted and reads delivered through it
-  /// (zero in mutex mode, which has no async device).
+  /// (zero on a writable service, which has no async device).
   uint64_t batch_submits = 0;
   uint64_t async_reads = 0;
   /// Service-wide degraded-mode accounting, mirrored into every shard's
@@ -164,14 +148,21 @@ struct ShardStats {
 /// WritableDiskView serialized on one device mutex, every shard's buffer
 /// holds the WAL, and Commit/Checkpoint gather the dirty pages of ALL
 /// shards into one atomic log group.
+///
+/// The latch protocol follows writability. A read-only service's shards
+/// pin hits latch-free (core::BufferManager::EnableConcurrency) and batch
+/// their misses through an AsyncPageDevice; a writable service's shards
+/// take the plain shard mutex, so the write path never races a latch-free
+/// reader. Run serially, both give the same hits and misses.
 class BufferService final : public core::PageSource {
  public:
   BufferService(const storage::DiskManager& disk,
                 const BufferServiceConfig& config);
 
   /// Writable service over `disk`, with the write-ahead rule enforced by
-  /// `wal` (both must outlive the service). The read path is byte-for-byte
-  /// the read-only service's; only write-backs and New() differ.
+  /// `wal` (both must outlive the service). Reads return the read-only
+  /// service's bytes and, run serially, its hits and misses; they take the
+  /// shard mutex instead of the optimistic path.
   BufferService(storage::DiskManager* disk, wal::WalManager* wal,
                 const BufferServiceConfig& config);
   ~BufferService() override;
@@ -188,21 +179,20 @@ class BufferService final : public core::PageSource {
                                          const core::AccessContext& ctx)
       override;
 
-  /// Batched fetch: optimistic hits are served latch-free first, then the
-  /// remaining pages are grouped by shard and pushed through each shard's
-  /// batched miss pipeline (async submit, out-of-order completion) under
-  /// one latch acquisition per shard. Results land in input order. All of
-  /// a batch's handles may be alive at once — callers must leave every
-  /// shard (batch size + 1) frames of pin headroom.
+  /// Batched fetch: a read-only service serves optimistic hits latch-free
+  /// first; the remaining pages are grouped by shard and pushed through
+  /// each shard's batched miss pipeline under one latch acquisition per
+  /// shard. Results land in input order. All of a batch's handles may be
+  /// alive at once — callers must leave every shard (batch size + 1)
+  /// frames of pin headroom.
   void FetchBatch(std::span<const storage::PageId> pages,
                   const core::AccessContext& ctx,
                   std::vector<core::StatusOr<core::PageHandle>>* out)
       override;
 
-  /// True in both latch modes — the service's batch path amortizes latch
-  /// acquisitions even without the async device, and keeping it
-  /// mode-independent means a mutex/optimistic A/B isolates the latch
-  /// protocol rather than the batching.
+  /// True for read-only and writable services alike: the batch path
+  /// amortizes latch acquisitions even without the async device a writable
+  /// service lacks.
   bool PrefersBatchedReads() const override { return true; }
 
   /// Per-shard pin budget: the page-id hash can land a whole batch on one
@@ -284,7 +274,6 @@ class BufferService final : public core::PageSource {
   size_t shard_count() const { return shards_.size(); }
   size_t total_frames() const { return total_frames_; }
   const std::string& policy_spec() const { return policy_spec_; }
-  LatchMode latch_mode() const { return latch_mode_; }
 
   /// Shard serving `page` (stable hash of the page id).
   size_t ShardOf(storage::PageId page) const;
@@ -399,7 +388,6 @@ class BufferService final : public core::PageSource {
   wal::WalManager* wal_ = nullptr;
   mutable std::mutex device_mu_;
   std::string policy_spec_;
-  LatchMode latch_mode_ = LatchMode::kOptimistic;
   bool collect_metrics_ = false;
   bool asb_shared_ = false;
   bool fuzzy_checkpoints_ = false;

@@ -7,6 +7,7 @@
 #include "core/policy_spatial.h"
 #include "storage/fault_injection.h"
 #include "test_util.h"
+#include "wal/wal.h"
 
 namespace sdb::core {
 namespace {
@@ -321,6 +322,23 @@ TEST_F(BufferManagerDeathTest, AllPinnedAborts) {
   PageHandle pinned = buffer->FetchOrDie(pages_[0], ctx);
   EXPECT_DEATH(Touch(*buffer, pages_[1], 2), "no evictable frame");
   pinned.Release();
+}
+
+TEST_F(BufferManagerDeathTest, ConcurrentBufferRefusesTheWritePath) {
+  // A concurrent buffer is a read-only service shard: its latch-free
+  // readers must never race the write path, in either attach order.
+  DiskManager log;
+  wal::WalManager wal(&log);
+  auto logged = MakeLruBuffer(disk_, 4);
+  logged->AttachWal(&wal);
+  EXPECT_DEATH(logged->EnableConcurrency({}), "read-only shard");
+  auto concurrent = MakeLruBuffer(disk_, 4);
+  concurrent->EnableConcurrency({});
+  EXPECT_DEATH(concurrent->AttachWal(&wal), "read-only shard");
+  WritebackOptions writeback;
+  writeback.enabled = true;
+  EXPECT_DEATH(concurrent->ConfigureBackgroundWriteback(writeback),
+               "read-only shard");
 }
 
 }  // namespace

@@ -66,7 +66,6 @@ TEST_F(LatchStressTest, SixteenWorkersSixteenShardsSoak) {
   config.policy_spec = "ASB";
   config.event_ring_capacity = 64;  // small ring: force frequent drains
   BufferService service(disk(), config);
-  ASSERT_EQ(service.latch_mode(), LatchMode::kOptimistic);
 
   std::atomic<uint64_t> total_fetches{0};
   std::vector<std::thread> workers;

@@ -37,6 +37,17 @@ class BufferServiceTest : public ::testing::Test {
 
   static const storage::DiskManager& disk() { return *scenario_->disk; }
 
+  /// Page-for-page copy of the (shared, const) scenario disk, for a
+  /// writable service over the same pages.
+  static storage::DiskManager CopyDisk() {
+    storage::DiskManager copy(disk().page_size());
+    for (PageId id = 0; id < disk().page_count(); ++id) {
+      EXPECT_EQ(copy.AllocateOrDie(), id);
+      EXPECT_TRUE(copy.Write(id, disk().PeekPage(id)).ok());
+    }
+    return copy;
+  }
+
   /// Every allocated page id of the scenario's disk (the fetch universe).
   static std::vector<PageId> AllPages() {
     std::vector<PageId> pages;
@@ -355,20 +366,38 @@ TEST_F(BufferServiceTest, MetricsMergeShardsAndFlushDeltas) {
   EXPECT_EQ(shard_sum, requests->count);
 }
 
+TEST_F(BufferServiceTest, LatchProtocolFollowsWritability) {
+  // Read-only shards run the optimistic protocol; writable shards, which
+  // carry the WAL and the write path, stay on the plain shard mutex.
+  BufferServiceConfig config;
+  config.total_frames = 16;
+  config.shard_count = 4;
+  const BufferService read_only(disk(), config);
+  storage::DiskManager copy = CopyDisk();
+  storage::DiskManager log;
+  wal::WalManager wal(&log);
+  const BufferService writable(&copy, &wal, config);
+  for (size_t s = 0; s < config.shard_count; ++s) {
+    EXPECT_TRUE(read_only.shard_buffer(s).concurrent()) << "shard " << s;
+    EXPECT_FALSE(writable.shard_buffer(s).concurrent()) << "shard " << s;
+  }
+}
+
 TEST_F(BufferServiceTest, OptimisticSerialRunIsBitIdenticalToMutex) {
   // The deferred-event protocol's core promise: executed serially, the
-  // optimistic service replays policy events in arrival order and therefore
-  // produces the exact eviction/hit sequence of the blocking-mutex service.
+  // optimistic (read-only) service replays policy events in arrival order
+  // and therefore produces the exact eviction/hit sequence of a mutex
+  // service — a writable one over a page-for-page copy of the same disk.
   const std::vector<PageId> pages = AllPages();
   BufferServiceConfig config;
   config.total_frames = 24;
   config.shard_count = 4;
   config.policy_spec = "ASB";
-  config.latch_mode = LatchMode::kMutex;
-  BufferService mutex_service(disk(), config);
-  config.latch_mode = LatchMode::kOptimistic;
+  storage::DiskManager copy = CopyDisk();
+  storage::DiskManager log;
+  wal::WalManager wal(&log);
+  BufferService mutex_service(&copy, &wal, config);
   BufferService optimistic_service(disk(), config);
-  EXPECT_EQ(optimistic_service.latch_mode(), LatchMode::kOptimistic);
 
   uint64_t query = 0;
   std::vector<core::StatusOr<core::PageHandle>> scratch;
@@ -405,6 +434,7 @@ TEST_F(BufferServiceTest, OptimisticSerialRunIsBitIdenticalToMutex) {
   EXPECT_EQ(optimistic_stats.io.reads, mutex_stats.io.reads);
   EXPECT_GT(optimistic_stats.optimistic_hits, 0u);
   EXPECT_EQ(mutex_stats.optimistic_hits, 0u);
+  EXPECT_EQ(mutex_stats.async_reads, 0u);
 }
 
 TEST_F(BufferServiceTest, SerialOneShardAsbServiceMatchesPlainBuffer) {
@@ -652,13 +682,19 @@ TEST_F(BufferServiceTest, MetricsStayMonotonicAcrossMidRunQuarantine) {
 TEST_F(BufferServiceTest, FullyPinnedShardReturnsResourceExhausted) {
   // A client holding every frame of a shard is an operational condition,
   // not a harness bug: the next fetch that needs a frame gets an error,
-  // and succeeds again once a pin is released. Both latch protocols.
-  for (const LatchMode mode : {LatchMode::kOptimistic, LatchMode::kMutex}) {
+  // and succeeds again once a pin is released. Both latch protocols: a
+  // read-only (optimistic) and a writable (mutex) service.
+  storage::DiskManager copy = CopyDisk();
+  storage::DiskManager log;
+  wal::WalManager wal(&log);
+  for (const bool writable : {false, true}) {
     BufferServiceConfig config;
     config.total_frames = 8;
     config.shard_count = 1;
-    config.latch_mode = mode;
-    BufferService service(disk(), config);
+    const std::unique_ptr<BufferService> owned =
+        writable ? std::make_unique<BufferService>(&copy, &wal, config)
+                 : std::make_unique<BufferService>(disk(), config);
+    BufferService& service = *owned;
     uint64_t query = 0;
     std::vector<core::PageHandle> held;
     for (PageId id = 0; id < config.total_frames; ++id) {

@@ -3,8 +3,8 @@
 // re-logging after a redirty), typed Evict refusals, the dirty-pin
 // lifecycle edges around quarantine, the writable sharded BufferService
 // (New / Commit / Checkpoint across shards), a churn-then-crash-then-
-// recover round trip through the R-tree, and the optimistic-vs-mutex
-// FetchBatch serial-equality regression.
+// recover round trip through the R-tree, and the read-only (optimistic)
+// vs writable (mutex) FetchBatch serial-equality regression.
 
 #include <gtest/gtest.h>
 
@@ -830,10 +830,11 @@ TEST(WritableServiceTest, BatchPinBudgetLeavesEvictionHeadroom) {
 // Satellite: optimistic FetchBatch must preserve per-shard access order
 
 /// Serial-equality regression: one thread, identical batch sequences, a
-/// mutex service and an optimistic service must report bit-identical
-/// hit/miss counts. The optimistic batch path probes hits latch-free
-/// first; if that probe reordered a shard's accesses (hits before misses),
-/// LRU state — and with it every subsequent eviction — would diverge.
+/// writable (mutex) service and a read-only (optimistic) service over the
+/// same pages must report bit-identical hit/miss counts. The optimistic
+/// batch path probes hits latch-free first; if that probe reordered a
+/// shard's accesses (hits before misses), LRU state — and with it every
+/// subsequent eviction — would diverge.
 TEST(WritableServiceTest, OptimisticBatchMatchesMutexHitForHitSerially) {
   DiskManager disk;
   std::vector<PageId> pages;
@@ -842,10 +843,14 @@ TEST(WritableServiceTest, OptimisticBatchMatchesMutexHitForHitSerially) {
                                     geom::Rect(0, 0, 1.0 + i, 1.0)));
   }
 
-  auto run = [&](svc::LatchMode mode) {
-    svc::BufferServiceConfig config = WritableConfig(2, 16);
-    config.latch_mode = mode;
-    svc::BufferService service(disk, config);
+  DiskManager log;
+  wal::WalManager wal(&log);
+  auto run = [&](bool writable) {
+    const svc::BufferServiceConfig config = WritableConfig(2, 16);
+    const std::unique_ptr<svc::BufferService> owned =
+        writable ? std::make_unique<svc::BufferService>(&disk, &wal, config)
+                 : std::make_unique<svc::BufferService>(disk, config);
+    svc::BufferService& service = *owned;
     const AccessContext ctx{5};
     uint64_t state = 0x9E3779B97F4A7C15ull;
     auto next = [&state] {
@@ -866,16 +871,16 @@ TEST(WritableServiceTest, OptimisticBatchMatchesMutexHitForHitSerially) {
       for (auto& handle : out) EXPECT_TRUE(handle.ok());
       out.clear();  // release every pin before the next batch
     }
-    const svc::ShardStats stats = service.AggregateStats();
-    return std::pair<uint64_t, uint64_t>(stats.buffer.hits,
-                                         stats.buffer.misses);
+    return service.AggregateStats();
   };
 
-  const auto mutex_counts = run(svc::LatchMode::kMutex);
-  const auto optimistic_counts = run(svc::LatchMode::kOptimistic);
-  EXPECT_EQ(optimistic_counts.first, mutex_counts.first)
+  const svc::ShardStats mutex_stats = run(/*writable=*/true);
+  const svc::ShardStats optimistic_stats = run(/*writable=*/false);
+  EXPECT_EQ(optimistic_stats.buffer.hits, mutex_stats.buffer.hits)
       << "identical serial batch streams must hit identically";
-  EXPECT_EQ(optimistic_counts.second, mutex_counts.second);
+  EXPECT_EQ(optimistic_stats.buffer.misses, mutex_stats.buffer.misses);
+  EXPECT_EQ(mutex_stats.optimistic_hits, 0u);
+  EXPECT_EQ(mutex_stats.async_reads, 0u);
 }
 
 // ---------------------------------------------------------------------------
