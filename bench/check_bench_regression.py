@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
 """CI guards over the BENCH_*.json JSON-Lines files.
 
-Two modes:
+Modes:
 
   obs-overhead BENCH_policy_overhead.json --max-frac 0.5
       Asserts every bench:"obs_overhead" row keeps overhead_frac at or
       under the threshold (the attached-collector cost on the buffer-hit
       path must stay bounded).
+
+  evict-scaling BENCH_policy_overhead.json --policy LRU --max-ratio 3
+      Reads the policy's bench:"policy_overhead" eviction-cost rows and
+      fails when ns_per_eviction at the largest frame count exceeds
+      --max-ratio times its value at the smallest (victim choice must not
+      grow with the buffer).
 
   wal A.json B.json --max-drop 0.5
       Joins the bench:"wal_commit" rows of two BENCH_wal.json runs on
@@ -88,6 +94,34 @@ def check_obs_overhead(args):
             print(f"ok   {label}: overhead_frac {frac:.4f} <= "
                   f"{args.max_frac:.4f}")
     return 1 if failures else 0
+
+
+def check_evict_scaling(args):
+    rows = {}
+    for row in read_rows(args.file):
+        if (row.get("bench") == "policy_overhead"
+                and row.get("policy") == args.policy
+                and row.get("frames") is not None
+                and row.get("ns_per_eviction") is not None):
+            rows[row["frames"]] = row["ns_per_eviction"]
+    if not rows:
+        print(f"{args.file}: no policy_overhead rows for {args.policy}",
+              file=sys.stderr)
+        return 2
+    smallest, largest = min(rows), max(rows)
+    base, top = rows[smallest], rows[largest]
+    if base <= 0:
+        print(f"{args.policy}: ns_per_eviction {base} at {smallest} frames "
+              f"is not positive", file=sys.stderr)
+        return 2
+    ratio = top / base
+    label = (f"{args.policy} ns/evict {base:.1f} @ {smallest} frames -> "
+             f"{top:.1f} @ {largest} frames: ratio {ratio:.2f}")
+    if ratio > args.max_ratio:
+        print(f"FAIL {label} > {args.max_ratio:g}", file=sys.stderr)
+        return 1
+    print(f"ok   {label} <= {args.max_ratio:g}")
+    return 0
 
 
 ROW_KEY = ("bench", "database", "fraction", "query_set", "policy",
@@ -288,6 +322,12 @@ def main():
     obs.add_argument("file")
     obs.add_argument("--max-frac", type=float, default=0.5)
 
+    scaling = sub.add_parser("evict-scaling",
+                             help="guard eviction cost growth with frames")
+    scaling.add_argument("file")
+    scaling.add_argument("--policy", default="LRU")
+    scaling.add_argument("--max-ratio", type=float, default=3.0)
+
     cmp_parser = sub.add_parser("compare",
                                 help="diff a field between two bench runs")
     cmp_parser.add_argument("file_a")
@@ -313,6 +353,8 @@ def main():
     args = parser.parse_args()
     if args.mode == "obs-overhead":
         sys.exit(check_obs_overhead(args))
+    if args.mode == "evict-scaling":
+        sys.exit(check_evict_scaling(args))
     if args.mode == "wal":
         sys.exit(check_wal(args))
     if args.mode == "writeback":

@@ -5,8 +5,8 @@
 // realistic buffer sizes.
 //
 // In addition to the google-benchmark timings, the binary prints an
-// eviction-cost table for the spatial policies: ns per eviction with and
-// without a collector attached, and header decodes per eviction (0 in
+// eviction-cost table for LRU and the spatial policies: ns per eviction with
+// and without a collector attached, and header decodes per eviction (0 in
 // steady state, served by the frame-metadata cache). The table is also
 // appended as JSON-Lines to BENCH_policy_overhead.json. So is the
 // latch_overhead table: ns per fetch on the all-hit path of a 1-shard
@@ -154,17 +154,23 @@ EvictionCost MeasureEvictionCost(const std::string& policy, size_t frames,
 /// eviction loop per policy and buffer size, plus an observability A/B
 /// column (collector attached, ring at its default capacity) quantifying
 /// the instrumentation cost the obs subsystem promises to keep near zero
-/// when detached.
+/// when detached. The list-based policies also run at 4,096 and 16,384
+/// frames, where a whole-buffer scan would show as growth (CI gates LRU's
+/// growth with check_bench_regression.py evict-scaling); the pure spatial
+/// policies still scan every frame, so they stop at 1,024.
 void RunEvictionCostTable() {
   const std::vector<std::string> policies = {"LRU", "A", "EO", "SLRU:A:0.25",
                                              "ASB"};
-  const std::vector<size_t> frame_counts = {256, 1024};
+  const std::vector<std::string> list_policies = {"LRU", "SLRU:A:0.25",
+                                                  "ASB"};
+  const std::vector<size_t> frame_counts = {256, 1024, 4096, 16384};
   const std::string json_path = "BENCH_policy_overhead.json";
   bool json_ok = true;
   for (const size_t frames : frame_counts) {
     sim::Table table(
         {"policy", "ns/evict", "ns/evict (obs)", "decodes/evict"});
-    for (const std::string& policy : policies) {
+    for (const std::string& policy : frames <= 1024 ? policies
+                                                    : list_policies) {
       const EvictionCost plain = MeasureEvictionCost(policy, frames);
       obs::Collector collector;
       const EvictionCost observed =
@@ -383,7 +389,7 @@ void RunLatchOverheadTable() {
 /// metrics-only collector attached. This is the CI-guarded overhead: the
 /// detached side is one pointer compare per request, the attached side a
 /// handful of counter increments — unlike the eviction path there is no
-/// O(frames) scan to hide behind, so the A/B isolates the per-request
+/// victim choice to hide behind, so the A/B isolates the per-request
 /// instrumentation cost itself.
 double MeasureHitFetchNs(size_t frames, bool attach_collector) {
   const size_t pages = frames / 2;

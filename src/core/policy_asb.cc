@@ -5,7 +5,6 @@
 
 #include "common/macros.h"
 #include "core/asb_shared.h"
-#include "core/policy_slru.h"
 
 namespace sdb::core {
 
@@ -46,8 +45,9 @@ void AsbPolicy::Bind(const FrameMetaSource* meta, size_t frame_count) {
     ReloadSharedCandidate();
   }
   section_.assign(frame_count, Section::kNone);
-  fifo_.clear();
-  main_count_ = 0;
+  section_links_.Reset(frame_count);
+  main_ = {};
+  overflow_ = {};
   overflow_hits_ = 0;
   increases_ = 0;
   decreases_ = 0;
@@ -68,7 +68,7 @@ void AsbPolicy::OnPageLoaded(FrameId f, storage::PageId page,
   PolicyBase::OnPageLoaded(f, page, ctx);
   SDB_DCHECK(section_[f] == Section::kNone);
   section_[f] = Section::kMain;
-  ++main_count_;
+  section_links_.PushBack(main_, f);
   Rebalance();
 }
 
@@ -85,6 +85,7 @@ void AsbPolicy::OnPageAccessed(FrameId f, const AccessContext& ctx) {
     return;
   }
   PolicyBase::OnPageAccessed(f, ctx);
+  section_links_.MoveToBack(main_, f);
 }
 
 std::optional<FrameId> AsbPolicy::ChooseVictim(const AccessContext&,
@@ -92,10 +93,10 @@ std::optional<FrameId> AsbPolicy::ChooseVictim(const AccessContext&,
   // Normal case: the overflow FIFO decides. Skip (defensively) any entry
   // that is not evictable; such entries stay queued.
   size_t examined = 0;
-  for (FrameId f : fifo_) {
+  for (FrameId f = overflow_.head; f != kInvalidFrameId;
+       f = section_links_.next(f)) {
     ++examined;
-    const FrameState& s = frame(f);
-    if (s.valid && s.evictable) {
+    if (frame(f).evictable) {
       ObserveScanLength(examined);
       return f;
     }
@@ -109,11 +110,10 @@ std::optional<FrameId> AsbPolicy::ChooseVictim(const AccessContext&,
 void AsbPolicy::OnPageEvicted(FrameId f, storage::PageId page) {
   switch (section_[f]) {
     case Section::kOverflow:
-      std::erase(fifo_, f);
+      section_links_.Unlink(overflow_, f);
       break;
     case Section::kMain:
-      SDB_DCHECK(main_count_ > 0);
-      --main_count_;
+      section_links_.Unlink(main_, f);
       break;
     case Section::kNone:
       SDB_CHECK_MSG(false, "evicting an unlabelled frame");
@@ -123,13 +123,18 @@ void AsbPolicy::OnPageEvicted(FrameId f, storage::PageId page) {
 }
 
 void AsbPolicy::Adapt(FrameId p, const AccessContext& ctx) {
-  const double p_crit = CritOf(p);
+  const uint64_t* versions = meta_versions();  // one virtual call per call
+  const double p_crit = CachedCriterionAt(config_.criterion, p, versions[p]);
   const uint64_t p_last = frame(p).last_access;
   size_t better_spatial = 0;  // overflow pages the criterion keeps over p
   size_t better_lru = 0;      // overflow pages LRU keeps over p
-  for (FrameId g : fifo_) {
+  // The paper's rule compares p with every overflow page: O(overflow).
+  for (FrameId g = overflow_.head; g != kInvalidFrameId;
+       g = section_links_.next(g)) {
     if (g == p) continue;
-    if (CritOf(g) > p_crit) ++better_spatial;
+    if (CachedCriterionAt(config_.criterion, g, versions[g]) > p_crit) {
+      ++better_spatial;
+    }
     if (frame(g).last_access > p_last) ++better_lru;
   }
   int8_t direction = 0;
@@ -175,18 +180,19 @@ void AsbPolicy::Adapt(FrameId p, const AccessContext& ctx) {
 
 void AsbPolicy::Promote(FrameId f) {
   SDB_DCHECK(section_[f] == Section::kOverflow);
-  std::erase(fifo_, f);
+  section_links_.Unlink(overflow_, f);
   section_[f] = Section::kMain;
-  ++main_count_;
+  // The access that follows makes f the most recently used page.
+  section_links_.PushBack(main_, f);
 }
 
 void AsbPolicy::Rebalance() {
-  while (main_count_ > main_target_) {
+  while (main_.size > main_target_) {
     const std::optional<FrameId> demote = SelectMainVictim();
     if (!demote) break;  // every main page pinned; retry on a later event
     section_[*demote] = Section::kOverflow;
-    fifo_.push_back(*demote);
-    --main_count_;
+    section_links_.Unlink(main_, *demote);
+    section_links_.PushBack(overflow_, *demote);
   }
 }
 
@@ -200,24 +206,8 @@ std::optional<FrameId> AsbPolicy::SelectMainVictim() {
   // Sharded operation: adopt the candidate size other shards may have
   // adapted since this shard's last demotion scan.
   ReloadSharedCandidate();
-  recency_keys_.clear();
-  recency_keys_.reserve(main_count_);
-  const uint64_t* versions = meta_versions();  // one virtual call per scan
-  for (FrameId f = 0; f < frame_count(); ++f) {
-    if (section_[f] != Section::kMain) continue;
-    const FrameState& s = frame(f);
-    if (!s.valid || !s.evictable) continue;
-    // Eager warm pass: refreshes the frame's cached criterion if stale, so
-    // the candidate loop below reads plain cached values.
-    CachedCriterionAt(config_.criterion, f, versions[f]);
-    recency_keys_.push_back(PackRecencyKey(s.last_access, f));
-  }
-  ObserveScanLength(recency_keys_.size());
-  const FrameId victim = SelectSpatialLruVictim(
-      recency_keys_, static_cast<size_t>(candidate_),
-      [this](FrameId f) { return CriterionCacheValue(f); });
-  if (victim == kInvalidFrameId) return std::nullopt;
-  return victim;
+  return SpatialLruVictim(config_.criterion, section_links_, main_,
+                          static_cast<size_t>(candidate_));
 }
 
 }  // namespace sdb::core

@@ -2,11 +2,9 @@
 #define SPATIALBUFFER_CORE_POLICY_ASB_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
-#include "core/policy_slru.h"
 #include "core/replacement_policy.h"
 #include "core/spatial_criterion.h"
 
@@ -47,6 +45,11 @@ struct AsbConfig {
 ///  * equal — c is unchanged.
 /// Unlike LRU-K, no information is kept about pages outside the buffer, so
 /// the memory requirements never exceed the buffer itself.
+///
+/// The main section is a recency list (least recently used first) and the
+/// overflow FIFO a second list in demotion order, so a demotion walks only
+/// the c oldest evictable main frames and moving a page between the
+/// sections is O(1).
 class AsbPolicy : public PolicyBase {
  public:
   explicit AsbPolicy(const AsbConfig& config = AsbConfig{});
@@ -79,7 +82,7 @@ class AsbPolicy : public PolicyBase {
   /// Capacity of the overflow section.
   size_t overflow_capacity() const { return overflow_target_; }
   /// Pages currently labelled overflow.
-  size_t overflow_size() const { return fifo_.size(); }
+  size_t overflow_size() const { return overflow_.size; }
   /// Adaptation step (in frames).
   size_t step() const { return static_cast<size_t>(step_); }
 
@@ -90,10 +93,6 @@ class AsbPolicy : public PolicyBase {
 
  private:
   enum class Section : uint8_t { kNone, kMain, kOverflow };
-
-  double CritOf(FrameId f) const {
-    return CachedCriterion(config_.criterion, f);
-  }
 
   /// Adjusts c based on how page p (still labelled overflow, with its
   /// pre-access state) compares against the other overflow pages. Emits a
@@ -122,9 +121,9 @@ class AsbPolicy : public PolicyBase {
   int64_t step_ = 1;
   int64_t candidate_ = 1;
   std::vector<Section> section_;
-  std::deque<FrameId> fifo_;  // overflow pages, demotion order
-  size_t main_count_ = 0;
-  std::vector<uint64_t> recency_keys_;  // demotion-scan scratch, reused
+  FrameLinks section_links_;   ///< links of main_ and overflow_
+  FrameLinks::List main_;      ///< main pages, least recently used first
+  FrameLinks::List overflow_;  ///< overflow pages, demotion order
   uint64_t overflow_hits_ = 0;
   uint64_t increases_ = 0;
   uint64_t decreases_ = 0;

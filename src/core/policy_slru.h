@@ -1,80 +1,23 @@
 #ifndef SPATIALBUFFER_CORE_POLICY_SLRU_H_
 #define SPATIALBUFFER_CORE_POLICY_SLRU_H_
 
-#include <algorithm>
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/replacement_policy.h"
 #include "core/spatial_criterion.h"
 
 namespace sdb::core {
 
-/// One eviction candidate as seen by the combined LRU+spatial selection.
-struct SpatialLruCandidate {
-  FrameId frame = kInvalidFrameId;
-  uint64_t last_access = 0;
-  double crit = 0.0;
-};
-
-/// The combined victim rule of paper Sec. 4.1: restrict to the
-/// `candidate_count` least-recently-used entries of `all`, then take the one
-/// with the smallest spatial criterion value (ties: least recently used).
-/// `all` is reordered in place. Returns kInvalidFrameId if `all` is empty.
-FrameId SelectSpatialLruVictim(std::vector<SpatialLruCandidate>& all,
-                               size_t candidate_count);
-
-/// Recency keys: (last_access, frame) packed into one uint64 so candidate
-/// selection partitions a flat array of 8-byte keys instead of structs.
-/// Access clocks are unique per resident frame, so ordering by key equals
-/// ordering by last_access; the frame bits only disambiguate (and make the
-/// order total). Limits: frame < 2^24, last_access < 2^40 — far beyond any
-/// buffer size or replay length the harness produces.
-inline constexpr unsigned kRecencyKeyFrameBits = 24;
-
-inline uint64_t PackRecencyKey(uint64_t last_access, FrameId frame) {
-  return (last_access << kRecencyKeyFrameBits) | frame;
-}
-inline FrameId UnpackRecencyFrame(uint64_t key) {
-  return static_cast<FrameId>(key & ((uint64_t{1} << kRecencyKeyFrameBits) -
-                                     1));
-}
-
-/// The combined victim rule over packed recency keys: partition the
-/// `candidate_count` smallest (least recently used) keys to the front, then
-/// take the candidate with the smallest criterion (`crit_of(frame)`; ties:
-/// least recently used). `keys` is reordered in place. Returns
-/// kInvalidFrameId if `keys` is empty.
-template <typename CritFn>
-FrameId SelectSpatialLruVictim(std::vector<uint64_t>& keys,
-                               size_t candidate_count, CritFn&& crit_of) {
-  if (keys.empty()) return kInvalidFrameId;
-  const size_t c =
-      std::min(std::max<size_t>(candidate_count, 1), keys.size());
-  std::nth_element(keys.begin(), keys.begin() + (c - 1), keys.end());
-  FrameId best = UnpackRecencyFrame(keys[0]);
-  double best_crit = crit_of(best);
-  uint64_t best_key = keys[0];
-  for (size_t i = 1; i < c; ++i) {
-    const FrameId frame = UnpackRecencyFrame(keys[i]);
-    const double crit = crit_of(frame);
-    if (crit < best_crit || (crit == best_crit && keys[i] < best_key)) {
-      best = frame;
-      best_crit = crit;
-      best_key = keys[i];
-    }
-  }
-  return best;
-}
-
 /// Static combination of LRU and a spatial criterion (paper Sec. 4.1,
 /// evaluated in Fig. 12 as "SLRU 50%"/"SLRU 25%"):
 ///   1. LRU computes the candidate set — the `c` least-recently-used
 ///      evictable pages;
-///   2. the spatial criterion picks the victim from the candidate set.
+///   2. the spatial criterion picks the victim from the candidate set
+///      (ties: least recently used).
 /// The larger the candidate set, the stronger the spatial influence; c = 1
 /// degenerates to plain LRU, c = buffer size to the pure spatial policy.
+/// A victim choice walks the recency list through the first c evictable
+/// frames (PolicyBase::SpatialLruVictim).
 class SlruPolicy : public PolicyBase {
  public:
   /// `candidate_fraction` in (0, 1]: candidate-set size as a fraction of the
@@ -95,7 +38,6 @@ class SlruPolicy : public PolicyBase {
   const double candidate_fraction_;
   std::string name_;
   size_t candidate_size_ = 1;
-  std::vector<uint64_t> recency_keys_;  ///< scan scratch, reused
 };
 
 }  // namespace sdb::core

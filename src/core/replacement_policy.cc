@@ -1,5 +1,7 @@
 #include "core/replacement_policy.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 
 namespace sdb::core {
@@ -9,12 +11,10 @@ void PolicyBase::Bind(const FrameMetaSource* meta, size_t frame_count) {
   SDB_CHECK(frame_count > 0);
   meta_ = meta;
   frames_.assign(frame_count, FrameState{});
+  recency_links_.Reset(frame_count);
+  recency_ = {};
   crit_cache_.assign(frame_count, CriterionCacheEntry{});
   clock_ = 0;
-}
-
-double PolicyBase::CachedCriterion(SpatialCriterion crit, FrameId f) const {
-  return CachedCriterionAt(crit, f, meta_->MetaVersionArray()[f]);
 }
 
 void PolicyBase::SetCollector(obs::Collector* collector) {
@@ -42,9 +42,9 @@ void PolicyBase::OnPageLoaded(FrameId f, storage::PageId page,
   s.page = page;
   s.valid = true;
   s.evictable = false;  // loaded pages are pinned by the caller
-  s.load_time = Tick();
-  s.last_access = s.load_time;
+  s.last_access = Tick();
   s.last_query = ctx.query_id;
+  recency_links_.PushBack(recency_, f);
 }
 
 void PolicyBase::OnPageAccessed(FrameId f, const AccessContext& ctx) {
@@ -53,6 +53,7 @@ void PolicyBase::OnPageAccessed(FrameId f, const AccessContext& ctx) {
   SDB_DCHECK(s.valid);
   s.last_access = Tick();
   s.last_query = ctx.query_id;
+  recency_links_.MoveToBack(recency_, f);
 }
 
 void PolicyBase::SetEvictable(FrameId f, bool evictable) {
@@ -68,34 +69,55 @@ void PolicyBase::OnPageEvicted(FrameId f, storage::PageId page) {
   SDB_CHECK(s.page == page);
   if (obs_ != nullptr) {
     // Victim recency rank: how many currently evictable pages are colder
-    // than the victim (0 = the LRU choice). O(frames), only when a
-    // collector is attached.
+    // than the victim (0 = the LRU choice) — the evictable frames ahead of
+    // it on the recency list. O(rank), only when a collector is attached.
     size_t rank = 0;
-    for (const FrameState& other : frames_) {
-      if (other.valid && other.evictable &&
-          other.last_access < s.last_access) {
-        ++rank;
-      }
+    for (FrameId g = recency_.head; g != f; g = recency_links_.next(g)) {
+      if (frames_[g].evictable) ++rank;
     }
     obs_victim_rank_->Observe(static_cast<double>(rank));
   }
+  recency_links_.Unlink(recency_, f);
   s = FrameState{};
 }
 
 std::optional<FrameId> PolicyBase::LruScan() const {
-  std::optional<FrameId> best;
-  uint64_t best_time = 0;
-  size_t examined = 0;
-  for (FrameId f = 0; f < frames_.size(); ++f) {
-    const FrameState& s = frames_[f];
-    if (!s.valid || !s.evictable) continue;
-    ++examined;
-    if (!best || s.last_access < best_time) {
-      best = f;
-      best_time = s.last_access;
+  size_t walked = 0;
+  for (FrameId f = recency_.head; f != kInvalidFrameId;
+       f = recency_links_.next(f)) {
+    ++walked;
+    if (frames_[f].evictable) {
+      ObserveScanLength(walked);
+      return f;
     }
   }
-  ObserveScanLength(examined);
+  ObserveScanLength(walked);
+  return std::nullopt;
+}
+
+std::optional<FrameId> PolicyBase::SpatialLruVictim(
+    SpatialCriterion crit, const FrameLinks& links,
+    const FrameLinks::List& list, size_t candidate_count) const {
+  const uint64_t* versions = meta_versions();  // one virtual call per walk
+  const size_t c = std::max<size_t>(candidate_count, 1);
+  std::optional<FrameId> best;
+  double best_crit = 0.0;
+  size_t candidates = 0;
+  size_t walked = 0;
+  // Oldest first, and only a strictly smaller criterion replaces the best,
+  // so criterion ties go to the least recently used candidate.
+  for (FrameId f = list.head; f != kInvalidFrameId && candidates < c;
+       f = links.next(f)) {
+    ++walked;
+    if (!frames_[f].evictable) continue;
+    ++candidates;
+    const double value = CachedCriterionAt(crit, f, versions[f]);
+    if (!best || value < best_crit) {
+      best = f;
+      best_crit = value;
+    }
+  }
+  ObserveScanLength(walked);
   return best;
 }
 

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/macros.h"
 #include "core/access_context.h"
 #include "core/spatial_criterion.h"
 #include "obs/collector.h"
@@ -73,12 +74,75 @@ class ReplacementPolicy {
   virtual void OnPageEvicted(FrameId frame, storage::PageId page) = 0;
 };
 
-/// Shared bookkeeping for all concrete policies: a logical access clock plus
-/// per-frame state (validity, evictability, last/load access times, the
-/// query id of the most recent reference). Subclasses implement victim
-/// selection on top; most do a linear scan over the frames, which is exact,
-/// obviously faithful to the paper's definitions, and cheap at realistic
-/// buffer sizes.
+/// Intrusive doubly-linked lists of frames. One link array can carry several
+/// lists as long as each frame sits on at most one of them at a time; every
+/// operation is O(1).
+class FrameLinks {
+ public:
+  struct List {
+    FrameId head = kInvalidFrameId;  ///< oldest entry
+    FrameId tail = kInvalidFrameId;  ///< newest entry
+    size_t size = 0;
+  };
+
+  void Reset(size_t frame_count) { links_.assign(frame_count, Link{}); }
+
+  /// The entry after `f` on its list (kInvalidFrameId after the tail).
+  FrameId next(FrameId f) const { return links_[f].next; }
+
+  void PushBack(List& list, FrameId f) {
+    Link& link = links_[f];
+    link.prev = list.tail;
+    link.next = kInvalidFrameId;
+    if (list.tail == kInvalidFrameId) {
+      list.head = f;
+    } else {
+      links_[list.tail].next = f;
+    }
+    list.tail = f;
+    ++list.size;
+  }
+
+  void Unlink(List& list, FrameId f) {
+    SDB_DCHECK(list.size > 0);
+    const Link link = links_[f];
+    if (link.prev == kInvalidFrameId) {
+      list.head = link.next;
+    } else {
+      links_[link.prev].next = link.next;
+    }
+    if (link.next == kInvalidFrameId) {
+      list.tail = link.prev;
+    } else {
+      links_[link.next].prev = link.prev;
+    }
+    --list.size;
+  }
+
+  void MoveToBack(List& list, FrameId f) {
+    if (list.tail == f) return;
+    Unlink(list, f);
+    PushBack(list, f);
+  }
+
+ private:
+  struct Link {
+    FrameId prev = kInvalidFrameId;
+    FrameId next = kInvalidFrameId;
+  };
+  std::vector<Link> links_;
+};
+
+/// Shared bookkeeping for all concrete policies: a logical access clock,
+/// per-frame state (validity, evictability, last access time, the
+/// query id of the most recent reference) and an intrusive recency list of
+/// the resident frames, least recently used first. Loads link a frame at the
+/// tail, hits move it there and evictions unlink it, so the list order is
+/// the order of `last_access`. LRU's victim is the first evictable frame on
+/// the list, and the paper's "c least-recently-used pages" (Sec. 4.1) are
+/// the first c evictable ones. Policies ordered by anything else (the pure
+/// spatial criteria, LRU-K, the priority variants) still scan the frame
+/// table.
 class PolicyBase : public ReplacementPolicy {
  public:
   void Bind(const FrameMetaSource* meta, size_t frame_count) override;
@@ -94,7 +158,6 @@ class PolicyBase : public ReplacementPolicy {
     storage::PageId page = storage::kInvalidPageId;
     bool valid = false;
     bool evictable = false;
-    uint64_t load_time = 0;    ///< clock value when the page entered
     uint64_t last_access = 0;  ///< clock value of the latest reference
     uint64_t last_query = AccessContext::kNoQuery;
   };
@@ -110,13 +173,11 @@ class PolicyBase : public ReplacementPolicy {
 
   /// spatialCrit(page in f), cached across victim scans: recomputed only
   /// when the source reports a new metadata version for the frame, so a
-  /// steady-state scan is a flat array walk comparing doubles. A policy
-  /// instance must evaluate a single fixed criterion through this helper
-  /// (all spatial policies do); mixing criteria would thrash the cache.
-  double CachedCriterion(SpatialCriterion crit, FrameId f) const;
-
-  /// Scan-hoisted variant: `version` is meta_versions()[f], read by the
-  /// caller from the array it hoisted once per scan.
+  /// steady-state scan is a flat array walk comparing doubles. `version` is
+  /// meta_versions()[f], read by the caller from the array it hoisted once
+  /// per scan. A policy instance must evaluate a single fixed criterion
+  /// through this helper (all spatial policies do); mixing criteria would
+  /// thrash the cache.
   double CachedCriterionAt(SpatialCriterion crit, FrameId f,
                            uint64_t version) const {
     CriterionCacheEntry& entry = crit_cache_[f];
@@ -135,26 +196,38 @@ class PolicyBase : public ReplacementPolicy {
     return meta_->MetaVersionArray();
   }
 
-  /// The value left in the criterion cache by the most recent
-  /// CachedCriterionAt call for this frame — no freshness check. Only valid
-  /// within one victim scan, after an eager CachedCriterionAt pass over the
-  /// eligible frames.
-  double CriterionCacheValue(FrameId f) const { return crit_cache_[f].value; }
-
   size_t frame_count() const { return frames_.size(); }
   FrameState& frame(FrameId f) { return frames_[f]; }
   const FrameState& frame(FrameId f) const { return frames_[f]; }
 
   /// Least-recently-used evictable frame, or nullopt if none: the universal
-  /// fallback and tie-breaker.
+  /// fallback and tie-breaker. Walks the recency list to the first
+  /// evictable frame.
   std::optional<FrameId> LruScan() const;
+
+  /// The combined victim rule of paper Sec. 4.1 over a recency-ordered
+  /// `list` (oldest first, linked through `links`): among its first
+  /// `candidate_count` evictable frames (at least one), the one with the
+  /// smallest `crit`, ties going to the least recently used. Walks O(c)
+  /// frames plus the pinned ones it passes; nullopt if none is evictable.
+  std::optional<FrameId> SpatialLruVictim(SpatialCriterion crit,
+                                          const FrameLinks& links,
+                                          const FrameLinks::List& list,
+                                          size_t candidate_count) const;
+
+  /// SpatialLruVictim over every resident frame.
+  std::optional<FrameId> SpatialLruVictim(SpatialCriterion crit,
+                                          size_t candidate_count) const {
+    return SpatialLruVictim(crit, recency_links_, recency_, candidate_count);
+  }
 
   /// The attached collector (nullptr = observability off).
   obs::Collector* collector() const { return obs_; }
 
-  /// Records how many candidates one victim scan examined (histogram
-  /// policy.scan_len). Scan policies call this once per ChooseVictim /
-  /// demotion scan; a no-op without a collector.
+  /// Records how many frames one victim choice examined (histogram
+  /// policy.scan_len): list walks count every frame they pass, table scans
+  /// every evictable frame. Called once per ChooseVictim / demotion; a
+  /// no-op without a collector.
   void ObserveScanLength(size_t examined) const {
     if (obs_ != nullptr) {
       obs_scan_len_->Observe(static_cast<double>(examined));
@@ -169,6 +242,8 @@ class PolicyBase : public ReplacementPolicy {
 
   const FrameMetaSource* meta_ = nullptr;
   std::vector<FrameState> frames_;
+  FrameLinks recency_links_;
+  FrameLinks::List recency_;  ///< resident frames, least recently used first
   mutable std::vector<CriterionCacheEntry> crit_cache_;
   uint64_t clock_ = 0;
   obs::Collector* obs_ = nullptr;

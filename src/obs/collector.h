@@ -32,7 +32,7 @@ struct CollectorOptions {
 /// instrumentation site in the buffer/policy hot paths is one pointer
 /// compare. With a collector attached, the per-request cost is a handful of
 /// plain counter increments, per-eviction cost adds two histogram
-/// observations plus an O(frames) victim-recency-rank scan, and event
+/// observations plus an O(rank) victim-recency-rank walk, and event
 /// pushes are copies into a preallocated ring.
 class Collector {
  public:

@@ -15,54 +15,6 @@ using storage::PageType;
 using test::StageAreaPage;
 using test::Touch;
 
-TEST(SelectSpatialLruVictimTest, EmptyInputYieldsInvalid) {
-  std::vector<SpatialLruCandidate> none;
-  EXPECT_EQ(SelectSpatialLruVictim(none, 3), kInvalidFrameId);
-}
-
-TEST(SelectSpatialLruVictimTest, CandidateSetOfOneIsPlainLru) {
-  std::vector<SpatialLruCandidate> all = {
-      {0, /*last_access=*/10, /*crit=*/0.1},
-      {1, /*last_access=*/5, /*crit=*/99.0},  // LRU but spatially best
-      {2, /*last_access=*/7, /*crit=*/0.2},
-  };
-  EXPECT_EQ(SelectSpatialLruVictim(all, 1), 1u);
-}
-
-TEST(SelectSpatialLruVictimTest, FullCandidateSetIsPureSpatial) {
-  std::vector<SpatialLruCandidate> all = {
-      {0, 10, 0.5},
-      {1, 5, 99.0},
-      {2, 7, 0.2},  // smallest criterion
-  };
-  EXPECT_EQ(SelectSpatialLruVictim(all, 3), 2u);
-}
-
-TEST(SelectSpatialLruVictimTest, SpatialAppliesOnlyWithinLruCandidates) {
-  std::vector<SpatialLruCandidate> all = {
-      {0, 1, 50.0},   // oldest
-      {1, 2, 40.0},   // second oldest
-      {2, 3, 0.001},  // spatially tiny but recently used
-  };
-  // Candidates = the 2 least recently used = frames 0 and 1; among them the
-  // smaller criterion (frame 1) is the victim. Frame 2 is protected by LRU.
-  EXPECT_EQ(SelectSpatialLruVictim(all, 2), 1u);
-}
-
-TEST(SelectSpatialLruVictimTest, TieOnCriterionFallsBackToLru) {
-  std::vector<SpatialLruCandidate> all = {
-      {0, 9, 1.0},
-      {1, 4, 1.0},
-      {2, 6, 1.0},
-  };
-  EXPECT_EQ(SelectSpatialLruVictim(all, 3), 1u);
-}
-
-TEST(SelectSpatialLruVictimTest, OversizedCandidateCountIsClamped) {
-  std::vector<SpatialLruCandidate> all = {{0, 1, 2.0}, {1, 2, 1.0}};
-  EXPECT_EQ(SelectSpatialLruVictim(all, 100), 1u);
-}
-
 class SlruPolicyTest : public ::testing::Test {
  protected:
   DiskManager disk_;
