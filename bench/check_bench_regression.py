@@ -35,6 +35,12 @@ Modes:
       whole demonstrably injected write faults (a soak that injected
       nothing proves nothing).
 
+  metrics-schema BENCH_sweep.json
+      Groups the rows that carry a metrics block by (bench, policy) and
+      fails when two rows of one group export different metric-name sets:
+      the exported counter set is fixed, so faults, quarantine or a
+      counter that stayed zero must change values, never names.
+
   compare A.json B.json [--field hit_rate] [--tol 0]
       Joins two BENCH_sweep.json runs on the row key
       (bench, database, fraction, query_set, policy, baseline,
@@ -169,6 +175,37 @@ def check_compare(args):
         return 2
     print(f"compared {compared} shared rows on {args.field!r}: "
           f"{failures} drifted")
+    return 1 if failures else 0
+
+
+def check_metrics_schema(args):
+    groups = {}
+    for row in read_rows(args.file):
+        metrics = row.get("metrics")
+        if metrics is None:
+            continue
+        key = (row.get("bench"), row.get("policy"))
+        groups.setdefault(key, {}).setdefault(frozenset(metrics), []).append(
+            row.get("query_set", "?"))
+    if not groups:
+        print(f"{args.file}: no row carries a metrics block", file=sys.stderr)
+        return 2
+    failures = 0
+    for (bench, policy), schemas in sorted(groups.items(), key=repr):
+        label = f"{bench}/{policy}"
+        if len(schemas) == 1:
+            names, rows = next(iter(schemas.items()))
+            print(f"ok   {label}: {len(rows)} rows export the same "
+                  f"{len(names)} metrics")
+            continue
+        failures += 1
+        union = frozenset().union(*schemas)
+        print(f"FAIL {label}: {len(schemas)} different metric-name sets",
+              file=sys.stderr)
+        for names, rows in schemas.items():
+            missing = ", ".join(sorted(union - names)) or "-"
+            print(f"     {len(rows)} rows (e.g. {rows[0]}) lack: {missing}",
+                  file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -350,6 +387,11 @@ def main():
                         help="guard the write-fault chaos-soak rows")
     wf.add_argument("file")
 
+    schema = sub.add_parser("metrics-schema",
+                            help="demand one metric-name set per "
+                                 "bench and policy")
+    schema.add_argument("file")
+
     args = parser.parse_args()
     if args.mode == "obs-overhead":
         sys.exit(check_obs_overhead(args))
@@ -361,6 +403,8 @@ def main():
         sys.exit(check_writeback(args))
     if args.mode == "writefault":
         sys.exit(check_writefault(args))
+    if args.mode == "metrics-schema":
+        sys.exit(check_metrics_schema(args))
     sys.exit(check_compare(args))
 
 

@@ -101,28 +101,24 @@ class TimingSource final : public core::PageSource {
 };
 
 struct CellResult {
-  double hit_rate = 0.0;
   uint64_t reads = 0;
   uint64_t sequential_reads = 0;
-  uint64_t hits = 0;
+  core::BufferStats buffer;
   uint64_t result_objects = 0;
   uint64_t p50_ns = 0;
   uint64_t p99_ns = 0;
   uint64_t faults_injected = 0;
-  uint64_t io_read_retries = 0;
-  uint64_t io_checksum_mismatches = 0;
-  uint64_t io_recovered_reads = 0;
-  uint64_t io_permanent_failures = 0;
   uint64_t io_errors = 0;
   obs::MetricsSnapshot metrics;
 
   bool CleanRun() const {
-    return io_permanent_failures == 0 && io_errors == 0;
+    return buffer.io_permanent_failures == 0 && io_errors == 0;
   }
   bool SameCleanIo(const CellResult& other) const {
     return reads == other.reads &&
            sequential_reads == other.sequential_reads &&
-           hits == other.hits && result_objects == other.result_objects;
+           buffer.hits == other.buffer.hits &&
+           result_objects == other.result_objects;
   }
 };
 
@@ -147,7 +143,7 @@ CellResult RunCell(const sim::Scenario& scenario,
         std::make_unique<storage::FaultInjectingDevice>(view, profile);
     device = fault_device.get();
   }
-  // The collector only counts; the ledger and clean-run identity checks
+  // The collector only observes; the ledger and clean-run identity checks
   // below compare counted behavior, which attaching it does not perturb.
   obs::CollectorOptions collector_options;
   collector_options.event_capacity = 0;  // metrics only
@@ -167,32 +163,29 @@ CellResult RunCell(const sim::Scenario& scenario,
     });
   }
 
-  cell.hit_rate = buffer.stats().HitRate();
   cell.reads = device->stats().reads;
   cell.sequential_reads = device->stats().sequential_reads;
-  cell.hits = buffer.stats().hits;
+  cell.buffer = buffer.stats();
   cell.p50_ns = timing.LatencyNs(0.50);
   cell.p99_ns = timing.LatencyNs(0.99);
-  cell.io_read_retries = buffer.stats().io_read_retries;
-  cell.io_checksum_mismatches = buffer.stats().io_checksum_mismatches;
-  cell.io_recovered_reads = buffer.stats().io_recovered_reads;
-  cell.io_permanent_failures = buffer.stats().io_permanent_failures;
   cell.io_errors = tree.io_errors();
-  buffer.FlushObservability();
-  cell.metrics = collector.metrics().Snapshot();
+  obs::MetricsRegistry registry;
+  buffer.ExportMetrics(&registry);
+  cell.metrics = registry.Snapshot();
   if (fault_device != nullptr) {
     cell.faults_injected = fault_device->fault_stats().injected();
     // Recovery ledger: every injected data fault is exactly one retried
     // attempt or one terminal failure — nothing slips through unaccounted.
     if (cell.faults_injected !=
-        cell.io_read_retries + cell.io_permanent_failures) {
+        cell.buffer.io_read_retries + cell.buffer.io_permanent_failures) {
       std::fprintf(stderr,
                    "FATAL: fault ledger out of balance: injected %llu != "
                    "retries %llu + permanent %llu\n",
                    static_cast<unsigned long long>(cell.faults_injected),
-                   static_cast<unsigned long long>(cell.io_read_retries),
                    static_cast<unsigned long long>(
-                       cell.io_permanent_failures));
+                       cell.buffer.io_read_retries),
+                   static_cast<unsigned long long>(
+                       cell.buffer.io_permanent_failures));
       std::exit(1);
     }
   }
@@ -215,16 +208,16 @@ std::string CellJson(const std::string& workload_name,
       "\"io_errors\":%llu",
       obs::kBenchJsonSchemaVersion, workload_name.c_str(),
       sim::JsonEscape(policy).c_str(), frames, rate,
-      use_fault_layer ? "fault_layer" : "plain", cell.hit_rate,
+      use_fault_layer ? "fault_layer" : "plain", cell.buffer.HitRate(),
       static_cast<unsigned long long>(cell.reads),
       static_cast<unsigned long long>(cell.result_objects),
       static_cast<unsigned long long>(cell.p50_ns),
       static_cast<unsigned long long>(cell.p99_ns),
       static_cast<unsigned long long>(cell.faults_injected),
-      static_cast<unsigned long long>(cell.io_read_retries),
-      static_cast<unsigned long long>(cell.io_checksum_mismatches),
-      static_cast<unsigned long long>(cell.io_recovered_reads),
-      static_cast<unsigned long long>(cell.io_permanent_failures),
+      static_cast<unsigned long long>(cell.buffer.io_read_retries),
+      static_cast<unsigned long long>(cell.buffer.io_checksum_mismatches),
+      static_cast<unsigned long long>(cell.buffer.io_recovered_reads),
+      static_cast<unsigned long long>(cell.buffer.io_permanent_failures),
       static_cast<unsigned long long>(cell.io_errors));
   std::string line(buf);
   if (!cell.metrics.empty()) {
@@ -485,7 +478,8 @@ int main() {
                                         /*use_fault_layer=*/false, plain)) &&
                 json_ok;
     }
-    table.AddRow({policy, "0 (plain)", sim::FormatDouble(plain.hit_rate, 4),
+    table.AddRow({policy, "0 (plain)",
+                  sim::FormatDouble(plain.buffer.HitRate(), 4),
                   std::to_string(plain.reads),
                   sim::FormatDouble(plain.p99_ns / 1000.0, 1) + " us", "0",
                   "0", "0"});
@@ -504,17 +498,18 @@ int main() {
                      policy.c_str(), rate,
                      static_cast<unsigned long long>(cell.reads),
                      static_cast<unsigned long long>(plain.reads),
-                     static_cast<unsigned long long>(cell.hits),
-                     static_cast<unsigned long long>(plain.hits));
+                     static_cast<unsigned long long>(cell.buffer.hits),
+                     static_cast<unsigned long long>(plain.buffer.hits));
         std::exit(1);
       }
       char rate_label[32];
       std::snprintf(rate_label, sizeof(rate_label), "%.1f%%", 100.0 * rate);
-      table.AddRow({policy, rate_label, sim::FormatDouble(cell.hit_rate, 4),
+      table.AddRow({policy, rate_label,
+                    sim::FormatDouble(cell.buffer.HitRate(), 4),
                     std::to_string(cell.reads),
                     sim::FormatDouble(cell.p99_ns / 1000.0, 1) + " us",
-                    std::to_string(cell.io_read_retries),
-                    std::to_string(cell.io_recovered_reads),
+                    std::to_string(cell.buffer.io_read_retries),
+                    std::to_string(cell.buffer.io_recovered_reads),
                     std::to_string(cell.io_errors)});
       if (!json_path.empty()) {
         json_ok = sim::AppendJsonLine(

@@ -64,10 +64,9 @@ int main(int argc, char** argv) {
                 trace.front(), trace[phase_end - 1], trace.back());
   }
   std::printf("hit ratio: %.1f%% overall (%llu of %llu requests)\n\n",
-              100.0 * static_cast<double>(result.buffer_hits) /
-                  static_cast<double>(result.buffer_requests),
-              static_cast<unsigned long long>(result.buffer_hits),
-              static_cast<unsigned long long>(result.buffer_requests));
+              100.0 * result.hit_rate(),
+              static_cast<unsigned long long>(result.buffer.hits),
+              static_cast<unsigned long long>(result.buffer.requests));
 
   // The full snapshot: everything the buffer, policy and device recorded.
   std::printf("metrics snapshot:\n");

@@ -102,10 +102,6 @@ BufferManager::BufferManager(storage::PageDevice* disk, size_t frames,
                         ? std::min(resilience_.max_quarantined_frames, frames)
                         : frames / 2;
   obs_ = collector;
-  if (obs_ != nullptr) {
-    obs_evictions_ = obs_->metrics().GetCounter("buffer.evictions");
-    obs_writebacks_ = obs_->metrics().GetCounter("buffer.dirty_writebacks");
-  }
   frame_data_ = std::make_unique<std::byte[]>(frames * page_size_);
   frames_.assign(frames, Frame{});
   meta_versions_.assign(frames, 0);
@@ -393,7 +389,6 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
         // reached it — a synchronous foreground write is the fallback the
         // watermark bench gates on.
         ++stats_.sync_writeback_fallbacks;
-        if (obs_sync_fallbacks_ != nullptr) obs_sync_fallbacks_->Add();
       }
       if (Status written = WriteBackLocked(f, ctx); !written.ok()) {
         // The victim keeps its bytes and residency; the fetch that wanted
@@ -406,7 +401,6 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
     }
     ++stats_.evictions;
     if (obs_ != nullptr) {
-      obs_evictions_->Add();
       obs::Event event;
       event.kind = obs::EventKind::kEviction;
       event.flag = was_dirty;
@@ -469,10 +463,6 @@ Status BufferManager::FinishReadWithRecovery(FrameId f, storage::PageId page,
         if (actual != *expected) {
           status = Status::DataLoss("page checksum mismatch");
           ++stats_.io_checksum_mismatches;
-          if (obs_ != nullptr) {
-            EnsureIoObs();
-            obs_io_mismatches_->Add();
-          }
         }
       }
     }
@@ -502,20 +492,12 @@ Status BufferManager::FinishReadWithRecovery(FrameId f, storage::PageId page,
     }
     if (!status.retryable() || failures >= resilience_.max_read_retries) {
       ++stats_.io_permanent_failures;
-      if (obs_ != nullptr) {
-        EnsureIoObs();
-        obs_io_permanent_->Add();
-      }
       bad_pages_.emplace(page, status.code());
       QuarantineFrame(f, page);
       return status;
     }
     ++failures;
     ++stats_.io_read_retries;
-    if (obs_ != nullptr) {
-      EnsureIoObs();
-      obs_io_retries_->Add();
-    }
     BackoffBeforeRetry(failures, page);
     status = disk_->Read(page, {FrameData(f), page_size_});
   }
@@ -533,8 +515,6 @@ void BufferManager::QuarantineFrame(FrameId f, storage::PageId page) {
     ++quarantined_count_;
     ++stats_.io_quarantined_frames;
     if (obs_ != nullptr) {
-      EnsureIoObs();
-      obs_io_quarantined_->Add();
       obs::Event event;
       event.kind = obs::EventKind::kFrameQuarantined;
       event.frame = f;
@@ -549,21 +529,6 @@ void BufferManager::QuarantineFrame(FrameId f, storage::PageId page) {
   // one noisy device region into a self-inflicted outage.
   std::memset(FrameData(f), 0, page_size_);
   free_frames_.push_back(f);
-}
-
-void BufferManager::EnsureIoObs() {
-  if (obs_ == nullptr || obs_io_retries_ != nullptr) return;
-  obs_io_retries_ = obs_->metrics().GetCounter("io.read_retries");
-  obs_io_mismatches_ = obs_->metrics().GetCounter("io.checksum_mismatches");
-  obs_io_quarantined_ = obs_->metrics().GetCounter("io.quarantined_frames");
-  obs_io_permanent_ = obs_->metrics().GetCounter("io.permanent_failures");
-}
-
-void BufferManager::EnsureWriteObs() {
-  if (obs_ == nullptr || obs_io_write_retries_ != nullptr) return;
-  obs_io_write_retries_ = obs_->metrics().GetCounter("io.write_retries");
-  obs_io_write_quarantined_ =
-      obs_->metrics().GetCounter("io.write_quarantined");
 }
 
 void BufferManager::QuarantineWriteFailure(FrameId f) {
@@ -594,10 +559,6 @@ void BufferManager::QuarantineWriteFailure(FrameId f) {
   frame.write_failures = 0;
   frame.page = storage::kInvalidPageId;
   ++stats_.io_write_quarantined;
-  if (obs_ != nullptr) {
-    EnsureWriteObs();
-    obs_io_write_quarantined_->Add();
-  }
   QuarantineFrame(f, page);
 }
 
@@ -617,17 +578,10 @@ void BufferManager::BackoffBeforeRetry(uint32_t failures,
       std::chrono::microseconds(ceiling - jitter));
 }
 
-void BufferManager::FlushObservability() {
-  if (concurrent_) DrainDeferred();  // totals must include deferred hits
-  if (obs_ == nullptr) return;
-  // Delta-flush: header decodes are the only total the hot path does not
-  // feed into the collector eagerly (the counter lives on the GetMeta fast
-  // path, where even a guarded increment would distort the A/B overhead
-  // bench this subsystem must not perturb).
-  obs_->metrics()
-      .GetCounter("buffer.header_decodes")
-      ->Add(header_decodes_ - flushed_header_decodes_);
-  flushed_header_decodes_ = header_decodes_;
+void BufferManager::ExportMetrics(obs::MetricsRegistry* registry) const {
+  if (obs_ != nullptr) registry->Merge(obs_->metrics().Snapshot());
+  obs::AddStatsCounters(kBufferStatsCounters, stats_, registry);
+  registry->GetCounter("buffer.header_decodes")->Add(header_decodes_);
 }
 
 UnpinStatus BufferManager::Unpin(FrameId f, bool dirty) {
@@ -747,10 +701,6 @@ Status BufferManager::WriteBackLocked(FrameId f, const AccessContext& ctx,
          failures < resilience_.max_write_retries) {
     ++failures;
     ++stats_.io_write_retries;
-    if (obs_ != nullptr) {
-      EnsureWriteObs();
-      obs_io_write_retries_->Add();
-    }
     BackoffBeforeRetry(failures, frame.page);
     written = disk_->Write(frame.page, {FrameData(f), page_size_});
   }
@@ -764,7 +714,6 @@ Status BufferManager::WriteBackLocked(FrameId f, const AccessContext& ctx,
   --dirty_frames_;
   frame.rec_lsn = 0;
   ++stats_.dirty_writebacks;
-  if (obs_ != nullptr) obs_writebacks_->Add();
   return Status::Ok();
 }
 
@@ -816,7 +765,6 @@ EvictStatus BufferManager::Evict(storage::PageId page) {
     return EvictStatus::kWriteBackFailed;
   }
   ++stats_.evictions;
-  if (obs_ != nullptr) obs_evictions_->Add();
   page_table_.erase(frame.page);
   policy_->OnPageEvicted(f, frame.page);
   frame.page = storage::kInvalidPageId;
@@ -884,10 +832,6 @@ void BufferManager::ConfigureBackgroundWriteback(
       "low watermark must not exceed the high watermark");
   SDB_CHECK_MSG(!options.enabled || !concurrent_, kReadOnlyShard);
   writeback_ = options;
-  if (obs_ != nullptr && options.enabled && obs_sync_fallbacks_ == nullptr) {
-    obs_sync_fallbacks_ =
-        obs_->metrics().GetCounter("wal.sync_writeback_fallbacks");
-  }
 }
 
 size_t BufferManager::HarvestFlushCandidates(size_t max,

@@ -68,9 +68,8 @@ class PageHandle {
   storage::PageId page_id_ = storage::kInvalidPageId;
 };
 
-/// Hit/miss accounting of one buffer instance. The io_* group mirrors the
-/// lazily-registered obs counters (io.read_retries & co.) so fault handling
-/// is testable without a collector attached.
+/// Hit/miss and fault accounting of one buffer instance — the only store of
+/// these counts; exported snapshots read them through kBufferStatsCounters.
 struct BufferStats {
   uint64_t requests = 0;
   uint64_t hits = 0;
@@ -95,6 +94,23 @@ struct BufferStats {
                          : static_cast<double>(hits) /
                                static_cast<double>(requests);
   }
+};
+
+/// Every BufferStats counter under its exported metric name.
+inline constexpr obs::StatsCounter<BufferStats> kBufferStatsCounters[] = {
+    {"buffer.requests", &BufferStats::requests},
+    {"buffer.hits", &BufferStats::hits},
+    {"buffer.misses", &BufferStats::misses},
+    {"buffer.evictions", &BufferStats::evictions},
+    {"buffer.dirty_writebacks", &BufferStats::dirty_writebacks},
+    {"wal.sync_writeback_fallbacks", &BufferStats::sync_writeback_fallbacks},
+    {"io.read_retries", &BufferStats::io_read_retries},
+    {"io.checksum_mismatches", &BufferStats::io_checksum_mismatches},
+    {"io.recovered_reads", &BufferStats::io_recovered_reads},
+    {"io.permanent_failures", &BufferStats::io_permanent_failures},
+    {"io.quarantined_frames", &BufferStats::io_quarantined_frames},
+    {"io.write_retries", &BufferStats::io_write_retries},
+    {"io.write_quarantined", &BufferStats::io_write_quarantined},
 };
 
 /// Outcome of an explicit BufferManager::Unpin call. Handle-driven unpins
@@ -468,7 +484,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   void ResetStats() {
     stats_ = BufferStats{};
     header_decodes_ = 0;
-    flushed_header_decodes_ = 0;
   }
 
   /// Frames currently out of service after terminal read failures. They are
@@ -504,12 +519,13 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// an in-place update (steady-state victim scans decode nothing).
   uint64_t header_decodes() const { return header_decodes_; }
 
-  /// Publishes the end-of-run aggregate counters (BufferStats, header
-  /// decodes) into the attached collector's registry — totals the hot path
-  /// does not maintain eagerly. Idempotent: repeated calls add only the
-  /// delta since the previous flush, so live dashboards may call it at any
-  /// cadence. No-op without a collector.
-  void FlushObservability();
+  /// Adds this buffer's metrics view to `registry`: the attached
+  /// collector's registry (histograms, gauges, policy counters), then every
+  /// BufferStats counter and buffer.header_decodes as absolute values —
+  /// the same names whether or not a collector is attached, zero or not.
+  /// Deferred optimistic hits count only once drained (the service drains
+  /// before exporting a shard).
+  void ExportMetrics(obs::MetricsRegistry* registry) const;
 
  private:
   friend class PageHandle;
@@ -598,14 +614,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// frame to QuarantineFrame. Caller holds the latch; the frame has a zero
   /// pin count (and the buffer, having a WAL, is not concurrent).
   void QuarantineWriteFailure(FrameId frame);
-
-  /// Registers the io.* counters in the collector on first fault — lazily,
-  /// so fault-free runs export exactly the metric set they always did.
-  void EnsureIoObs();
-
-  /// Same lazy registration for the write-side io.* counters, kept separate
-  /// so read-fault-only runs keep their exact exported metric set.
-  void EnsureWriteObs();
 
   /// Deterministic exponential backoff with jitter before retry number
   /// `failures` (1-based); no-op when backoff_base_us is 0.
@@ -708,29 +716,13 @@ class BufferManager : public FrameMetaSource, public PageSource {
   std::vector<uint64_t> meta_versions_;
   mutable std::vector<MetaCacheEntry> meta_cache_;
   mutable uint64_t header_decodes_ = 0;
-  // Observability (all nullptr when no collector is attached): eviction
-  // counters/events are recorded eagerly, aggregate totals go through
-  // FlushObservability.
+  // Observability sink for events, histograms and policy metrics (nullptr
+  // = none); the counts themselves live in stats_.
   obs::Collector* obs_ = nullptr;
-  obs::Counter* obs_evictions_ = nullptr;
-  obs::Counter* obs_writebacks_ = nullptr;
-  // Registered by ConfigureBackgroundWriteback(enabled), so runs without a
-  // flusher export an unchanged metric set.
-  obs::Counter* obs_sync_fallbacks_ = nullptr;
-  // io.* fault counters, registered lazily by EnsureIoObs on first fault so
-  // healthy runs export an unchanged metric set.
-  obs::Counter* obs_io_retries_ = nullptr;
-  obs::Counter* obs_io_mismatches_ = nullptr;
-  obs::Counter* obs_io_quarantined_ = nullptr;
-  obs::Counter* obs_io_permanent_ = nullptr;
-  // Write-side io.* counters, registered lazily by EnsureWriteObs.
-  obs::Counter* obs_io_write_retries_ = nullptr;
-  obs::Counter* obs_io_write_quarantined_ = nullptr;
   // Smallest rec_lsn among write-quarantined pages (0 = none): their only
   // current image lives in the WAL, so min_rec_lsn() — and with it fuzzy
   // checkpoint truncation — must never advance past it.
   uint64_t write_quarantined_rec_lsn_floor_ = 0;
-  uint64_t flushed_header_decodes_ = 0;
   // --- concurrent mode (EnableConcurrency; all null/false otherwise) ---
   bool concurrent_ = false;
   // One sync word per frame; sized with frames_ at EnableConcurrency.

@@ -28,10 +28,15 @@ struct CollectorOptions {
 /// collector per replay task and merges the snapshots deterministically
 /// after the join.
 ///
+/// The registry holds only what no stats struct counts: histograms,
+/// gauges and the policies' own counters (policy.*, asb.*). Hit, miss,
+/// eviction and I/O counts live in core::BufferStats; the exported
+/// snapshot (core::BufferManager::ExportMetrics) is a view built from both.
+///
 /// Overhead contract: with no collector attached (the default) every
 /// instrumentation site in the buffer/policy hot paths is one pointer
-/// compare. With a collector attached, the per-request cost is a handful of
-/// plain counter increments, per-eviction cost adds two histogram
+/// compare. With a collector attached, the per-request cost is the
+/// windowed hit-ratio bookkeeping, per-eviction cost adds two histogram
 /// observations plus an O(rank) victim-recency-rank walk, and event
 /// pushes are copies into a preallocated ring.
 class Collector {
@@ -40,9 +45,6 @@ class Collector {
       : events_(options.event_capacity),
         record_accesses_(options.record_accesses),
         window_(options.window == 0 ? 1 : options.window) {
-    requests_ = metrics_.GetCounter("buffer.requests");
-    hits_ = metrics_.GetCounter("buffer.hits");
-    misses_ = metrics_.GetCounter("buffer.misses");
     static constexpr double kRatioBounds[] = {0.1, 0.2, 0.3, 0.4, 0.5,
                                               0.6, 0.7, 0.8, 0.9, 1.0};
     window_ratio_ = metrics_.GetHistogram("buffer.window_hit_ratio",
@@ -57,12 +59,10 @@ class Collector {
   bool record_accesses() const { return record_accesses_; }
   size_t window() const { return window_; }
 
-  /// Called by BufferManager on every Fetch/New. Maintains the request
-  /// counters and the sliding-window hit ratio; in trace-recording mode
-  /// also appends a kPageAccess event.
+  /// Called by BufferManager on every Fetch/New. Maintains the sliding-
+  /// window hit ratio; in trace-recording mode also appends a kPageAccess
+  /// event.
   void OnBufferRequest(uint64_t page, uint64_t query, bool hit) {
-    requests_->Add();
-    hit ? hits_->Add() : misses_->Add();
     window_hits_ += hit ? 1 : 0;
     if (++window_fill_ == window_) {
       const double ratio = static_cast<double>(window_hits_) /
@@ -87,9 +87,6 @@ class Collector {
   EventRing events_;
   const bool record_accesses_;
   const size_t window_;
-  Counter* requests_;
-  Counter* hits_;
-  Counter* misses_;
   Histogram* window_ratio_;
   Gauge* window_ratio_last_;
   size_t window_fill_ = 0;

@@ -18,7 +18,9 @@ namespace sdb::obs {
 ///   2: the field itself + concurrent-service rows (BENCH_concurrent.json)
 ///   3: metrics blocks in concurrent/fault rows + the BENCH_timeseries.json
 ///      writer (additive only — version-2 fields are unchanged)
-inline constexpr int kBenchJsonSchemaVersion = 3;
+///   4: fixed counter set; every stats-struct counter is exported, zero or
+///      not
+inline constexpr int kBenchJsonSchemaVersion = 4;
 
 /// Compact single-line JSON object of a snapshot: counters and gauges as
 /// numbers, histograms as {"bounds":[...],"counts":[...],"sum":s,"n":n}.

@@ -139,6 +139,27 @@ class MetricsRegistry {
   std::map<std::string, Entry, std::less<>> entries_;
 };
 
+/// One uint64_t counter of a plain stats struct and the metric name it is
+/// exported under. The stats structs (core::BufferStats, wal::WalStats,
+/// svc::ShardStats) are the only store of their counters; each names its
+/// fields once in a table of these, and every metrics view and
+/// field-by-field sum walks that table.
+template <typename Stats>
+struct StatsCounter {
+  std::string_view name;
+  uint64_t Stats::*field;
+};
+
+/// Adds every field named in `table` to `registry` as a counter holding
+/// the field's absolute value (registries merging several structs sum).
+template <typename Stats, size_t N>
+void AddStatsCounters(const StatsCounter<Stats> (&table)[N],
+                      const Stats& stats, MetricsRegistry* registry) {
+  for (const StatsCounter<Stats>& counter : table) {
+    registry->GetCounter(counter.name)->Add(stats.*counter.field);
+  }
+}
+
 /// Quantile estimate over fixed-bucket histogram state (`counts` has
 /// bounds.size() + 1 entries, the last being overflow). Linear
 /// interpolation inside the covering bucket, the way fixed-bucket p50/p95/

@@ -93,8 +93,8 @@ RunResult RunQuerySet(const storage::DiskManager& disk,
                           });
   }
 
-  if (const auto* lru_k =
-          dynamic_cast<const core::LruKPolicy*>(&buffer.policy())) {
+  const auto* lru_k = dynamic_cast<const core::LruKPolicy*>(&buffer.policy());
+  if (lru_k != nullptr) {
     result.retained_history_records = lru_k->retained_history_size();
   }
   // Clean-read counters: with a fault device these exclude faulted
@@ -102,35 +102,25 @@ RunResult RunQuerySet(const storage::DiskManager& disk,
   result.io = device->stats();
   result.disk_reads = result.io.reads;
   result.sequential_reads = result.io.sequential_reads;
-  result.buffer_requests = buffer.stats().requests;
-  result.buffer_hits = buffer.stats().hits;
+  result.buffer = buffer.stats();
   if (fault_device != nullptr) {
     result.fault_injection = true;
     result.faults_injected = fault_device->fault_stats().injected();
   }
-  result.io_read_retries = buffer.stats().io_read_retries;
-  result.io_checksum_mismatches = buffer.stats().io_checksum_mismatches;
-  result.io_recovered_reads = buffer.stats().io_recovered_reads;
-  result.io_permanent_failures = buffer.stats().io_permanent_failures;
-  result.io_quarantined_frames = buffer.stats().io_quarantined_frames;
   result.io_errors = tree.io_errors();
   SDB_CHECK_MSG(view.stats().writes == 0,
                 "read-only replay must not write");
-  if (obs::Collector* c = buffer.collector()) {
-    // Publish the totals the hot paths do not maintain eagerly, then the
-    // view-level I/O split (once — the view dies with this call, so these
-    // are final values, not deltas).
-    buffer.FlushObservability();
-    c->metrics().GetCounter("disk.reads")->Add(result.io.reads);
-    c->metrics()
-        .GetCounter("disk.sequential_reads")
+  if (buffer.collector() != nullptr) {
+    obs::MetricsRegistry registry;
+    buffer.ExportMetrics(&registry);
+    registry.GetCounter("disk.reads")->Add(result.io.reads);
+    registry.GetCounter("disk.sequential_reads")
         ->Add(result.io.sequential_reads);
-    if (result.retained_history_records > 0) {
-      c->metrics()
-          .GetGauge("lru_k.retained_history")
+    if (lru_k != nullptr) {
+      registry.GetGauge("lru_k.retained_history")
           ->Set(static_cast<double>(result.retained_history_records));
     }
-    result.metrics = c->metrics().Snapshot();
+    result.metrics = registry.Snapshot();
   }
   return result;
 }

@@ -17,10 +17,8 @@ namespace sdb::sim {
 struct RunOptions {
   size_t buffer_frames = 64;
   /// Observability sink for the run's buffer and policy (nullptr = none).
-  /// The collector must outlive the call; its registry accumulates across
-  /// runs when reused, and the end-of-run flush also publishes the run's
-  /// device-level I/O split (disk.reads / disk.sequential_reads) so the
-  /// random/sequential breakdown survives into merged sweep metrics.
+  /// The collector must outlive the call. When one is attached the run
+  /// exports RunResult::metrics.
   obs::Collector* collector = nullptr;
   /// When enabled(), the run reads through a FaultInjectingDevice wrapping
   /// its private view; the buffer retries/recovers per `resilience`. The
@@ -39,8 +37,9 @@ struct RunResult {
   size_t buffer_frames = 0;
   uint64_t disk_reads = 0;      ///< the paper's metric
   uint64_t sequential_reads = 0;  ///< reads at previous-page + 1
-  uint64_t buffer_requests = 0;
-  uint64_t buffer_hits = 0;
+  /// The run's buffer counters: requests, hits, evictions and — under a
+  /// fault profile — the retry/recovery ledger.
+  core::BufferStats buffer;
   uint64_t result_objects = 0;  ///< total query results (answer checksum)
   /// LRU-K only: history records retained for pages no longer buffered at
   /// the end of the run — the unbounded memory overhead the paper holds
@@ -50,32 +49,24 @@ struct RunResult {
   /// paper charts; the full struct keeps writes and the random/sequential
   /// split from being discarded when runs execute on private disk views).
   storage::IoStats io;
-  /// End-of-run registry snapshot when a collector was attached (empty
-  /// otherwise).
+  /// End-of-run metrics view when a collector was attached (empty
+  /// otherwise): the buffer's export (core::BufferManager::ExportMetrics)
+  /// plus disk.reads, disk.sequential_reads and, for LRU-K, the
+  /// lru_k.retained_history gauge.
   obs::MetricsSnapshot metrics;
   /// True when the run executed through a FaultInjectingDevice (even if it
   /// injected nothing). Reporting keys fault fields off this flag so
   /// fault-free output stays byte-identical.
   bool fault_injection = false;
-  /// Fault-run accounting (all zero without a fault profile): what the
-  /// device injected and what the buffer did about it. The recovery ledger
-  /// must balance: faults_injected == io_read_retries + io_permanent_failures.
+  /// Faults the device injected (zero without a fault profile). The
+  /// recovery ledger must balance: faults_injected ==
+  /// buffer.io_read_retries + buffer.io_permanent_failures.
   uint64_t faults_injected = 0;
-  uint64_t io_read_retries = 0;
-  uint64_t io_checksum_mismatches = 0;
-  uint64_t io_recovered_reads = 0;
-  uint64_t io_permanent_failures = 0;
-  uint64_t io_quarantined_frames = 0;
   /// Query fetches that failed terminally and were absorbed by traversal
   /// (subtree pruned); nonzero means result_objects is a lower bound.
   uint64_t io_errors = 0;
 
-  double hit_rate() const {
-    return buffer_requests == 0
-               ? 0.0
-               : static_cast<double>(buffer_hits) /
-                     static_cast<double>(buffer_requests);
-  }
+  double hit_rate() const { return buffer.HitRate(); }
 };
 
 /// Relative performance gain as reported throughout the paper:

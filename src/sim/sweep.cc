@@ -222,8 +222,8 @@ std::string RunJson(const std::string& title, const std::string& database,
       static_cast<unsigned long long>(run.disk_reads),
       static_cast<unsigned long long>(run.sequential_reads),
       static_cast<unsigned long long>(run.io.random_reads()),
-      static_cast<unsigned long long>(run.buffer_requests),
-      static_cast<unsigned long long>(run.buffer_hits), gain);
+      static_cast<unsigned long long>(run.buffer.requests),
+      static_cast<unsigned long long>(run.buffer.hits), gain);
   std::string line(buf);
   if (run.fault_injection) {
     char fault_buf[448];
@@ -234,11 +234,11 @@ std::string RunJson(const std::string& title, const std::string& database,
         "\"io_permanent_failures\":%llu,\"io_quarantined_frames\":%llu,"
         "\"io_errors\":%llu",
         static_cast<unsigned long long>(run.faults_injected),
-        static_cast<unsigned long long>(run.io_read_retries),
-        static_cast<unsigned long long>(run.io_checksum_mismatches),
-        static_cast<unsigned long long>(run.io_recovered_reads),
-        static_cast<unsigned long long>(run.io_permanent_failures),
-        static_cast<unsigned long long>(run.io_quarantined_frames),
+        static_cast<unsigned long long>(run.buffer.io_read_retries),
+        static_cast<unsigned long long>(run.buffer.io_checksum_mismatches),
+        static_cast<unsigned long long>(run.buffer.io_recovered_reads),
+        static_cast<unsigned long long>(run.buffer.io_permanent_failures),
+        static_cast<unsigned long long>(run.buffer.io_quarantined_frames),
         static_cast<unsigned long long>(run.io_errors));
     line += fault_buf;
   }

@@ -53,14 +53,13 @@ void BufferService::Init(const storage::DiskManager& disk,
                          const BufferServiceConfig& config) {
   total_frames_ = config.total_frames;
   policy_spec_ = config.policy_spec;
-  collect_metrics_ = config.collect_metrics;
   SDB_CHECK_MSG(config.shard_count > 0, "service needs at least one shard");
   SDB_CHECK_MSG(config.total_frames >= config.shard_count,
                 "fewer frames than shards: some shard would be empty");
   shards_.reserve(config.shard_count);
   for (size_t s = 0; s < config.shard_count; ++s) {
     auto shard = std::make_unique<Shard>(disk);
-    if (collect_metrics_) {
+    if (config.collect_metrics) {
       obs::CollectorOptions options;
       options.event_capacity = 0;  // metrics only; no per-shard event ring
       shard->collector = std::make_unique<obs::Collector>(options);
@@ -432,6 +431,10 @@ bool BufferService::Contains(storage::PageId page) const {
 ShardStats BufferService::StatsOfShard(size_t s) const {
   Shard& shard = *shards_[s];
   const std::unique_lock<std::mutex> lock = LockShard(shard);
+  return StatsOfShardLocked(shard);
+}
+
+ShardStats BufferService::StatsOfShardLocked(Shard& shard) const {
   // Deferred optimistic events must reach the buffer's stats before they
   // are sampled (no-op on a writable service's shards).
   shard.buffer->DrainDeferred();
@@ -459,34 +462,19 @@ ShardStats BufferService::AggregateStats() const {
   ShardStats total;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const ShardStats one = StatsOfShard(s);
-    total.buffer.requests += one.buffer.requests;
-    total.buffer.hits += one.buffer.hits;
-    total.buffer.misses += one.buffer.misses;
-    total.buffer.evictions += one.buffer.evictions;
-    total.buffer.dirty_writebacks += one.buffer.dirty_writebacks;
-    total.buffer.sync_writeback_fallbacks +=
-        one.buffer.sync_writeback_fallbacks;
-    total.buffer.io_read_retries += one.buffer.io_read_retries;
-    total.buffer.io_checksum_mismatches += one.buffer.io_checksum_mismatches;
-    total.buffer.io_recovered_reads += one.buffer.io_recovered_reads;
-    total.buffer.io_permanent_failures += one.buffer.io_permanent_failures;
-    total.buffer.io_quarantined_frames += one.buffer.io_quarantined_frames;
-    total.buffer.io_write_retries += one.buffer.io_write_retries;
-    total.buffer.io_write_quarantined += one.buffer.io_write_quarantined;
+    for (const auto& counter : core::kBufferStatsCounters) {
+      total.buffer.*counter.field += one.buffer.*counter.field;
+    }
+    for (const auto& counter : kShardStatsCounters) {
+      total.*counter.field += one.*counter.field;
+    }
     total.io.reads += one.io.reads;
     total.io.writes += one.io.writes;
     total.io.sequential_reads += one.io.sequential_reads;
     total.io.sequential_writes += one.io.sequential_writes;
-    total.latch_waits += one.latch_waits;
-    total.latch_acquires += one.latch_acquires;
     total.quarantined_frames += one.quarantined_frames;
     total.bad_pages += one.bad_pages;
     total.usable_frames += one.usable_frames;
-    total.optimistic_hits += one.optimistic_hits;
-    total.optimistic_retries += one.optimistic_retries;
-    total.version_conflicts += one.version_conflicts;
-    total.batch_submits += one.batch_submits;
-    total.async_reads += one.async_reads;
   }
   // Service-level, not per-shard: copied rather than summed.
   total.degraded = static_cast<uint64_t>(degraded_state());
@@ -523,10 +511,7 @@ void BufferService::EnterDegraded(DegradedState why, size_t s,
   }
   degraded_entries_.fetch_add(1, std::memory_order_relaxed);
   obs::Collector* collector = shards_[s]->collector.get();
-  if (!collect_metrics_ || collector == nullptr) return;
-  // Registered here, not up front: a healthy run's exported metric set
-  // must not change just because degraded mode exists.
-  collector->metrics().GetCounter("wal.degraded_entries")->Add();
+  if (collector == nullptr) return;
   obs::Event event;
   event.kind = obs::EventKind::kDegraded;
   event.frame = static_cast<uint32_t>(s);
@@ -537,7 +522,6 @@ void BufferService::EnterDegraded(DegradedState why, size_t s,
 
 void BufferService::NoteFlushBackoff(size_t shard, uint64_t consecutive_errors,
                                      uint64_t skip_rounds) {
-  if (!collect_metrics_) return;
   Shard& s = *shards_[shard];
   if (s.collector == nullptr) return;
   const std::unique_lock<std::mutex> lock = LockShard(s);
@@ -554,118 +538,47 @@ size_t BufferService::shared_candidate() const {
   return static_cast<size_t>(asb_tuning_.Load());
 }
 
-void BufferService::FlushShardLocked(Shard& shard) {
-  if (shard.collector == nullptr) return;
-  // Ordering contract of the idempotent flush: (1) replay the deferred
-  // optimistic events so every total they feed is final for this sample,
-  // (2) flush the buffer's own deltas, (3) sample each service-level source
-  // exactly once and advance its base saturatingly. The saturation is what
-  // makes the flush immune to a source moving backwards mid-run — a shard
-  // quarantined and its buffer stats reset between two flushes used to
-  // wrap the delta and silently corrupt (under-report, then overflow)
-  // svc.latch_waits and friends.
-  shard.buffer->DrainDeferred();
-  shard.buffer->FlushObservability();
-  obs::MetricsRegistry& metrics = shard.collector->metrics();
-  const auto delta = [](uint64_t now, uint64_t* base) {
-    const uint64_t d = now >= *base ? now - *base : 0;
-    *base = now;
-    return d;
-  };
-  metrics.GetCounter("svc.latch_waits")
-      ->Add(delta(shard.latch_waits.load(std::memory_order_relaxed),
-                  &shard.flushed_latch_waits));
-  metrics.GetCounter("svc.latch_acquires")
-      ->Add(delta(shard.latch_acquires.load(std::memory_order_relaxed),
-                  &shard.flushed_latch_acquires));
-  metrics.GetCounter("svc.disk_reads")
-      ->Add(delta(ShardIoStats(shard).reads, &shard.flushed_disk_reads));
-  if (shard.buffer->concurrent()) {
-    metrics.GetCounter("svc.optimistic_hits")
-        ->Add(delta(shard.buffer->optimistic_hits(),
-                    &shard.flushed_optimistic_hits));
-    metrics.GetCounter("svc.optimistic_retries")
-        ->Add(delta(shard.buffer->optimistic_retries(),
-                    &shard.flushed_optimistic_retries));
-    metrics.GetCounter("svc.version_conflicts")
-        ->Add(delta(shard.buffer->version_conflicts(),
-                    &shard.flushed_version_conflicts));
+void BufferService::ExportShardLocked(Shard& shard,
+                                      obs::MetricsRegistry* registry) const {
+  const ShardStats stats = StatsOfShardLocked(shard);
+  shard.buffer->ExportMetrics(registry);
+  obs::AddStatsCounters(kShardStatsCounters, stats, registry);
+  registry->GetCounter("svc.disk_reads")->Add(stats.io.reads);
+  // A writable shard has no async device: its histogram stays empty.
+  storage::AsyncDeviceStats async;
+  if (const storage::AsyncPageDevice* device = shard.buffer->async_device()) {
+    async = device->stats();
   }
-  if (const storage::AsyncPageDevice* async = shard.buffer->async_device()) {
-    const storage::AsyncDeviceStats& astats = async->stats();
-    metrics.GetCounter("io.batch_submits")
-        ->Add(delta(astats.batch_submits, &shard.flushed_batch_submits));
-    uint64_t bucket_deltas[storage::AsyncDeviceStats::kDepthBuckets];
-    for (size_t b = 0; b < storage::AsyncDeviceStats::kDepthBuckets; ++b) {
-      bucket_deltas[b] =
-          delta(astats.depth_buckets[b], &shard.flushed_depth_buckets[b]);
-    }
-    metrics
-        .GetHistogram("io.queue_depth",
-                      std::span<const double>(storage::kAsyncQueueDepthBounds))
-        ->MergeFrom(bucket_deltas,
-                    static_cast<double>(delta(astats.depth_sum,
-                                              &shard.flushed_depth_sum)),
-                    delta(astats.submitted, &shard.flushed_async_submitted));
-  }
+  registry
+      ->GetHistogram("io.queue_depth",
+                     std::span<const double>(storage::kAsyncQueueDepthBounds))
+      ->MergeFrom(async.depth_buckets, static_cast<double>(async.depth_sum),
+                  async.submitted);
 }
 
-obs::MetricsSnapshot BufferService::MetricsSnapshot() {
-  if (!collect_metrics_) return {};
+obs::MetricsSnapshot BufferService::MetricsSnapshot() const {
   // Merge in shard order: registry merging is commutative, so the combined
   // snapshot is identical for any client-thread count as long as the
   // underlying per-shard counts are.
   obs::MetricsRegistry merged;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     const std::unique_lock<std::mutex> lock = LockShard(*shard);
-    FlushShardLocked(*shard);
-    merged.Merge(shard->collector->metrics().Snapshot());
+    ExportShardLocked(*shard, &merged);
+  }
+  merged.GetGauge("svc.degraded")
+      ->Set(static_cast<double>(degraded_state()));
+  if (wal_ != nullptr) {
+    obs::AddStatsCounters(wal::kWalStatsCounters, wal_->stats(), &merged);
+    merged.GetCounter("wal.flusher_pages")
+        ->Add(flusher_ != nullptr ? flusher_->stats().pages_flushed : 0);
+    merged.GetCounter("wal.degraded_entries")->Add(degraded_entries());
   }
   return merged.Snapshot();
 }
 
-std::string BufferService::StatsText() {
+std::string BufferService::StatsText() const {
   obs::MetricsRegistry registry;
-  if (collect_metrics_) {
-    registry.Merge(MetricsSnapshot());
-  } else {
-    // No collectors attached: synthesize the core series from the shard
-    // aggregate so the dump works on any service configuration.
-    const ShardStats stats = AggregateStats();
-    registry.GetCounter("buffer.requests")->Add(stats.buffer.requests);
-    registry.GetCounter("buffer.hits")->Add(stats.buffer.hits);
-    registry.GetCounter("buffer.misses")->Add(stats.buffer.misses);
-    registry.GetCounter("buffer.evictions")->Add(stats.buffer.evictions);
-    if (flusher_ != nullptr) {
-      registry.GetCounter("wal.sync_writeback_fallbacks")
-          ->Add(stats.buffer.sync_writeback_fallbacks);
-      registry.GetCounter("wal.flusher_pages")
-          ->Add(flusher_->stats().pages_flushed);
-    }
-    registry.GetCounter("svc.latch_waits")->Add(stats.latch_waits);
-    registry.GetCounter("svc.latch_acquires")->Add(stats.latch_acquires);
-    registry.GetCounter("svc.disk_reads")->Add(stats.io.reads);
-    registry.GetCounter("io.quarantined_frames")
-        ->Add(stats.quarantined_frames);
-    // Write-path series, synthesized only once they have something to say
-    // (healthy read-only runs keep their exact exposition).
-    if (stats.buffer.io_write_retries > 0) {
-      registry.GetCounter("io.write_retries")
-          ->Add(stats.buffer.io_write_retries);
-    }
-    if (stats.buffer.io_write_quarantined > 0) {
-      registry.GetCounter("io.write_quarantined")
-          ->Add(stats.buffer.io_write_quarantined);
-    }
-    if (wal_ != nullptr && wal_->stats().write_retries > 0) {
-      registry.GetCounter("wal.write_retries")
-          ->Add(wal_->stats().write_retries);
-    }
-    if (stats.degraded_entries > 0) {
-      registry.GetCounter("wal.degraded_entries")
-          ->Add(stats.degraded_entries);
-    }
-  }
+  registry.Merge(MetricsSnapshot());
   registry.GetGauge("svc.shards")
       ->Set(static_cast<double>(shards_.size()));
   registry.GetGauge("svc.total_frames")
@@ -674,23 +587,20 @@ std::string BufferService::StatsText() {
     registry.GetGauge("svc.shared_candidate")
         ->Set(static_cast<double>(shared_candidate()));
   }
-  // The degraded gauge appears only once the service has degraded: a
-  // healthy run's exposition stays byte-identical to the pre-fault builds.
-  if (degraded()) {
-    registry.GetGauge("svc.degraded")
-        ->Set(static_cast<double>(degraded_state()));
-  }
   return obs::PrometheusText(registry.Snapshot());
 }
 
-std::vector<obs::MetricsSnapshot> BufferService::ShardMetricsSnapshots() {
+std::vector<obs::MetricsSnapshot> BufferService::ShardMetricsSnapshots()
+    const {
   std::vector<obs::MetricsSnapshot> snapshots;
-  if (!collect_metrics_) return snapshots;
   snapshots.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::unique_lock<std::mutex> lock = LockShard(*shard);
-    FlushShardLocked(*shard);
-    snapshots.push_back(shard->collector->metrics().Snapshot());
+    obs::MetricsRegistry view;
+    {
+      const std::unique_lock<std::mutex> lock = LockShard(*shard);
+      ExportShardLocked(*shard, &view);
+    }
+    snapshots.push_back(view.Snapshot());
   }
   return snapshots;
 }

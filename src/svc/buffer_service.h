@@ -12,7 +12,6 @@
 
 #include "core/asb_shared.h"
 #include "core/buffer_manager.h"
-#include "storage/async_device.h"
 #include "obs/collector.h"
 #include "obs/metrics.h"
 #include "storage/disk_manager.h"
@@ -56,7 +55,8 @@ struct BufferServiceConfig {
   /// Replacement policy of every shard (core::CreatePolicy spec).
   std::string policy_spec = "ASB";
   /// Attach one obs::Collector per shard (mutated only under the shard
-  /// latch), feeding per-shard hit/miss/eviction metrics and events.
+  /// latch), adding histograms, gauges, policy counters and events to the
+  /// metrics views. The counters are exported either way.
   bool collect_metrics = false;
   /// Per-shard fault handling (retry budget, checksum verification,
   /// quarantine cap), forwarded to every shard's BufferManager.
@@ -130,6 +130,20 @@ struct ShardStats {
   /// service has entered degraded mode (0 or 1 today — one-way).
   uint64_t degraded = 0;
   uint64_t degraded_entries = 0;
+};
+
+/// ShardStats' own counters under their exported names. The nested buffer
+/// stats export through core::kBufferStatsCounters and the device reads as
+/// svc.disk_reads; the health levels (quarantined, bad and usable frames)
+/// are summed by AggregateStats but not exported as counters.
+inline constexpr obs::StatsCounter<ShardStats> kShardStatsCounters[] = {
+    {"svc.latch_waits", &ShardStats::latch_waits},
+    {"svc.latch_acquires", &ShardStats::latch_acquires},
+    {"svc.optimistic_hits", &ShardStats::optimistic_hits},
+    {"svc.optimistic_retries", &ShardStats::optimistic_retries},
+    {"svc.version_conflicts", &ShardStats::version_conflicts},
+    {"io.batch_submits", &ShardStats::batch_submits},
+    {"io.async_reads", &ShardStats::async_reads},
 };
 
 /// Thread-safe shared buffer: one logical pool sharded across N
@@ -309,21 +323,25 @@ class BufferService final : public core::PageSource {
   /// without a fault profile). Takes the shard latches.
   storage::FaultStats AggregateFaultStats() const;
 
-  /// Flushes per-shard aggregate counters into the shard collectors
-  /// (buffer totals, per-shard device reads, latch wait/acquire counts,
-  /// frame-capacity gauge) and returns the snapshot merged over every
-  /// shard registry in shard order — deterministic for any thread count
-  /// wherever the underlying counts are. Empty without collect_metrics.
-  obs::MetricsSnapshot MetricsSnapshot();
+  /// The service's metrics view, built fresh from the stats structs: every
+  /// shard's view (see ShardMetricsSnapshots) merged in shard order, plus
+  /// the svc.degraded gauge and, on a writable service, the wal.* counters
+  /// of WalStats, wal.flusher_pages and wal.degraded_entries. The counter
+  /// set is fixed by the configuration — the same with or without
+  /// collect_metrics, zero or not, before and after faults. Deterministic
+  /// for any thread count wherever the underlying counts are.
+  obs::MetricsSnapshot MetricsSnapshot() const;
 
-  /// Same flush, one snapshot per shard (per-shard reporting).
-  std::vector<obs::MetricsSnapshot> ShardMetricsSnapshots();
+  /// One view per shard: the shard collector's registry (histograms,
+  /// gauges, policy counters; empty without collect_metrics), every
+  /// BufferStats counter, buffer.header_decodes, the kShardStatsCounters,
+  /// svc.disk_reads and the io.queue_depth histogram, all absolute.
+  std::vector<obs::MetricsSnapshot> ShardMetricsSnapshots() const;
 
-  /// On-demand live stats dump: the merged metrics snapshot (or, without
-  /// collect_metrics, a minimal snapshot synthesized from AggregateStats)
-  /// plus service-shape gauges, rendered as Prometheus text exposition.
-  /// Thread-safe; takes the shard latches like any stats read.
-  std::string StatsText();
+  /// On-demand live stats dump: MetricsSnapshot() plus service-shape
+  /// gauges, rendered as Prometheus text exposition. Thread-safe; takes the
+  /// shard latches like any stats read.
+  std::string StatsText() const;
 
  private:
   struct Shard {
@@ -341,20 +359,6 @@ class BufferService final : public core::PageSource {
     std::unique_ptr<core::BufferManager> buffer;
     std::atomic<uint64_t> latch_waits{0};
     std::atomic<uint64_t> latch_acquires{0};
-    // Delta bases of the idempotent metrics flush. Every flush samples its
-    // source exactly once and advances the base saturatingly, so a source
-    // that moved backwards (reset mid-run) flushes 0 instead of wrapping.
-    uint64_t flushed_latch_waits = 0;
-    uint64_t flushed_latch_acquires = 0;
-    uint64_t flushed_disk_reads = 0;
-    uint64_t flushed_optimistic_hits = 0;
-    uint64_t flushed_optimistic_retries = 0;
-    uint64_t flushed_version_conflicts = 0;
-    uint64_t flushed_batch_submits = 0;
-    uint64_t flushed_depth_sum = 0;
-    uint64_t flushed_async_submitted = 0;
-    uint64_t flushed_depth_buckets[storage::AsyncDeviceStats::kDepthBuckets] =
-        {};
   };
 
   /// Shared construction body of both constructors.
@@ -371,14 +375,18 @@ class BufferService final : public core::PageSource {
                                      : shard.view.stats();
   }
 
-  /// Publishes the shard's aggregate counters into its collector (latch
-  /// already taken by the caller).
-  void FlushShardLocked(Shard& shard);
+  /// The shard's counters (caller holds its latch), read after draining
+  /// the deferred optimistic events into them.
+  ShardStats StatsOfShardLocked(Shard& shard) const;
+
+  /// Adds the shard's metrics view (see ShardMetricsSnapshots) to
+  /// `registry`. Caller holds the shard latch.
+  void ExportShardLocked(Shard& shard, obs::MetricsRegistry* registry) const;
 
   /// One-way transition into degraded read-only mode: first trigger wins
-  /// (CAS from kHealthy), records the wal.degraded_entries counter and a
-  /// kDegraded event in shard `s`'s collector. The caller must hold shard
-  /// `s`'s latch (collector access). Idempotent once degraded.
+  /// (CAS from kHealthy), counts degraded_entries and records a kDegraded
+  /// event in shard `s`'s collector. The caller must hold shard `s`'s latch
+  /// (collector access). Idempotent once degraded.
   void EnterDegraded(DegradedState why, size_t s, core::StatusCode code);
 
   size_t total_frames_ = 0;
@@ -388,7 +396,6 @@ class BufferService final : public core::PageSource {
   wal::WalManager* wal_ = nullptr;
   mutable std::mutex device_mu_;
   std::string policy_spec_;
-  bool collect_metrics_ = false;
   bool asb_shared_ = false;
   bool fuzzy_checkpoints_ = false;
   bool truncate_wal_ = false;

@@ -32,26 +32,12 @@ std::string_view RecordTypeName(RecordType type) {
   return "unknown";
 }
 
-WalManager::WalManager(storage::PageDevice* device, WalOptions options,
-                       obs::Collector* collector)
-    : device_(device),
-      options_(options),
-      page_size_(device->page_size()),
-      collector_(collector) {
+WalManager::WalManager(storage::PageDevice* device, WalOptions options)
+    : device_(device), options_(options), page_size_(device->page_size()) {
   SDB_CHECK_MSG(options_.segment_pages > 0, "segment must hold pages");
   SDB_CHECK_MSG(options_.commit_queue_capacity > 0,
                 "commit queue must admit at least one commit");
   partial_.reserve(page_size_);
-  if (collector_ != nullptr) {
-    appends_metric_ = collector_->metrics().GetCounter("wal.appends");
-    commits_metric_ = collector_->metrics().GetCounter("wal.commits");
-    fsyncs_metric_ = collector_->metrics().GetCounter("wal.fsyncs");
-    steals_metric_ = collector_->metrics().GetCounter("wal.forced_steals");
-    static constexpr double kGroupBounds[] = {1, 2, 4, 8, 16, 32, 64};
-    group_size_metric_ =
-        collector_->metrics().GetHistogram("wal.group_commit_size",
-                                           kGroupBounds);
-  }
   if (options_.group_commit) {
     writer_ = std::thread([this] { WriterLoop(); });
   }
@@ -86,7 +72,6 @@ Lsn WalManager::AppendLocked(RecordType type, uint64_t page,
   stats_.segments_opened += segment_after - segment_before;
   ++stats_.appends;
   stats_.bytes_appended += encoded;
-  if (appends_metric_ != nullptr) appends_metric_->Add();
   return lsn;
 }
 
@@ -150,13 +135,6 @@ void WalManager::Flush() {
       tail_.insert(tail_.begin(), chunk.begin(), chunk.end());
       sticky_error_ = status;
       stats_.write_retries += retries;
-      if (retries > 0 && collector_ != nullptr) {
-        if (write_retries_metric_ == nullptr) {
-          write_retries_metric_ =
-              collector_->metrics().GetCounter("wal.write_retries");
-        }
-        write_retries_metric_->Add(retries);
-      }
     }
     durable_cv_.notify_all();
     space_cv_.notify_all();
@@ -170,20 +148,9 @@ void WalManager::Flush() {
     std::lock_guard<std::mutex> lock(mu_);
     durable_lsn_ += chunk.size();
     ++stats_.fsyncs;
-    if (fsyncs_metric_ != nullptr) fsyncs_metric_->Add();
     stats_.write_retries += retries;
-    if (retries > 0 && collector_ != nullptr) {
-      if (write_retries_metric_ == nullptr) {
-        write_retries_metric_ =
-            collector_->metrics().GetCounter("wal.write_retries");
-      }
-      write_retries_metric_->Add(retries);
-    }
     if (covered > 0) {
       stats_.grouped_commits += covered;
-      if (group_size_metric_ != nullptr) {
-        group_size_metric_->Observe(static_cast<double>(covered));
-      }
       pending_commits_ -= covered;
     }
   }
@@ -338,11 +305,7 @@ core::StatusOr<Lsn> WalManager::CommitPages(
   const Lsn commit_lsn = AppendLocked(RecordType::kCommit, data_page_count, {});
   const Lsn end = next_lsn_;
   ++stats_.commits;
-  if (commits_metric_ != nullptr) commits_metric_->Add();
-  if (forced_steal) {
-    ++stats_.forced_steals;
-    if (steals_metric_ != nullptr) steals_metric_->Add();
-  }
+  if (forced_steal) ++stats_.forced_steals;
   (void)commit_lsn;
 
   if (!options_.group_commit) {

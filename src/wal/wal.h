@@ -12,7 +12,7 @@
 
 #include "core/access_context.h"
 #include "core/status.h"
-#include "obs/collector.h"
+#include "obs/metrics.h"
 #include "storage/disk_manager.h"
 #include "wal/log_record.h"
 
@@ -63,6 +63,21 @@ struct WalStats {
   uint64_t write_retries = 0;  ///< flush attempts re-run after retryable faults
 };
 
+/// Every WalStats counter under its exported metric name (the writable
+/// service's metrics view; WalStats is the only store of these counts).
+inline constexpr obs::StatsCounter<WalStats> kWalStatsCounters[] = {
+    {"wal.appends", &WalStats::appends},
+    {"wal.commits", &WalStats::commits},
+    {"wal.forced_steals", &WalStats::forced_steals},
+    {"wal.checkpoints", &WalStats::checkpoints},
+    {"wal.fsyncs", &WalStats::fsyncs},
+    {"wal.grouped_commits", &WalStats::grouped_commits},
+    {"wal.bytes_appended", &WalStats::bytes_appended},
+    {"wal.segments_opened", &WalStats::segments_opened},
+    {"wal.segments_truncated", &WalStats::segments_truncated},
+    {"wal.write_retries", &WalStats::write_retries},
+};
+
 /// One page image queued for a commit group.
 struct PageImageRef {
   storage::PageId page = storage::kInvalidPageId;
@@ -97,11 +112,8 @@ class WalManager {
  public:
   /// `device` must outlive the manager and must start empty (recovery
   /// re-opens a log by scanning, not by instantiating a WalManager on it).
-  /// `collector`, when given, receives wal.* counters and the group-commit
-  /// size histogram; it must not be shared with a concurrent mutator.
   explicit WalManager(storage::PageDevice* device,
-                      WalOptions options = WalOptions{},
-                      obs::Collector* collector = nullptr);
+                      WalOptions options = WalOptions{});
   ~WalManager();
 
   WalManager(const WalManager&) = delete;
@@ -220,16 +232,6 @@ class WalManager {
   core::Status sticky_error_ = core::Status::Ok();
 
   WalStats stats_;
-
-  obs::Collector* collector_ = nullptr;
-  obs::Counter* appends_metric_ = nullptr;
-  obs::Counter* commits_metric_ = nullptr;
-  obs::Counter* fsyncs_metric_ = nullptr;
-  obs::Counter* steals_metric_ = nullptr;
-  obs::Histogram* group_size_metric_ = nullptr;
-  /// Registered lazily on the first retry so the exported metric set of a
-  /// healthy run is unchanged. Guarded by mu_.
-  obs::Counter* write_retries_metric_ = nullptr;
 
   std::thread writer_;
 };

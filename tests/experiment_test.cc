@@ -67,9 +67,9 @@ TEST_F(ExperimentTest, ReplayCountsDiskReads) {
   EXPECT_EQ(result.policy, "LRU");
   EXPECT_EQ(result.query_set, "U-W-33");
   EXPECT_GT(result.disk_reads, 0u);
-  EXPECT_GT(result.buffer_requests, result.disk_reads)
+  EXPECT_GT(result.buffer.requests, result.disk_reads)
       << "some requests must be buffer hits";
-  EXPECT_EQ(result.buffer_hits + result.disk_reads, result.buffer_requests);
+  EXPECT_EQ(result.buffer.hits + result.disk_reads, result.buffer.requests);
   EXPECT_GT(result.result_objects, 0u);
 }
 
@@ -195,15 +195,54 @@ TEST_F(ExperimentTest, RunResultCarriesIoSplitAndMetrics) {
     static const obs::MetricValue none{};
     return none;
   };
-  EXPECT_EQ(metric("buffer.requests").count, result.buffer_requests);
-  EXPECT_EQ(metric("buffer.hits").count, result.buffer_hits);
+  EXPECT_EQ(metric("buffer.requests").count, result.buffer.requests);
+  EXPECT_EQ(metric("buffer.hits").count, result.buffer.hits);
   EXPECT_EQ(metric("disk.reads").count, result.disk_reads);
   EXPECT_EQ(metric("disk.sequential_reads").count, result.sequential_reads);
   // Every miss either fills a free frame or evicts: with more misses than
   // frames, most of them evict.
-  const uint64_t misses = result.buffer_requests - result.buffer_hits;
+  const uint64_t misses = result.buffer.requests - result.buffer.hits;
   EXPECT_EQ(metric("buffer.evictions").count,
             misses - std::min<uint64_t>(misses, options.buffer_frames));
+}
+
+TEST_F(ExperimentTest, ExportedCountersDoNotDependOnFaults) {
+  // The metrics view is built from BufferStats, so a fault-free run and a
+  // faulted one export the same names, and every BufferStats counter
+  // appears with its value — zero or not.
+  const workload::QuerySet queries =
+      Queries(workload::QueryFamily::kUniform, 33, 80);
+  std::vector<std::string> names[2];
+  for (const bool faulty : {false, true}) {
+    obs::Collector collector;
+    RunOptions options;
+    options.buffer_frames = scenario_->BufferFrames(0.01);
+    options.collector = &collector;
+    if (faulty) {
+      options.fault_profile.seed = 42;
+      options.fault_profile.transient_prob = 0.05;
+      options.fault_profile.bit_flip_prob = 0.01;
+    }
+    const RunResult result = RunQuerySet(
+        scenario_->disk.get(), scenario_->tree_meta, "LRU", queries, options);
+    if (faulty) {
+      ASSERT_GT(result.buffer.io_read_retries, 0u)
+          << "the profile must inject faults";
+    }
+    for (const obs::MetricValue& value : result.metrics) {
+      names[faulty].push_back(value.name);
+    }
+    for (const auto& counter : core::kBufferStatsCounters) {
+      const auto it = std::find_if(
+          result.metrics.begin(), result.metrics.end(),
+          [&](const obs::MetricValue& value) {
+            return value.name == counter.name;
+          });
+      ASSERT_NE(it, result.metrics.end()) << counter.name;
+      EXPECT_EQ(it->count, result.buffer.*counter.field) << counter.name;
+    }
+  }
+  EXPECT_EQ(names[0], names[1]);
 }
 
 TEST_F(ExperimentTest, GainComputation) {

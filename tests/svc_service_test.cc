@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <span>
+#include <sstream>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -351,7 +354,7 @@ TEST_F(BufferServiceTest, MetricsMergeShardsAndFlushDeltas) {
   ASSERT_NE(acquires, nullptr);
   EXPECT_GE(acquires->count, aggregate.buffer.requests);
 
-  // Delta-flush: snapshotting again without traffic must not double-count.
+  // Snapshotting again without traffic must not double-count.
   obs::MetricsSnapshot again = service.MetricsSnapshot();
   EXPECT_EQ(find(again, "buffer.requests")->count, requests->count);
   EXPECT_EQ(find(again, "svc.disk_reads")->count, reads->count);
@@ -630,10 +633,9 @@ TEST_F(BufferServiceTest, TinyEventRingFallsBackWithoutLosingEvents) {
 }
 
 TEST_F(BufferServiceTest, MetricsStayMonotonicAcrossMidRunQuarantine) {
-  // Satellite regression for the delta-flush: quarantine (and the frame
-  // churn it causes) mid-run must never make a flushed counter go
-  // backwards or under-report — the saturating delta samples each source
-  // once per flush.
+  // Quarantine (and the frame churn it causes) mid-run must never make an
+  // exported counter go backwards or under-report, nor change which
+  // counters are exported.
   BufferServiceConfig config;
   config.total_frames = 24;
   config.shard_count = 2;
@@ -649,6 +651,15 @@ TEST_F(BufferServiceTest, MetricsStayMonotonicAcrossMidRunQuarantine) {
     }
     return 0;
   };
+  auto metric_names = [](const obs::MetricsSnapshot& snapshot) {
+    std::vector<std::string> names;
+    for (const obs::MetricValue& metric : snapshot) {
+      names.push_back(metric.name);
+    }
+    return names;
+  };
+  const std::vector<std::string> names_before_faults =
+      metric_names(service.MetricsSnapshot());
   const char* kMonotonic[] = {"svc.latch_waits", "svc.latch_acquires",
                               "svc.disk_reads", "svc.optimistic_hits",
                               "buffer.requests"};
@@ -672,11 +683,71 @@ TEST_F(BufferServiceTest, MetricsStayMonotonicAcrossMidRunQuarantine) {
   const ShardStats stats = service.AggregateStats();
   EXPECT_GT(stats.quarantined_frames, 0u)
       << "the profile must actually quarantine mid-run";
-  // Final flushed totals equal the live sources (no under-report).
+  // Final exported totals equal the live sources (no under-report).
   const obs::MetricsSnapshot final_snapshot = service.MetricsSnapshot();
   EXPECT_EQ(counter_value(final_snapshot, "svc.disk_reads"), stats.io.reads);
   EXPECT_EQ(counter_value(final_snapshot, "buffer.requests"),
             stats.buffer.requests);
+  EXPECT_EQ(counter_value(final_snapshot, "io.quarantined_frames"),
+            stats.buffer.io_quarantined_frames);
+  // The exported counter set is fixed: faults change values, not names.
+  EXPECT_EQ(metric_names(final_snapshot), names_before_faults);
+}
+
+TEST_F(BufferServiceTest, StatsTextCountersDoNotDependOnCollectors) {
+  // StatsText is a view of the stats structs, so collect_metrics may add
+  // histograms, gauges and the policies' own counters to the dump, but it
+  // never adds, drops or retypes any other series.
+  auto series_types = [](const std::string& text) {
+    std::map<std::string, std::string> types;  // series name -> TYPE
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+      if (!line.starts_with("# TYPE ")) continue;
+      const size_t space = line.find(' ', 7);
+      types[line.substr(7, space - 7)] = line.substr(space + 1);
+    }
+    return types;
+  };
+  std::map<std::string, std::string> dumps[2];
+  for (const bool collect : {false, true}) {
+    storage::DiskManager copy = CopyDisk();
+    storage::DiskManager log;
+    wal::WalManager wal(&log);
+    BufferServiceConfig config;
+    config.total_frames = 16;
+    config.shard_count = 2;
+    config.flusher_threads = 1;
+    config.collect_metrics = collect;
+    BufferService service(&copy, &wal, config);
+    const core::AccessContext ctx{1};
+    for (int i = 0; i < 24; ++i) {
+      core::StatusOr<core::PageHandle> page = service.New(ctx);
+      ASSERT_TRUE(page.ok()) << page.status().ToString();
+      std::memset(page->bytes().data(), 0x40 + i, page->bytes().size());
+      page->MarkDirty();
+      page->Release();
+      if (i % 4 == 3) ASSERT_TRUE(service.Commit(ctx).ok());
+    }
+    dumps[collect] = series_types(service.StatsText());
+  }
+  const std::map<std::string, std::string>& without = dumps[0];
+  const std::map<std::string, std::string>& with = dumps[1];
+  for (const char* name : {"sdb_wal_flusher_pages", "sdb_io_quarantined_frames",
+                           "sdb_buffer_dirty_writebacks",
+                           "sdb_buffer_header_decodes", "sdb_wal_commits",
+                           "sdb_svc_degraded"}) {
+    EXPECT_TRUE(without.contains(name)) << name;
+  }
+  for (const auto& [name, type] : without) {
+    const auto it = with.find(name);
+    ASSERT_NE(it, with.end()) << name << " vanishes with collectors on";
+    EXPECT_EQ(it->second, type) << name;
+  }
+  for (const auto& [name, type] : with) {
+    if (without.contains(name) || type != "counter") continue;
+    EXPECT_TRUE(name.starts_with("sdb_policy_") || name.starts_with("sdb_asb_"))
+        << name << ": a counter only collectors export";
+  }
 }
 
 TEST_F(BufferServiceTest, FullyPinnedShardReturnsResourceExhausted) {

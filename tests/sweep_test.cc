@@ -118,10 +118,10 @@ TEST_F(SweepTest, MergedMetricsAreIdenticalAcrossThreadCounts) {
   // The merged request counter is the sum over every run in the grid.
   uint64_t total_requests = 0;
   for (const RunResult& baseline : sequential.baselines) {
-    total_requests += baseline.buffer_requests;
+    total_requests += baseline.buffer.requests;
   }
   for (const SweepCell& cell : sequential.cells) {
-    total_requests += cell.result.buffer_requests;
+    total_requests += cell.result.buffer.requests;
   }
   for (const obs::MetricValue& value : sequential.metrics) {
     if (value.name == "buffer.requests") {

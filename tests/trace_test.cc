@@ -83,8 +83,8 @@ TEST_F(TraceTest, ReplayMatchesDirectExecution) {
     const ReplayResult replayed =
         ReplayTrace(scenario_->disk.get(), trace, policy, frames);
     EXPECT_EQ(replayed.disk_reads, direct.disk_reads) << policy;
-    EXPECT_EQ(replayed.requests, direct.buffer_requests) << policy;
-    EXPECT_EQ(replayed.hits, direct.buffer_hits) << policy;
+    EXPECT_EQ(replayed.requests, direct.buffer.requests) << policy;
+    EXPECT_EQ(replayed.hits, direct.buffer.hits) << policy;
   }
 }
 

@@ -967,13 +967,15 @@ TEST(DegradedServiceTest, DegradedReadAvailability) {
   ASSERT_TRUE(flushed.ok());
   EXPECT_EQ(*flushed, 0u);
 
-  // The state is surfaced: stats carry it, and the Prometheus dump grows a
-  // degraded gauge (absent on healthy services).
+  // The state is surfaced: stats carry it, and so does the Prometheus
+  // dump's degraded gauge (0 on healthy services).
   const svc::ShardStats stats = service.AggregateStats();
   EXPECT_EQ(stats.degraded,
             static_cast<uint64_t>(svc::DegradedState::kWalError));
   EXPECT_EQ(stats.degraded_entries, 1u);
-  EXPECT_NE(service.StatsText().find("degraded"), std::string::npos);
+  const std::string text = service.StatsText();
+  EXPECT_NE(text.find("\nsdb_svc_degraded 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\nsdb_wal_degraded_entries 1\n"), std::string::npos);
 }
 
 TEST(DegradedServiceTest, PersistentWriteFaultsQuarantineBackoffSaturate) {
