@@ -41,6 +41,14 @@ Modes:
       the exported counter set is fixed, so faults, quarantine or a
       counter that stayed zero must change values, never names.
 
+  node-scan micro_rtree.json [--max-ratio 2]
+      Reads google-benchmark JSON (--benchmark_out_format=json) from
+      micro_rtree and fails when BM_NodeScanKernels, a full-node scan of
+      the page in place, costs more than --max-ratio times
+      BM_NodeScanBareKernel, the same kernel over the same coordinates in
+      plain arrays (a per-visit copy of the entries shows as about 5x).
+      With repetitions, each row's median counts.
+
   compare A.json B.json [--field hit_rate] [--tol 0]
       Joins two BENCH_sweep.json runs on the row key
       (bench, database, fraction, query_set, policy, baseline,
@@ -54,6 +62,7 @@ Exit status: 0 clean, 1 regression found, 2 usage/input error.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -123,6 +132,45 @@ def check_evict_scaling(args):
     ratio = top / base
     label = (f"{args.policy} ns/evict {base:.1f} @ {smallest} frames -> "
              f"{top:.1f} @ {largest} frames: ratio {ratio:.2f}")
+    if ratio > args.max_ratio:
+        print(f"FAIL {label} > {args.max_ratio:g}", file=sys.stderr)
+        return 1
+    print(f"ok   {label} <= {args.max_ratio:g}")
+    return 0
+
+
+NODE_SCAN = "BM_NodeScanKernels"
+NODE_SCAN_BARE = "BM_NodeScanBareKernel"
+TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def check_node_scan(args):
+    try:
+        with open(args.file, "r", encoding="utf-8") as handle:
+            report = json.load(handle)
+    except (OSError, json.JSONDecodeError) as err:
+        print(f"cannot read {args.file}: {err}", file=sys.stderr)
+        return 2
+    times = {NODE_SCAN: [], NODE_SCAN_BARE: []}
+    for row in report.get("benchmarks", []):
+        name = row.get("run_name", row.get("name"))
+        if name in times and row.get("run_type") != "aggregate":
+            unit = TIME_UNIT_NS.get(row.get("time_unit", "ns"), 1.0)
+            times[name].append(row["real_time"] * unit)
+    missing = [name for name, values in times.items() if not values]
+    if missing:
+        print(f"{args.file}: no rows for {', '.join(missing)}",
+              file=sys.stderr)
+        return 2
+    scan = statistics.median(times[NODE_SCAN])
+    bare = statistics.median(times[NODE_SCAN_BARE])
+    if bare <= 0:
+        print(f"{NODE_SCAN_BARE}: time {bare} ns is not positive",
+              file=sys.stderr)
+        return 2
+    ratio = scan / bare
+    label = (f"node scan {scan:.1f} ns in place vs {bare:.1f} ns bare "
+             f"kernel: ratio {ratio:.2f}")
     if ratio > args.max_ratio:
         print(f"FAIL {label} > {args.max_ratio:g}", file=sys.stderr)
         return 1
@@ -365,6 +413,12 @@ def main():
     scaling.add_argument("--policy", default="LRU")
     scaling.add_argument("--max-ratio", type=float, default=3.0)
 
+    node_scan = sub.add_parser("node-scan",
+                               help="guard the in-place node scan against "
+                                    "the bare kernel")
+    node_scan.add_argument("file")
+    node_scan.add_argument("--max-ratio", type=float, default=2.0)
+
     cmp_parser = sub.add_parser("compare",
                                 help="diff a field between two bench runs")
     cmp_parser.add_argument("file_a")
@@ -397,6 +451,8 @@ def main():
         sys.exit(check_obs_overhead(args))
     if args.mode == "evict-scaling":
         sys.exit(check_evict_scaling(args))
+    if args.mode == "node-scan":
+        sys.exit(check_node_scan(args))
     if args.mode == "wal":
         sys.exit(check_wal(args))
     if args.mode == "writeback":

@@ -1,6 +1,6 @@
 // Microbenchmark (google-benchmark): throughput of the batch geometry
 // kernels (geom/kernels) per dispatch tier — IntersectMask, SumAreas,
-// SumMargins and the O(n²) PairwiseOverlapSum — on SoA coordinate arrays at
+// SumMargins and the O(n²) PairwiseOverlapSum — on SoA coordinate columns at
 // R*-tree node fanouts.
 //
 // Besides the google-benchmark timings, the binary runs a deterministic
@@ -85,17 +85,15 @@ void BM_IntersectMask(benchmark::State& state, Level level) {
   for (auto _ : state) {
     const CoordSet& set = sets[idx];
     idx = (idx + 1) % sets.size();
-    const size_t hits = ops.intersect_mask(
-        set.query, set.buf.xmin(), set.buf.ymin(), set.buf.xmax(),
-        set.buf.ymax(), n, mask.data());
+    const size_t hits =
+        ops.intersect_mask(set.query, set.buf.columns(), n, mask.data());
     benchmark::DoNotOptimize(hits);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 
 void BM_Sum(benchmark::State& state,
-            double (*Ops::*kernel)(const double*, const double*,
-                                   const double*, const double*, size_t),
+            double (*Ops::*kernel)(geom::kernels::Columns, size_t),
             Level level) {
   const size_t n = static_cast<size_t>(state.range(0));
   const std::vector<CoordSet> sets = MakeSets(n, 8);
@@ -104,8 +102,7 @@ void BM_Sum(benchmark::State& state,
   for (auto _ : state) {
     const CoordSet& set = sets[idx];
     idx = (idx + 1) % sets.size();
-    const double sum = (ops.*kernel)(set.buf.xmin(), set.buf.ymin(),
-                                     set.buf.xmax(), set.buf.ymax(), n);
+    const double sum = (ops.*kernel)(set.buf.columns(), n);
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -168,15 +165,13 @@ Cell TimeKernel(const std::string& kernel, Level level,
     const CoordSet& set = sets[idx];
     idx = (idx + 1) % sets.size();
     if (kernel == "intersect_mask") {
-      return static_cast<double>(ops.intersect_mask(
-          set.query, set.buf.xmin(), set.buf.ymin(), set.buf.xmax(),
-          set.buf.ymax(), n, mask.data()));
+      return static_cast<double>(
+          ops.intersect_mask(set.query, set.buf.columns(), n, mask.data()));
     }
     const auto sum = kernel == "sum_areas"        ? ops.sum_areas
                      : kernel == "sum_margins"    ? ops.sum_margins
                                                   : ops.pairwise_overlap_sum;
-    return sum(set.buf.xmin(), set.buf.ymin(), set.buf.xmax(), set.buf.ymax(),
-               n);
+    return sum(set.buf.columns(), n);
   };
   // Result checksum from one rotation over the set pool, outside the timing
   // loop — the timed repetition count is calibrated per level, so folding

@@ -131,11 +131,14 @@ void BM_WindowQueryKernelLevel(benchmark::State& state,
 BENCHMARK_CAPTURE(BM_WindowQueryKernelLevel, scalar, false)->Arg(100'000);
 BENCHMARK_CAPTURE(BM_WindowQueryKernelLevel, dispatched, true)->Arg(100'000);
 
-// One full node (fanout = NodeView::Capacity) scanned against a window:
-// the pre-kernels hot path copied every entry into a fresh std::vector via
-// LoadEntries() before testing intersections; ScanEntries deinterleaves into
-// reused SoA scratch and runs the batch kernel — the gap here is the
-// per-node allocation churn plus the SIMD win.
+// One full node (fanout = NodeView::Capacity) scanned against a window. The
+// pre-kernels hot path copied every entry into a fresh std::vector via
+// LoadEntries() before testing intersections; ScanEntries hands the page's
+// coordinate columns to the dispatched kernel in place. BM_NodeScanBareKernel
+// runs the same kernel over the same coordinates copied once into plain
+// arrays, so BM_NodeScanKernels / BM_NodeScanBareKernel is what scanning a
+// page costs over the kernel itself (CI gates it: check_bench_regression.py
+// node-scan).
 struct FullNodeFixture {
   FullNodeFixture() : page(storage::kDefaultPageSize) {
     rtree::NodeView node(page);
@@ -177,18 +180,47 @@ void BM_NodeScanKernels(benchmark::State& state) {
   FullNodeFixture fixture;
   rtree::NodeView node(fixture.page);
   Rng rng(41);
-  geom::kernels::SoaBuffer coords;
   std::vector<uint8_t> mask;
   size_t hits = 0;
   for (auto _ : state) {
     const geom::Rect window = geom::Rect::Centered(
         {rng.NextDouble(), rng.NextDouble()}, 0.2, 0.2);
-    hits += node.ScanEntries(window, &coords, &mask);
+    hits += node.ScanEntries(window, &mask);
   }
   benchmark::DoNotOptimize(hits);
   state.SetItemsProcessed(state.iterations() * node.count());
 }
 BENCHMARK(BM_NodeScanKernels);
+
+void BM_NodeScanBareKernel(benchmark::State& state) {
+  FullNodeFixture fixture;
+  const rtree::NodeView node(fixture.page);
+  const uint16_t n = node.count();
+  std::vector<double> xmin, ymin, xmax, ymax;
+  for (uint16_t i = 0; i < n; ++i) {
+    const geom::Rect r = node.GetEntry(i).rect;
+    xmin.push_back(r.xmin);
+    ymin.push_back(r.ymin);
+    xmax.push_back(r.xmax);
+    ymax.push_back(r.ymax);
+  }
+  const geom::kernels::Columns columns{
+      reinterpret_cast<const std::byte*>(xmin.data()),
+      reinterpret_cast<const std::byte*>(ymin.data()),
+      reinterpret_cast<const std::byte*>(xmax.data()),
+      reinterpret_cast<const std::byte*>(ymax.data())};
+  Rng rng(41);
+  std::vector<uint8_t> mask(n);
+  size_t hits = 0;
+  for (auto _ : state) {
+    const geom::Rect window = geom::Rect::Centered(
+        {rng.NextDouble(), rng.NextDouble()}, 0.2, 0.2);
+    hits += geom::kernels::IntersectMask(window, columns, n, mask.data());
+  }
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_NodeScanBareKernel);
 
 void BM_BulkLoad(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

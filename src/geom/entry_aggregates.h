@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <span>
 
+#include "geom/kernels/kernels.h"
 #include "geom/rect.h"
 
 namespace sdb::geom {
@@ -26,20 +27,16 @@ struct EntryAggregates {
   double entry_overlap = 0.0;    ///< total pairwise overlap (EO).
 };
 
-/// Computes all aggregates over the entry MBRs of a page (O(n²) for the
-/// pairwise overlap term, with n bounded by the page fanout) through the
-/// dispatched batch kernels (geom/kernels): the AoS span is deinterleaved
-/// into a reused SoA scratch and summed in the kernels' canonical order, so
-/// the result is bit-identical to ComputeEntryAggregatesSoA on the same
-/// rectangles at every dispatch level.
-EntryAggregates ComputeEntryAggregates(std::span<const Rect> entries);
+/// Computes all aggregates over the n entry MBRs in `columns`, e.g. an R-tree
+/// page's own (O(n²) for the pairwise overlap term, with n bounded by the
+/// page fanout), through the dispatched batch kernels (geom/kernels) in their
+/// canonical order, so bit-identical at every dispatch level.
+EntryAggregates ComputeEntryAggregates(const kernels::Columns& columns,
+                                       size_t n);
 
-/// Same aggregates over already-deinterleaved SoA coordinate arrays (the
-/// zero-copy path NodeView::RefreshAggregates uses after GatherCoords).
-EntryAggregates ComputeEntryAggregatesSoA(const double* xmin,
-                                          const double* ymin,
-                                          const double* xmax,
-                                          const double* ymax, size_t n);
+/// Same aggregates over Rects, copied into a reused SoA scratch first: the
+/// result is bit-identical to the column form on the same rectangles.
+EntryAggregates ComputeEntryAggregates(std::span<const Rect> entries);
 
 }  // namespace sdb::geom
 

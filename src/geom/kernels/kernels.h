@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -26,40 +27,53 @@ enum class Level : uint8_t {
   kAvx2 = 1,
 };
 
-/// Function table of one dispatch tier. All kernels operate on SoA
-/// coordinate arrays (xmin[], ymin[], xmax[], ymax[] of n entry MBRs) — the
-/// layout GatherCoords/SoaBuffer produce from on-page entry records.
+/// Base addresses of the xmin[], ymin[], xmax[] and ymax[] columns of n entry
+/// MBRs, each n native f64 values with no alignment assumed: an R-tree page's
+/// own columns or a SoaBuffer's arrays. Kernels load values with std::memcpy
+/// or unaligned vector loads, never through a cast double*.
+struct Columns {
+  const std::byte* xmin;
+  const std::byte* ymin;
+  const std::byte* xmax;
+  const std::byte* ymax;
+};
+
+/// Value i of the f64 column starting at `column`.
+inline double ColumnValue(const std::byte* column, size_t i) {
+  double v;
+  std::memcpy(&v, column + i * sizeof(double), sizeof(v));
+  return v;
+}
+
+/// Function table of one dispatch tier. Every kernel reads the n entry MBRs
+/// in place from their coordinate columns, taken by value so that stores to
+/// a byte mask cannot alias the column bases.
 struct Ops {
   /// Writes out[i] = 1 if `query` intersects entry i (closed-set semantics,
   /// exactly geom::Rect::Intersects), else 0. Returns the hit count.
-  size_t (*intersect_mask)(const Rect& query, const double* xmin,
-                           const double* ymin, const double* xmax,
-                           const double* ymax, size_t n, uint8_t* out);
+  size_t (*intersect_mask)(const Rect& query, Columns c, size_t n,
+                           uint8_t* out);
   /// Σ area of the entry MBRs (empty/inverted rects count as 0, exactly
   /// geom::Rect::Area) in the canonical accumulation order.
-  double (*sum_areas)(const double* xmin, const double* ymin,
-                      const double* xmax, const double* ymax, size_t n);
+  double (*sum_areas)(Columns c, size_t n);
   /// Σ margin (width + height) of the entry MBRs, canonical order.
-  double (*sum_margins)(const double* xmin, const double* ymin,
-                        const double* xmax, const double* ymax, size_t n);
+  double (*sum_margins)(Columns c, size_t n);
   /// Σ over unordered pairs {i, j} of area(entry_i ∩ entry_j) — the O(n²)
   /// EO criterion term. Canonical order: for each i ascending, the inner
   /// j-sum (j > i) is a canonical strided sum added to the running total.
-  double (*pairwise_overlap_sum)(const double* xmin, const double* ymin,
-                                 const double* xmax, const double* ymax,
-                                 size_t n);
+  double (*pairwise_overlap_sum)(Columns c, size_t n);
 };
 
-/// Reusable SoA scratch for deinterleaved entry coordinates. Reserve() grows
-/// but never shrinks, so one buffer threaded through a traversal performs no
-/// per-node allocation in steady state.
+/// Reusable SoA scratch for entry coordinates held as Rects elsewhere (the
+/// span form of ComputeEntryAggregates, the kernel microbench). Reserve()
+/// grows but never shrinks, so a warm buffer allocates nothing.
 class SoaBuffer {
  public:
   /// Ensures capacity for `n` entries; invalidates previous pointers when it
   /// grows.
   void Reserve(size_t n) {
     if (n <= cap_) return;
-    // Round up generously so a traversal settles after one growth.
+    // Round up generously so a caller settles after one growth.
     size_t cap = cap_ == 0 ? 128 : cap_;
     while (cap < n) cap *= 2;
     storage_.assign(4 * cap, 0.0);
@@ -76,6 +90,14 @@ class SoaBuffer {
   const double* ymin() const { return storage_.data() + cap_; }
   const double* xmax() const { return storage_.data() + 2 * cap_; }
   const double* ymax() const { return storage_.data() + 3 * cap_; }
+
+  /// The four arrays as kernel columns.
+  Columns columns() const {
+    return {reinterpret_cast<const std::byte*>(xmin()),
+            reinterpret_cast<const std::byte*>(ymin()),
+            reinterpret_cast<const std::byte*>(xmax()),
+            reinterpret_cast<const std::byte*>(ymax())};
+  }
 
  private:
   std::vector<double> storage_;
@@ -109,28 +131,10 @@ std::optional<Level> ParseLevelName(std::string_view name);
 /// only — not thread-safe against concurrent kernel calls).
 void ForceLevel(Level level);
 
-// --- convenience wrappers over ActiveOps() --------------------------------
-
-inline size_t IntersectMask(const Rect& query, const double* xmin,
-                            const double* ymin, const double* xmax,
-                            const double* ymax, size_t n, uint8_t* out) {
-  return ActiveOps().intersect_mask(query, xmin, ymin, xmax, ymax, n, out);
-}
-
-inline double SumAreas(const double* xmin, const double* ymin,
-                       const double* xmax, const double* ymax, size_t n) {
-  return ActiveOps().sum_areas(xmin, ymin, xmax, ymax, n);
-}
-
-inline double SumMargins(const double* xmin, const double* ymin,
-                         const double* xmax, const double* ymax, size_t n) {
-  return ActiveOps().sum_margins(xmin, ymin, xmax, ymax, n);
-}
-
-inline double PairwiseOverlapSum(const double* xmin, const double* ymin,
-                                 const double* xmax, const double* ymax,
-                                 size_t n) {
-  return ActiveOps().pairwise_overlap_sum(xmin, ymin, xmax, ymax, n);
+/// intersect_mask of the active tier.
+inline size_t IntersectMask(const Rect& query, Columns c, size_t n,
+                            uint8_t* out) {
+  return ActiveOps().intersect_mask(query, c, n, out);
 }
 
 }  // namespace sdb::geom::kernels

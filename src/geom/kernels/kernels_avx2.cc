@@ -36,69 +36,70 @@ inline double Reduce(__m256d acc) {
   return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
 }
 
+/// Address of value i of a column, only ever the operand of an unaligned or
+/// masked vector load: those access memory through the intrinsics' may-alias
+/// vector types, so page bytes are never read as a typed double.
+inline const double* LaneAddress(const std::byte* column, size_t i) {
+  return reinterpret_cast<const double*>(column + i * sizeof(double));
+}
+
+/// Values i..i+3 of a column.
+inline __m256d Load4(const std::byte* column, size_t i) {
+  return _mm256_loadu_pd(LaneAddress(column, i));
+}
+
 /// Width/height of 4 entries with Rect::width()/height() semantics.
-inline void LoadExtents(const double* xmin, const double* ymin,
-                        const double* xmax, const double* ymax, size_t i,
-                        __m256d* w, __m256d* h) {
-  const __m256d x0 = _mm256_loadu_pd(xmin + i);
-  const __m256d y0 = _mm256_loadu_pd(ymin + i);
-  const __m256d x1 = _mm256_loadu_pd(xmax + i);
-  const __m256d y1 = _mm256_loadu_pd(ymax + i);
+inline void LoadExtents(const Columns& c, size_t i, __m256d* w, __m256d* h) {
+  const __m256d x0 = Load4(c.xmin, i);
+  const __m256d y0 = Load4(c.ymin, i);
+  const __m256d x1 = Load4(c.xmax, i);
+  const __m256d y1 = Load4(c.ymax, i);
   const __m256d empty = _mm256_or_pd(_mm256_cmp_pd(x0, x1, _CMP_GT_OQ),
                                      _mm256_cmp_pd(y0, y1, _CMP_GT_OQ));
   *w = _mm256_andnot_pd(empty, _mm256_sub_pd(x1, x0));
   *h = _mm256_andnot_pd(empty, _mm256_sub_pd(y1, y0));
 }
 
-double SumAreasAvx2(const double* xmin, const double* ymin,
-                    const double* xmax, const double* ymax, size_t n) {
+double SumAreasAvx2(Columns c, size_t n) {
   __m256d acc_a = _mm256_setzero_pd();  // partials s0..s3
   __m256d acc_b = _mm256_setzero_pd();  // partials s4..s7
   const size_t n8 = n & ~static_cast<size_t>(7);
   __m256d w, h;
   for (size_t i = 0; i < n8; i += 8) {
-    LoadExtents(xmin, ymin, xmax, ymax, i, &w, &h);
+    LoadExtents(c, i, &w, &h);
     acc_a = _mm256_add_pd(acc_a, _mm256_mul_pd(w, h));
-    LoadExtents(xmin, ymin, xmax, ymax, i + 4, &w, &h);
+    LoadExtents(c, i + 4, &w, &h);
     acc_b = _mm256_add_pd(acc_b, _mm256_mul_pd(w, h));
   }
   double total = Reduce(_mm256_add_pd(acc_a, acc_b));
-  for (size_t i = n8; i < n; ++i) {
-    total += EntryArea(xmin[i], ymin[i], xmax[i], ymax[i]);
-  }
+  for (size_t i = n8; i < n; ++i) total += EntryArea(EntryAt(c, i));
   return total;
 }
 
-double SumMarginsAvx2(const double* xmin, const double* ymin,
-                      const double* xmax, const double* ymax, size_t n) {
+double SumMarginsAvx2(Columns c, size_t n) {
   __m256d acc_a = _mm256_setzero_pd();
   __m256d acc_b = _mm256_setzero_pd();
   const size_t n8 = n & ~static_cast<size_t>(7);
   __m256d w, h;
   for (size_t i = 0; i < n8; i += 8) {
-    LoadExtents(xmin, ymin, xmax, ymax, i, &w, &h);
+    LoadExtents(c, i, &w, &h);
     acc_a = _mm256_add_pd(acc_a, _mm256_add_pd(w, h));
-    LoadExtents(xmin, ymin, xmax, ymax, i + 4, &w, &h);
+    LoadExtents(c, i + 4, &w, &h);
     acc_b = _mm256_add_pd(acc_b, _mm256_add_pd(w, h));
   }
   double total = Reduce(_mm256_add_pd(acc_a, acc_b));
-  for (size_t i = n8; i < n; ++i) {
-    total += EntryMargin(xmin[i], ymin[i], xmax[i], ymax[i]);
-  }
+  for (size_t i = n8; i < n; ++i) total += EntryMargin(EntryAt(c, i));
   return total;
 }
 
 /// Intersection bits of the broadcast query against entries (i .. i+3).
 inline int MaskBits4(__m256d qx0, __m256d qy0, __m256d qx1, __m256d qy1,
-                     const double* xmin, const double* ymin,
-                     const double* xmax, const double* ymax, size_t i) {
+                     const Columns& c, size_t i) {
   const __m256d m = _mm256_and_pd(
-      _mm256_and_pd(
-          _mm256_cmp_pd(qx0, _mm256_loadu_pd(xmax + i), _CMP_LE_OQ),
-          _mm256_cmp_pd(_mm256_loadu_pd(xmin + i), qx1, _CMP_LE_OQ)),
-      _mm256_and_pd(
-          _mm256_cmp_pd(qy0, _mm256_loadu_pd(ymax + i), _CMP_LE_OQ),
-          _mm256_cmp_pd(_mm256_loadu_pd(ymin + i), qy1, _CMP_LE_OQ)));
+      _mm256_and_pd(_mm256_cmp_pd(qx0, Load4(c.xmax, i), _CMP_LE_OQ),
+                    _mm256_cmp_pd(Load4(c.xmin, i), qx1, _CMP_LE_OQ)),
+      _mm256_and_pd(_mm256_cmp_pd(qy0, Load4(c.ymax, i), _CMP_LE_OQ),
+                    _mm256_cmp_pd(Load4(c.ymin, i), qy1, _CMP_LE_OQ)));
   return _mm256_movemask_pd(m);
 }
 
@@ -113,9 +114,8 @@ inline uint64_t SpreadMaskBytes(int bits) {
   return ((sel + 0x7f7f7f7f7f7f7f7fULL) >> 7) & 0x0101010101010101ULL;
 }
 
-size_t IntersectMaskAvx2(const Rect& query, const double* xmin,
-                         const double* ymin, const double* xmax,
-                         const double* ymax, size_t n, uint8_t* out) {
+size_t IntersectMaskAvx2(const Rect& query, Columns c, size_t n,
+                         uint8_t* out) {
   const __m256d qx0 = _mm256_set1_pd(query.xmin);
   const __m256d qy0 = _mm256_set1_pd(query.ymin);
   const __m256d qx1 = _mm256_set1_pd(query.xmax);
@@ -123,16 +123,15 @@ size_t IntersectMaskAvx2(const Rect& query, const double* xmin,
   size_t hits = 0;
   const size_t n8 = n & ~static_cast<size_t>(7);
   for (size_t i = 0; i < n8; i += 8) {
-    const int bits =
-        MaskBits4(qx0, qy0, qx1, qy1, xmin, ymin, xmax, ymax, i) |
-        (MaskBits4(qx0, qy0, qx1, qy1, xmin, ymin, xmax, ymax, i + 4) << 4);
+    const int bits = MaskBits4(qx0, qy0, qx1, qy1, c, i) |
+                     (MaskBits4(qx0, qy0, qx1, qy1, c, i + 4) << 4);
     const uint64_t bytes = SpreadMaskBytes(bits);
     std::memcpy(out + i, &bytes, sizeof(bytes));
     hits += static_cast<size_t>(__builtin_popcount(bits));
   }
   size_t i = n8;
   if (i + 4 <= n) {
-    const int bits = MaskBits4(qx0, qy0, qx1, qy1, xmin, ymin, xmax, ymax, i);
+    const int bits = MaskBits4(qx0, qy0, qx1, qy1, c, i);
     out[i] = static_cast<uint8_t>(bits & 1);
     out[i + 1] = static_cast<uint8_t>((bits >> 1) & 1);
     out[i + 2] = static_cast<uint8_t>((bits >> 2) & 1);
@@ -141,8 +140,7 @@ size_t IntersectMaskAvx2(const Rect& query, const double* xmin,
     i += 4;
   }
   for (; i < n; ++i) {
-    const uint8_t hit =
-        Intersects(query, xmin[i], ymin[i], xmax[i], ymax[i]) ? 1 : 0;
+    const uint8_t hit = Intersects(query, EntryAt(c, i)) ? 1 : 0;
     out[i] = hit;
     hits += hit;
   }
@@ -151,42 +149,34 @@ size_t IntersectMaskAvx2(const Rect& query, const double* xmin,
 
 /// Overlap products of the broadcast rect against entries (j .. j+3).
 inline __m256d OverlapProducts(__m256d ax0, __m256d ay0, __m256d ax1,
-                               __m256d ay1, const double* xmin,
-                               const double* ymin, const double* xmax,
-                               const double* ymax, size_t j) {
-  const __m256d w =
-      _mm256_sub_pd(_mm256_min_pd(_mm256_loadu_pd(xmax + j), ax1),
-                    _mm256_max_pd(_mm256_loadu_pd(xmin + j), ax0));
-  const __m256d h =
-      _mm256_sub_pd(_mm256_min_pd(_mm256_loadu_pd(ymax + j), ay1),
-                    _mm256_max_pd(_mm256_loadu_pd(ymin + j), ay0));
+                               __m256d ay1, const Columns& c, size_t j) {
+  const __m256d w = _mm256_sub_pd(_mm256_min_pd(Load4(c.xmax, j), ax1),
+                                  _mm256_max_pd(Load4(c.xmin, j), ax0));
+  const __m256d h = _mm256_sub_pd(_mm256_min_pd(Load4(c.ymax, j), ay1),
+                                  _mm256_max_pd(Load4(c.ymin, j), ay0));
   const __m256d zero = _mm256_setzero_pd();
   const __m256d none = _mm256_or_pd(_mm256_cmp_pd(w, zero, _CMP_LE_OQ),
                                     _mm256_cmp_pd(h, zero, _CMP_LE_OQ));
   return _mm256_andnot_pd(none, _mm256_mul_pd(w, h));
 }
 
-double PairwiseOverlapSumAvx2(const double* xmin, const double* ymin,
-                              const double* xmax, const double* ymax,
-                              size_t n) {
+double PairwiseOverlapSumAvx2(Columns c, size_t n) {
   double total = 0.0;
   for (size_t i = 0; i + 1 < n; ++i) {
-    const __m256d ax0 = _mm256_set1_pd(xmin[i]);
-    const __m256d ay0 = _mm256_set1_pd(ymin[i]);
-    const __m256d ax1 = _mm256_set1_pd(xmax[i]);
-    const __m256d ay1 = _mm256_set1_pd(ymax[i]);
+    const __m256d ax0 = _mm256_set1_pd(ColumnValue(c.xmin, i));
+    const __m256d ay0 = _mm256_set1_pd(ColumnValue(c.ymin, i));
+    const __m256d ax1 = _mm256_set1_pd(ColumnValue(c.xmax, i));
+    const __m256d ay1 = _mm256_set1_pd(ColumnValue(c.ymax, i));
     const size_t base = i + 1;
     const size_t m = n - base;
     const size_t m8 = m & ~static_cast<size_t>(7);
     __m256d acc_a = _mm256_setzero_pd();
     __m256d acc_b = _mm256_setzero_pd();
     for (size_t t = 0; t < m8; t += 8) {
-      acc_a = _mm256_add_pd(acc_a, OverlapProducts(ax0, ay0, ax1, ay1, xmin,
-                                                   ymin, xmax, ymax,
-                                                   base + t));
-      acc_b = _mm256_add_pd(acc_b, OverlapProducts(ax0, ay0, ax1, ay1, xmin,
-                                                   ymin, xmax, ymax,
-                                                   base + t + 4));
+      acc_a = _mm256_add_pd(
+          acc_a, OverlapProducts(ax0, ay0, ax1, ay1, c, base + t));
+      acc_b = _mm256_add_pd(
+          acc_b, OverlapProducts(ax0, ay0, ax1, ay1, c, base + t + 4));
     }
     double inner = Reduce(_mm256_add_pd(acc_a, acc_b));
     size_t t = m8;
@@ -194,8 +184,7 @@ double PairwiseOverlapSumAvx2(const double* xmin, const double* ymin,
       // Tail block of 4: each lane's product rounds exactly as the scalar
       // OverlapArea, and adding the lanes in order reproduces the scalar
       // reference's sequential tail.
-      const __m256d p = OverlapProducts(ax0, ay0, ax1, ay1, xmin, ymin,
-                                        xmax, ymax, base + t);
+      const __m256d p = OverlapProducts(ax0, ay0, ax1, ay1, c, base + t);
       alignas(32) double lanes[4];
       _mm256_store_pd(lanes, p);
       inner += lanes[0];
@@ -213,11 +202,11 @@ double PairwiseOverlapSumAvx2(const double* xmin, const double* ymin,
       const __m256i sel = _mm256_set_epi64x(0, rem > 2 ? -1LL : 0,
                                             rem > 1 ? -1LL : 0, -1LL);
       const __m256d w = _mm256_sub_pd(
-          _mm256_min_pd(_mm256_maskload_pd(xmax + j, sel), ax1),
-          _mm256_max_pd(_mm256_maskload_pd(xmin + j, sel), ax0));
+          _mm256_min_pd(_mm256_maskload_pd(LaneAddress(c.xmax, j), sel), ax1),
+          _mm256_max_pd(_mm256_maskload_pd(LaneAddress(c.xmin, j), sel), ax0));
       const __m256d h = _mm256_sub_pd(
-          _mm256_min_pd(_mm256_maskload_pd(ymax + j, sel), ay1),
-          _mm256_max_pd(_mm256_maskload_pd(ymin + j, sel), ay0));
+          _mm256_min_pd(_mm256_maskload_pd(LaneAddress(c.ymax, j), sel), ay1),
+          _mm256_max_pd(_mm256_maskload_pd(LaneAddress(c.ymin, j), sel), ay0));
       const __m256d zero = _mm256_setzero_pd();
       const __m256d none = _mm256_or_pd(_mm256_cmp_pd(w, zero, _CMP_LE_OQ),
                                         _mm256_cmp_pd(h, zero, _CMP_LE_OQ));

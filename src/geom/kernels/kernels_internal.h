@@ -18,41 +18,44 @@ namespace sdb::geom::kernels::internal {
 extern const Ops kScalarOps;
 extern const Ops kAvx2Ops;
 
+/// Entry i's MBR, loaded from its columns.
+inline Rect EntryAt(const Columns& c, size_t i) {
+  return Rect(ColumnValue(c.xmin, i), ColumnValue(c.ymin, i),
+              ColumnValue(c.xmax, i), ColumnValue(c.ymax, i));
+}
+
 /// Element semantics of geom::Rect::Area(): empty (inverted on either axis)
 /// rects have zero width AND height; NaN coordinates propagate.
-inline double EntryArea(double xmin, double ymin, double xmax, double ymax) {
-  const bool empty = xmin > xmax || ymin > ymax;
-  const double w = empty ? 0.0 : xmax - xmin;
-  const double h = empty ? 0.0 : ymax - ymin;
+inline double EntryArea(const Rect& e) {
+  const bool empty = e.xmin > e.xmax || e.ymin > e.ymax;
+  const double w = empty ? 0.0 : e.xmax - e.xmin;
+  const double h = empty ? 0.0 : e.ymax - e.ymin;
   return w * h;
 }
 
 /// Element semantics of geom::Rect::Margin().
-inline double EntryMargin(double xmin, double ymin, double xmax,
-                          double ymax) {
-  const bool empty = xmin > xmax || ymin > ymax;
-  const double w = empty ? 0.0 : xmax - xmin;
-  const double h = empty ? 0.0 : ymax - ymin;
+inline double EntryMargin(const Rect& e) {
+  const bool empty = e.xmin > e.xmax || e.ymin > e.ymax;
+  const double w = empty ? 0.0 : e.xmax - e.xmin;
+  const double h = empty ? 0.0 : e.ymax - e.ymin;
   return w + h;
 }
 
 /// Element semantics of geom::IntersectionArea(a, b): exact 0.0 when either
 /// extent is non-positive, w·h otherwise (NaN extents fall through to the
 /// product, matching the Rect code path).
-inline double OverlapArea(double axmin, double aymin, double axmax,
-                          double aymax, double bxmin, double bymin,
-                          double bxmax, double bymax) {
-  const double w = std::min(axmax, bxmax) - std::max(axmin, bxmin);
-  const double h = std::min(aymax, bymax) - std::max(aymin, bymin);
+inline double OverlapArea(const Rect& a, const Rect& b) {
+  const double w = std::min(a.xmax, b.xmax) - std::max(a.xmin, b.xmin);
+  const double h = std::min(a.ymax, b.ymax) - std::max(a.ymin, b.ymin);
   if (w <= 0.0 || h <= 0.0) return 0.0;
   return w * h;
 }
 
 /// Element semantics of query.Intersects(entry) (closed-set: touching edges
 /// intersect; any NaN coordinate compares false, i.e. no intersection).
-inline bool Intersects(const Rect& q, double xmin, double ymin, double xmax,
-                       double ymax) {
-  return q.xmin <= xmax && xmin <= q.xmax && q.ymin <= ymax && ymin <= q.ymax;
+inline bool Intersects(const Rect& q, const Rect& e) {
+  return q.xmin <= e.xmax && e.xmin <= q.xmax && q.ymin <= e.ymax &&
+         e.ymin <= q.ymax;
 }
 
 /// THE canonical accumulation order, shared by every tier:

@@ -9,42 +9,32 @@ namespace sdb::geom::kernels::internal {
 
 namespace {
 
-size_t IntersectMaskScalar(const Rect& query, const double* xmin,
-                           const double* ymin, const double* xmax,
-                           const double* ymax, size_t n, uint8_t* out) {
+size_t IntersectMaskScalar(const Rect& query, Columns c, size_t n,
+                           uint8_t* out) {
   size_t hits = 0;
   for (size_t i = 0; i < n; ++i) {
-    const uint8_t hit =
-        Intersects(query, xmin[i], ymin[i], xmax[i], ymax[i]) ? 1 : 0;
+    const uint8_t hit = Intersects(query, EntryAt(c, i)) ? 1 : 0;
     out[i] = hit;
     hits += hit;
   }
   return hits;
 }
 
-double SumAreasScalar(const double* xmin, const double* ymin,
-                      const double* xmax, const double* ymax, size_t n) {
-  return StridedSum(
-      n, [&](size_t i) { return EntryArea(xmin[i], ymin[i], xmax[i], ymax[i]); });
+double SumAreasScalar(Columns c, size_t n) {
+  return StridedSum(n, [&](size_t i) { return EntryArea(EntryAt(c, i)); });
 }
 
-double SumMarginsScalar(const double* xmin, const double* ymin,
-                        const double* xmax, const double* ymax, size_t n) {
-  return StridedSum(n, [&](size_t i) {
-    return EntryMargin(xmin[i], ymin[i], xmax[i], ymax[i]);
-  });
+double SumMarginsScalar(Columns c, size_t n) {
+  return StridedSum(n, [&](size_t i) { return EntryMargin(EntryAt(c, i)); });
 }
 
-double PairwiseOverlapSumScalar(const double* xmin, const double* ymin,
-                                const double* xmax, const double* ymax,
-                                size_t n) {
+double PairwiseOverlapSumScalar(Columns c, size_t n) {
   double total = 0.0;
   for (size_t i = 0; i + 1 < n; ++i) {
+    const Rect a = EntryAt(c, i);
     const size_t base = i + 1;
     total += StridedSum(n - base, [&](size_t t) {
-      const size_t j = base + t;
-      return OverlapArea(xmin[i], ymin[i], xmax[i], ymax[i], xmin[j],
-                         ymin[j], xmax[j], ymax[j]);
+      return OverlapArea(a, EntryAt(c, base + t));
     });
   }
   return total;

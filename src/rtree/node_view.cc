@@ -9,28 +9,39 @@ namespace sdb::rtree {
 
 namespace {
 
-/// On-page POD image of one entry.
-struct EntryRecord {
-  double xmin, ymin, xmax, ymax;
-  uint64_t id;
-  uint32_t obj_page;
-  uint16_t obj_slot;
-  uint16_t pad;
-};
-static_assert(sizeof(EntryRecord) == NodeView::kEntrySize);
+/// The columns in page order.
+enum Column : size_t { kXmin, kYmin, kXmax, kYmax, kId, kObjPage, kObjSlot };
 
-EntryRecord ToRecord(const Entry& e) {
-  return EntryRecord{e.rect.xmin, e.rect.ymin, e.rect.xmax, e.rect.ymax,
-                     e.id,        e.ref.page,  e.ref.slot,  0};
+/// Start of each column after the header, in units of the capacity: the
+/// running sum of the widths of the columns before it.
+constexpr size_t kColumnStart[] = {0, 8, 16, 24, 32, 40, 44};
+static_assert(kColumnStart[kObjPage] - kColumnStart[kId] == sizeof(Entry::id) &&
+              kColumnStart[kObjSlot] - kColumnStart[kObjPage] ==
+                  sizeof(ObjectRef::page) &&
+              kColumnStart[kObjSlot] + sizeof(ObjectRef::slot) <=
+                  NodeView::kEntrySize);
+
+/// Calls fn(column, field) for the seven entry fields in column order;
+/// field(e) is the member of Entry `e` that the column stores.
+template <typename Fn>
+void ForEachField(Fn&& fn) {
+  fn(kXmin, [](auto& e) -> auto& { return e.rect.xmin; });
+  fn(kYmin, [](auto& e) -> auto& { return e.rect.ymin; });
+  fn(kXmax, [](auto& e) -> auto& { return e.rect.xmax; });
+  fn(kYmax, [](auto& e) -> auto& { return e.rect.ymax; });
+  fn(kId, [](auto& e) -> auto& { return e.id; });
+  fn(kObjPage, [](auto& e) -> auto& { return e.ref.page; });
+  fn(kObjSlot, [](auto& e) -> auto& { return e.ref.slot; });
 }
 
-Entry FromRecord(const EntryRecord& r) {
-  Entry e;
-  e.rect = geom::Rect(r.xmin, r.ymin, r.xmax, r.ymax);
-  e.id = r.id;
-  e.ref.page = r.obj_page;
-  e.ref.slot = r.obj_slot;
-  return e;
+template <typename T>
+void LoadAt(const std::byte* column, size_t i, T* value) {
+  std::memcpy(value, column + i * sizeof(T), sizeof(T));
+}
+
+template <typename T>
+void StoreAt(std::byte* column, size_t i, const T& value) {
+  std::memcpy(column + i * sizeof(T), &value, sizeof(T));
 }
 
 }  // namespace
@@ -47,15 +58,25 @@ void NodeView::Init(uint8_t level) {
 
 Entry NodeView::GetEntry(uint16_t i) const {
   SDB_DCHECK(i < count());
-  EntryRecord r;
-  std::memcpy(&r, EntryPtr(i), sizeof(r));
-  return FromRecord(r);
+  Entry e;
+  ForEachField([&](Column c, auto field) {
+    LoadAt(column(c), i, &field(e));
+  });
+  return e;
 }
 
 void NodeView::SetEntry(uint16_t i, const Entry& e) {
   SDB_DCHECK(i < count());
-  const EntryRecord r = ToRecord(e);
-  std::memcpy(EntryPtr(i), &r, sizeof(r));
+  ForEachField([&](Column c, auto field) {
+    StoreAt(column(c), i, field(e));
+  });
+}
+
+storage::PageId NodeView::child(uint16_t i) const {
+  SDB_DCHECK(i < count());
+  uint64_t id;
+  LoadAt(column(kId), i, &id);
+  return static_cast<storage::PageId>(id);
 }
 
 void NodeView::Append(const Entry& e) {
@@ -66,67 +87,50 @@ void NodeView::Append(const Entry& e) {
 }
 
 std::vector<Entry> NodeView::LoadEntries() const {
-  const uint16_t n = count();
-  std::vector<Entry> entries;
-  entries.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) entries.push_back(GetEntry(i));
+  const size_t n = count();
+  std::vector<Entry> entries(n);
+  // Local copies of the bounds: a byte store may alias any object reachable
+  // by pointer, so reading them from `entries` would repeat every iteration.
+  Entry* out = entries.data();
+  ForEachField([&](Column c, auto field) {
+    const std::byte* base = column(c);
+    for (size_t i = 0; i < n; ++i) LoadAt(base, i, &field(out[i]));
+  });
   return entries;
 }
 
 void NodeView::WriteEntries(std::span<const Entry> entries) {
   SDB_CHECK_MSG(entries.size() <= Capacity(page_.size()),
                 "node page overflow");
-  header().set_entry_count(static_cast<uint16_t>(entries.size()));
-  for (uint16_t i = 0; i < entries.size(); ++i) SetEntry(i, entries[i]);
+  const size_t n = entries.size();
+  const Entry* in = entries.data();
+  header().set_entry_count(static_cast<uint16_t>(n));
+  ForEachField([&](Column c, auto field) {
+    std::byte* base = column(c);
+    for (size_t i = 0; i < n; ++i) StoreAt(base, i, field(in[i]));
+  });
   RefreshAggregates();
 }
 
-uint16_t NodeView::GatherCoords(geom::kernels::SoaBuffer* coords) const {
-  const uint16_t n = count();
-  coords->Reserve(n);
-  double* xmin = coords->xmin();
-  double* ymin = coords->ymin();
-  double* xmax = coords->xmax();
-  double* ymax = coords->ymax();
-  const std::byte* p = page_.data() + storage::PageHeaderView::kHeaderSize;
-  for (uint16_t i = 0; i < n; ++i, p += kEntrySize) {
-    // The record's first four doubles are xmin, ymin, xmax, ymax.
-    double c[4];
-    std::memcpy(c, p, sizeof(c));
-    xmin[i] = c[0];
-    ymin[i] = c[1];
-    xmax[i] = c[2];
-    ymax[i] = c[3];
-  }
-  return n;
-}
-
 size_t NodeView::ScanEntries(const geom::Rect& query,
-                             geom::kernels::SoaBuffer* coords,
                              std::vector<uint8_t>* mask) const {
-  const uint16_t n = GatherCoords(coords);
+  const uint16_t n = count();
   mask->resize(n);
   if (n == 0) return 0;
-  return geom::kernels::IntersectMask(query, coords->xmin(), coords->ymin(),
-                                      coords->xmax(), coords->ymax(), n,
-                                      mask->data());
+  return geom::kernels::IntersectMask(query, coords(), n, mask->data());
 }
 
 void NodeView::RefreshAggregates() {
-  thread_local geom::kernels::SoaBuffer scratch;
-  const uint16_t n = GatherCoords(&scratch);
-  header().set_aggregates(geom::ComputeEntryAggregatesSoA(
-      scratch.xmin(), scratch.ymin(), scratch.xmax(), scratch.ymax(), n));
+  header().set_aggregates(geom::ComputeEntryAggregates(coords(), count()));
 }
 
-std::byte* NodeView::EntryPtr(uint16_t i) {
+std::byte* NodeView::column(size_t k) const {
   return page_.data() + storage::PageHeaderView::kHeaderSize +
-         static_cast<size_t>(i) * kEntrySize;
+         kColumnStart[k] * Capacity(page_.size());
 }
 
-const std::byte* NodeView::EntryPtr(uint16_t i) const {
-  return page_.data() + storage::PageHeaderView::kHeaderSize +
-         static_cast<size_t>(i) * kEntrySize;
+geom::kernels::Columns NodeView::coords() const {
+  return {column(kXmin), column(kYmin), column(kXmax), column(kYmax)};
 }
 
 }  // namespace sdb::rtree

@@ -1,7 +1,9 @@
 #ifndef SPATIALBUFFER_RTREE_NODE_VIEW_H_
 #define SPATIALBUFFER_RTREE_NODE_VIEW_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -40,12 +42,27 @@ struct Entry {
 /// (or any page-sized byte span) and reads/writes the page in place.
 ///
 /// On-page layout: the standard 64-byte storage header (which carries the
-/// spatial aggregates used by the replacement policies), followed by an
-/// array of fixed 48-byte entry records:
-///   f64 xmin, ymin, xmax, ymax; u64 id; u32 obj_page; u16 obj_slot; u16 pad
+/// spatial aggregates used by the replacement policies), then the entries
+/// column-wise, so the batch kernels read the coordinate columns in place
+/// and a traversal decodes only the columns it needs. Each column holds
+/// cap = Capacity(page size) values:
+///
+///   column     type  offset (cap = 84 at 4 KiB)
+///   xmin[cap]  f64   64
+///   ymin[cap]  f64   64 +  8·cap   (736)
+///   xmax[cap]  f64   64 + 16·cap  (1408)
+///   ymax[cap]  f64   64 + 24·cap  (2080)
+///   id[cap]    u64   64 + 32·cap  (2752)
+///   page[cap]  u32   64 + 40·cap  (3424)  ObjectRef::page
+///   slot[cap]  u16   64 + 44·cap  (3760)  ObjectRef::slot
 class NodeView {
  public:
+  /// Page bytes per entry: 46 in the columns, 2 unused (the row layout's).
   static constexpr size_t kEntrySize = 48;
+
+  /// Node-layout version persisted in the tree's meta page: 0 was the
+  /// 48-byte row record, 1 is the column layout above.
+  static constexpr uint32_t kLayoutVersion = 1;
 
   /// Largest entry count a page of `page_size` bytes can hold.
   static constexpr uint32_t Capacity(size_t page_size) {
@@ -73,41 +90,60 @@ class NodeView {
   Entry GetEntry(uint16_t i) const;
   void SetEntry(uint16_t i, const Entry& e);
 
+  /// Entry i's id read as a child page id, from the id column alone.
+  storage::PageId child(uint16_t i) const;
+
   /// Appends without refreshing aggregates; call RefreshAggregates (or
   /// WriteEntries) once the batch of modifications is complete.
   void Append(const Entry& e);
 
-  /// Copies all entries out.
+  /// Copies all entries out, one pass per column.
   std::vector<Entry> LoadEntries() const;
 
-  /// Deinterleaves the fixed-stride entry records' MBR coordinates into the
-  /// caller's SoA scratch (growing it as needed, zero allocation once warm)
-  /// and returns the entry count. The batch-kernel entry point: traversals
-  /// thread one scratch through all visited nodes instead of copying
-  /// entries into per-node vectors.
-  uint16_t GatherCoords(geom::kernels::SoaBuffer* coords) const;
-
-  /// GatherCoords + dispatched IntersectMask in one step: after the call,
-  /// (*mask)[i] is 1 iff entry i intersects `query` (closed-set semantics).
-  /// Returns the hit count; `coords`/`mask` are reused scratch.
+  /// Runs the dispatched IntersectMask over the page's coordinate columns in
+  /// place: after the call, (*mask)[i] is 1 iff entry i intersects `query`
+  /// (closed-set semantics). Returns the hit count; `mask` is reused scratch.
   size_t ScanEntries(const geom::Rect& query,
-                     geom::kernels::SoaBuffer* coords,
                      std::vector<uint8_t>* mask) const;
 
-  /// Replaces the entry array and refreshes the header aggregates.
+  /// Replaces the entries, one pass per column, and refreshes the header
+  /// aggregates.
   void WriteEntries(std::span<const Entry> entries);
 
   /// Recomputes MBR / Σarea / Σmargin / pairwise overlap from the current
-  /// entries and stores them in the header, keeping the replacement
-  /// policies' view of the page accurate.
+  /// entries' coordinate columns and stores them in the header, keeping the
+  /// replacement policies' view of the page accurate.
   void RefreshAggregates();
 
  private:
-  std::byte* EntryPtr(uint16_t i);
-  const std::byte* EntryPtr(uint16_t i) const;
+  /// Start of the k-th column of the layout above.
+  std::byte* column(size_t k) const;
+  /// The four coordinate columns, as the kernels take them.
+  geom::kernels::Columns coords() const;
 
   std::span<std::byte> page_;
 };
+
+/// Calls fn(i) for every entry i whose ScanEntries mask byte is set, in
+/// ascending order: tests eight mask bytes per 64-bit word (little-endian, so
+/// byte k is the k-th lowest) and steps through set bytes by countr_zero.
+template <typename Fn>
+void ForEachHit(std::span<const uint8_t> mask, Fn&& fn) {
+  static_assert(std::endian::native == std::endian::little);
+  const size_t n = mask.size();
+  size_t base = 0;
+  for (; base + 8 <= n; base += 8) {
+    uint64_t word;
+    std::memcpy(&word, mask.data() + base, sizeof(word));
+    // Mask bytes are 0 or 1, so each set byte holds exactly its lowest bit.
+    for (; word != 0; word &= word - 1) {
+      fn(static_cast<uint16_t>(base + std::countr_zero(word) / 8));
+    }
+  }
+  for (; base < n; ++base) {
+    if (mask[base] != 0) fn(static_cast<uint16_t>(base));
+  }
+}
 
 }  // namespace sdb::rtree
 

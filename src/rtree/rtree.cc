@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <queue>
 
@@ -26,7 +27,7 @@ struct MetaRecord {
   double min_fill_fraction;
   double reinsert_fraction;
   uint32_t variant;
-  uint32_t pad;
+  uint32_t layout;  ///< NodeView::kLayoutVersion; row-layout trees wrote 0
 };
 
 Entry MakeDirEntry(const Rect& rect, PageId child) {
@@ -85,12 +86,12 @@ RTree RTree::Open(const storage::DiskManager* disk,
                   core::PageSource* buffer,
                   storage::PageId meta_page) {
   SDB_CHECK(disk != nullptr && buffer != nullptr);
+  SDB_CHECK_MSG(HasCurrentLayout(*disk, meta_page),
+                "not a tree meta page, or its tree uses another node layout");
   MetaRecord record;
-  std::span<const std::byte> page = disk->PeekPage(meta_page);
-  SDB_CHECK_MSG(storage::ConstPageHeaderView(page.data()).type() ==
-                    storage::PageType::kMeta,
-                "not a tree meta page");
-  std::memcpy(&record, page.data() + storage::PageHeaderView::kHeaderSize,
+  std::memcpy(&record,
+              disk->PeekPage(meta_page).data() +
+                  storage::PageHeaderView::kHeaderSize,
               sizeof(record));
   RTreeConfig config;
   config.variant = static_cast<TreeVariant>(record.variant);
@@ -105,6 +106,18 @@ RTree RTree::Open(const storage::DiskManager* disk,
   return tree;
 }
 
+bool RTree::HasCurrentLayout(const storage::DiskManager& disk,
+                             storage::PageId meta_page) {
+  const std::span<const std::byte> page = disk.PeekPage(meta_page);
+  uint32_t layout;
+  std::memcpy(&layout, page.data() + storage::PageHeaderView::kHeaderSize +
+                           offsetof(MetaRecord, layout),
+              sizeof(layout));
+  return storage::ConstPageHeaderView(page.data()).type() ==
+             storage::PageType::kMeta &&
+         layout == NodeView::kLayoutVersion;
+}
+
 void RTree::PersistMeta() {
   MetaRecord record;
   record.root = root_;
@@ -115,7 +128,7 @@ void RTree::PersistMeta() {
   record.min_fill_fraction = config_.min_fill_fraction;
   record.reinsert_fraction = config_.reinsert_fraction;
   record.variant = static_cast<uint32_t>(config_.variant);
-  record.pad = 0;
+  record.layout = NodeView::kLayoutVersion;
   const AccessContext ctx;
   core::PageHandle meta = buffer_->FetchOrDie(meta_page_, ctx);
   std::memcpy(meta.bytes().data() + storage::PageHeaderView::kHeaderSize,
@@ -720,7 +733,7 @@ bool RTree::Delete(uint64_t id, const Rect& rect, const AccessContext& ctx) {
       break;
     }
     if (node.count() != 1) break;
-    root_ = node.GetEntry(0).child();
+    root_ = node.child(0);
     --height_;
   }
 
@@ -746,10 +759,8 @@ void RTree::WindowQueryVisit(
     const Rect& window, const AccessContext& ctx,
     const std::function<void(const Entry&)>& visit) const {
   std::vector<PageId> stack{root_};
-  // Scratch threaded through the whole traversal: the batch scan
-  // deinterleaves each node's entry rects in place and runs the dispatched
-  // intersect kernel, so no per-node entry vector is ever allocated.
-  geom::kernels::SoaBuffer coords;
+  // Mask scratch reused by every node scan: the intersect kernel reads each
+  // node's coordinate columns in place, so nothing else is copied per node.
   std::vector<uint8_t> mask;
   std::vector<PageId> leaf_batch;
   std::vector<core::StatusOr<core::PageHandle>> leaves;
@@ -766,19 +777,17 @@ void RTree::WindowQueryVisit(
     }
     core::PageHandle page = std::move(fetched).value();
     const NodeView node(page.bytes());
-    const uint16_t n = node.count();
-    const bool leaf = node.is_leaf();
-    if (node.ScanEntries(window, &coords, &mask) == 0) continue;
-    if (!leaf && node.level() == 1 && buffer_->PrefersBatchedReads()) {
+    if (node.ScanEntries(window, &mask) == 0) continue;
+    if (node.level() == 1 && buffer_->PrefersBatchedReads()) {
       // Every matching child is a leaf: fetch them through the source's
       // batched path instead of one stack round-trip each, in reverse entry
       // order — exactly the LIFO pop order of the stack they replace, so
       // visit order and the page-access sequence are unchanged. The parent
       // is released first to keep peak pins at (chunk + 1).
       leaf_batch.clear();
-      for (uint16_t i = n; i > 0; --i) {
-        if (mask[i - 1]) leaf_batch.push_back(node.GetEntry(i - 1).child());
-      }
+      ForEachHit(mask,
+                 [&](uint16_t i) { leaf_batch.push_back(node.child(i)); });
+      std::reverse(leaf_batch.begin(), leaf_batch.end());
       page.Release();
       // Chunk to the source's pin budget when it advertises one: a sharded
       // source can land a whole chunk on one shard, and a chunk wider than
@@ -799,23 +808,19 @@ void RTree::WindowQueryVisit(
           }
           core::PageHandle leaf_page = std::move(fetched_leaf).value();
           const NodeView leaf_node(leaf_page.bytes());
-          const uint16_t leaf_n = leaf_node.count();
-          if (leaf_node.ScanEntries(window, &coords, &mask) == 0) continue;
-          for (uint16_t i = 0; i < leaf_n; ++i) {
-            if (mask[i]) visit(leaf_node.GetEntry(i));
-          }
+          if (leaf_node.ScanEntries(window, &mask) == 0) continue;
+          ForEachHit(mask,
+                     [&](uint16_t i) { visit(leaf_node.GetEntry(i)); });
         }
       }
       continue;
     }
-    for (uint16_t i = 0; i < n; ++i) {
-      if (!mask[i]) continue;
-      const Entry e = node.GetEntry(i);
-      if (leaf) {
-        visit(e);
-      } else {
-        stack.push_back(e.child());
-      }
+    // Only a leaf hit is decoded into an Entry; a directory hit reads just
+    // the child id.
+    if (node.is_leaf()) {
+      ForEachHit(mask, [&](uint16_t i) { visit(node.GetEntry(i)); });
+    } else {
+      ForEachHit(mask, [&](uint16_t i) { stack.push_back(node.child(i)); });
     }
   }
 }

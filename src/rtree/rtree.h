@@ -56,9 +56,15 @@ class RTree {
         const RTreeConfig& config = RTreeConfig{});
 
   /// Reopens a persisted tree. `meta_page` is the page id returned by
-  /// meta_page() of the instance that built the tree.
+  /// meta_page() of the instance that built the tree. Aborts unless
+  /// HasCurrentLayout holds.
   static RTree Open(const storage::DiskManager* disk, core::PageSource* buffer,
                     storage::PageId meta_page);
+
+  /// True if `meta_page` on `disk` is a tree meta page whose pages use this
+  /// build's node layout (NodeView::kLayoutVersion).
+  static bool HasCurrentLayout(const storage::DiskManager& disk,
+                               storage::PageId meta_page);
 
   RTree(RTree&&) = default;
   RTree& operator=(RTree&&) = delete;

@@ -16,11 +16,8 @@ struct JoinContext {
   const AccessContext* ctx;
   const std::function<void(const Entry&, const Entry&)>* visit;
   JoinStats stats;
-  // Per-node scan scratch, reused across the whole recursion: each call
-  // finishes with the scratch before descending (descent pairs are collected
-  // first), so a single set of buffers serves every depth with no per-node
-  // entry copies.
-  geom::kernels::SoaBuffer right_coords;
+  // Scan mask reused across the whole recursion: each call finishes with it
+  // before descending (descent pairs are collected first).
   std::vector<uint8_t> mask;
 };
 
@@ -51,66 +48,42 @@ void JoinNodes(JoinContext& jc, PageId left_id, PageId right_id) {
   const geom::Rect right_mbr = right.mbr();
 
   if (left_leaf && right_leaf) {
-    // Batch the inner loop: one dispatched intersect-mask scan of the right
-    // node per left entry, materializing entries only for actual hits.
-    const uint16_t nb = right.GatherCoords(&jc.right_coords);
-    jc.mask.resize(nb);
+    // Batch the inner loop: one in-place intersect-mask scan of the right
+    // node per left entry, decoding right entries only for actual hits.
     for (uint16_t ia = 0; ia < na; ++ia) {
       const Entry ea = left.GetEntry(ia);
-      if (nb == 0 ||
-          geom::kernels::IntersectMask(
-              ea.rect, jc.right_coords.xmin(), jc.right_coords.ymin(),
-              jc.right_coords.xmax(), jc.right_coords.ymax(), nb,
-              jc.mask.data()) == 0) {
-        continue;
-      }
-      for (uint16_t ib = 0; ib < nb; ++ib) {
-        if (!jc.mask[ib]) continue;
+      if (right.ScanEntries(ea.rect, &jc.mask) == 0) continue;
+      ForEachHit(jc.mask, [&](uint16_t ib) {
         ++jc.stats.result_pairs;
         if (*jc.visit) (*jc.visit)(ea, right.GetEntry(ib));
-      }
+      });
     }
     return;
   }
 
   // Directory descent: collect the qualifying child pairs while the pages
   // are pinned, then release the pins before recursing so deep descents
-  // never exhaust small buffers (and the scan scratch is free for reuse).
+  // never exhaust small buffers (and the scan mask is free for reuse).
   std::vector<std::pair<PageId, PageId>> next;
   if (left_leaf) {
     // Descend only the right tree; restrict to children meeting the left
     // node's region.
-    const size_t hits = right.ScanEntries(left_mbr, &jc.right_coords,
-                                          &jc.mask);
-    const uint16_t nb = right.count();
-    if (hits != 0) {
-      for (uint16_t ib = 0; ib < nb; ++ib) {
-        if (jc.mask[ib]) next.emplace_back(left_id, right.GetEntry(ib).child());
-      }
-    }
+    right.ScanEntries(left_mbr, &jc.mask);
+    ForEachHit(jc.mask, [&](uint16_t ib) {
+      next.emplace_back(left_id, right.child(ib));
+    });
   } else if (right_leaf) {
-    const size_t hits = left.ScanEntries(right_mbr, &jc.right_coords,
-                                         &jc.mask);
-    if (hits != 0) {
-      for (uint16_t ia = 0; ia < na; ++ia) {
-        if (jc.mask[ia]) next.emplace_back(left.GetEntry(ia).child(), right_id);
-      }
-    }
+    left.ScanEntries(right_mbr, &jc.mask);
+    ForEachHit(jc.mask, [&](uint16_t ia) {
+      next.emplace_back(left.child(ia), right_id);
+    });
   } else {
-    const uint16_t nb = right.GatherCoords(&jc.right_coords);
-    jc.mask.resize(nb);
     for (uint16_t ia = 0; ia < na; ++ia) {
       const Entry ea = left.GetEntry(ia);
-      if (nb == 0 ||
-          geom::kernels::IntersectMask(
-              ea.rect, jc.right_coords.xmin(), jc.right_coords.ymin(),
-              jc.right_coords.xmax(), jc.right_coords.ymax(), nb,
-              jc.mask.data()) == 0) {
-        continue;
-      }
-      for (uint16_t ib = 0; ib < nb; ++ib) {
-        if (jc.mask[ib]) next.emplace_back(ea.child(), right.GetEntry(ib).child());
-      }
+      if (right.ScanEntries(ea.rect, &jc.mask) == 0) continue;
+      ForEachHit(jc.mask, [&](uint16_t ib) {
+        next.emplace_back(ea.child(), right.child(ib));
+      });
     }
   }
   left_page.Release();
@@ -123,7 +96,7 @@ void JoinNodes(JoinContext& jc, PageId left_id, PageId right_id) {
 JoinStats SpatialJoin(
     const RTree& left, const RTree& right, const AccessContext& ctx,
     const std::function<void(const Entry&, const Entry&)>& visit) {
-  JoinContext jc{&left, &right, &ctx, &visit, JoinStats{}, {}, {}};
+  JoinContext jc{&left, &right, &ctx, &visit, JoinStats{}, {}};
   JoinNodes(jc, left.root(), right.root());
   return jc.stats;
 }

@@ -87,17 +87,22 @@ Scenario BuildCachedScenario(const ScenarioOptions& options) {
   if (cache_dir == nullptr || cache_dir[0] == '\0') {
     return BuildScenario(options);
   }
+  // The node-layout version in the name keeps builds of different layouts
+  // off each other's images; the meta-page check below also rebuilds (and
+  // overwrites) an image that carries the name but not the layout.
   char path[512];
-  std::snprintf(path, sizeof(path), "%s/sdb_%s_%g_v%u_s%llu.img", cache_dir,
+  std::snprintf(path, sizeof(path), "%s/sdb_%s_%g_v%u_s%llu_n%u.img",
+                cache_dir,
                 options.kind == DatabaseKind::kUsLike ? "us" : "world",
                 options.scale, static_cast<unsigned>(options.variant),
-                static_cast<unsigned long long>(options.seed));
+                static_cast<unsigned long long>(options.seed),
+                static_cast<unsigned>(rtree::NodeView::kLayoutVersion));
 
   if (auto disk = storage::DiskManager::LoadImage(path)) {
     // The meta page is always the first page the tree allocates.
     const storage::PageId meta_page = 0;
     if (disk->page_count() > 0 &&
-        disk->PeekMeta(meta_page).type == storage::PageType::kMeta) {
+        rtree::RTree::HasCurrentLayout(*disk, meta_page)) {
       Scenario scenario;
       scenario.disk =
           std::make_unique<storage::DiskManager>(std::move(*disk));

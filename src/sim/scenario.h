@@ -60,8 +60,9 @@ Scenario BuildScenario(const ScenarioOptions& options);
 
 /// Like BuildScenario, but caches the built disk image in the directory
 /// named by the SDB_CACHE_DIR environment variable and reuses it on
-/// subsequent calls with the same options, skipping the (multi-second) tree
-/// construction. Without SDB_CACHE_DIR this is plain BuildScenario.
+/// subsequent calls with the same options and node layout, skipping the
+/// (multi-second) tree construction. An image of another layout is rebuilt
+/// and overwritten. Without SDB_CACHE_DIR this is plain BuildScenario.
 Scenario BuildCachedScenario(const ScenarioOptions& options);
 
 /// The paper's buffer-size ladder: 0.3%, 0.6%, 1.2%, 2.4%, 4.7% of the tree.

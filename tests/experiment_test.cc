@@ -4,11 +4,15 @@
 #include <memory>
 
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "obs/collector.h"
+#include "rtree/node_view.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/scenario.h"
@@ -287,6 +291,65 @@ TEST_F(ExperimentTest, CachedScenarioReplaysIdentically) {
                                   "LRU", queries, run);
   EXPECT_EQ(a.disk_reads, b.disk_reads);
   EXPECT_EQ(a.result_objects, b.result_objects);
+}
+
+TEST_F(ExperimentTest, CachedImageOfAnotherNodeLayoutIsRebuilt) {
+  // An image whose meta page names another node layout (version 0, the row
+  // layout) must be rebuilt and overwritten, never read with this build's
+  // layout.
+  const std::string cache_dir = ::testing::TempDir() + "/sdb_layout_cache";
+  std::filesystem::remove_all(cache_dir);
+  std::filesystem::create_directories(cache_dir);
+  ASSERT_EQ(setenv("SDB_CACHE_DIR", cache_dir.c_str(), 1), 0);
+  ScenarioOptions options;
+  options.kind = DatabaseKind::kUsLike;
+  options.build = BuildMode::kBulkLoad;
+  options.scale = 0.02;
+  options.seed = 779;
+  BuildCachedScenario(options);  // builds + saves
+
+  std::vector<std::string> images;
+  for (const auto& file : std::filesystem::directory_iterator(cache_dir)) {
+    images.push_back(file.path().string());
+  }
+  ASSERT_EQ(images.size(), 1u);
+  const std::string path = images[0];
+  EXPECT_TRUE(path.ends_with(
+      "_s779_n" + std::to_string(rtree::NodeView::kLayoutVersion) + ".img"))
+      << path;
+
+  // Rewrite the meta record's layout word, its last u32 (header + 44), to 0.
+  std::optional<storage::DiskManager> disk =
+      storage::DiskManager::LoadImage(path);
+  ASSERT_TRUE(disk.has_value());
+  ASSERT_TRUE(rtree::RTree::HasCurrentLayout(*disk, 0));
+  const std::span<const std::byte> meta_page = disk->PeekPage(0);
+  std::vector<std::byte> meta(meta_page.begin(), meta_page.end());
+  const uint32_t row_layout = 0;
+  std::memcpy(meta.data() + storage::PageHeaderView::kHeaderSize + 44,
+              &row_layout, sizeof(row_layout));
+  ASSERT_TRUE(disk->Write(0, meta).ok());
+  ASSERT_FALSE(rtree::RTree::HasCurrentLayout(*disk, 0));
+  ASSERT_TRUE(disk->SaveImage(path));
+
+  const Scenario rebuilt = BuildCachedScenario(options);
+  ASSERT_EQ(unsetenv("SDB_CACHE_DIR"), 0);
+  const Scenario fresh = BuildScenario(options);
+  EXPECT_EQ(rebuilt.tree_stats.object_count, fresh.tree_stats.object_count);
+  EXPECT_EQ(rebuilt.tree_stats.height, fresh.tree_stats.height);
+  EXPECT_EQ(rebuilt.tree_stats.directory_pages,
+            fresh.tree_stats.directory_pages);
+  EXPECT_EQ(rebuilt.tree_stats.data_pages, fresh.tree_stats.data_pages);
+  EXPECT_EQ(rebuilt.tree_stats.avg_dir_fill, fresh.tree_stats.avg_dir_fill);
+  EXPECT_EQ(rebuilt.tree_stats.avg_data_fill, fresh.tree_stats.avg_data_fill);
+  EXPECT_GT(fresh.tree_stats.object_count, 0u);
+
+  // The rebuild overwrote the image with the current layout.
+  const std::optional<storage::DiskManager> reloaded =
+      storage::DiskManager::LoadImage(path);
+  ASSERT_TRUE(reloaded.has_value());
+  EXPECT_TRUE(rtree::RTree::HasCurrentLayout(*reloaded, 0));
+  std::filesystem::remove_all(cache_dir);
 }
 
 TEST_F(ExperimentTest, MissingCacheDirWarnsAndStillBuilds) {

@@ -54,6 +54,12 @@ struct RectSet {
   Rect At(size_t i) const {
     return Rect(xmin[i], ymin[i], xmax[i], ymax[i]);
   }
+  Columns columns() const {
+    return {reinterpret_cast<const std::byte*>(xmin.data()),
+            reinterpret_cast<const std::byte*>(ymin.data()),
+            reinterpret_cast<const std::byte*>(xmax.data()),
+            reinterpret_cast<const std::byte*>(ymax.data())};
+  }
 };
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -126,18 +132,10 @@ TEST_P(KernelsPropertyTest, AllTiersMatchScalarBitForBit) {
     const Rect query = AdversarialRect(rng);
     std::vector<uint8_t> ref_mask(n + 1, 0xee), mask(n + 1, 0xee);
     const size_t ref_hits =
-        scalar.intersect_mask(query, set.xmin.data(), set.ymin.data(),
-                              set.xmax.data(), set.ymax.data(), n,
-                              ref_mask.data());
-    const double ref_area = scalar.sum_areas(set.xmin.data(), set.ymin.data(),
-                                             set.xmax.data(),
-                                             set.ymax.data(), n);
-    const double ref_margin = scalar.sum_margins(
-        set.xmin.data(), set.ymin.data(), set.xmax.data(), set.ymax.data(),
-        n);
-    const double ref_overlap = scalar.pairwise_overlap_sum(
-        set.xmin.data(), set.ymin.data(), set.xmax.data(), set.ymax.data(),
-        n);
+        scalar.intersect_mask(query, set.columns(), n, ref_mask.data());
+    const double ref_area = scalar.sum_areas(set.columns(), n);
+    const double ref_margin = scalar.sum_margins(set.columns(), n);
+    const double ref_overlap = scalar.pairwise_overlap_sum(set.columns(), n);
 
     // The scalar mask must agree with Rect::Intersects entry by entry.
     for (size_t i = 0; i < n; ++i) {
@@ -147,28 +145,18 @@ TEST_P(KernelsPropertyTest, AllTiersMatchScalarBitForBit) {
     for (const Level level : levels) {
       const Ops& ops = OpsFor(level);
       const size_t hits =
-          ops.intersect_mask(query, set.xmin.data(), set.ymin.data(),
-                             set.xmax.data(), set.ymax.data(), n,
-                             mask.data());
+          ops.intersect_mask(query, set.columns(), n, mask.data());
       EXPECT_EQ(hits, ref_hits) << LevelName(level) << " n=" << n;
       EXPECT_EQ(0, std::memcmp(mask.data(), ref_mask.data(), n))
           << "mask bytes diverge at level " << LevelName(level)
           << " n=" << n;
       EXPECT_EQ(mask[n], 0xee) << "wrote past the mask at "
                                << LevelName(level);
-      ExpectBitEqual(ref_area,
-                     ops.sum_areas(set.xmin.data(), set.ymin.data(),
-                                   set.xmax.data(), set.ymax.data(), n),
-                     "SumAreas", level, n);
-      ExpectBitEqual(ref_margin,
-                     ops.sum_margins(set.xmin.data(), set.ymin.data(),
-                                     set.xmax.data(), set.ymax.data(), n),
+      ExpectBitEqual(ref_area, ops.sum_areas(set.columns(), n), "SumAreas",
+                     level, n);
+      ExpectBitEqual(ref_margin, ops.sum_margins(set.columns(), n),
                      "SumMargins", level, n);
-      ExpectBitEqual(ref_overlap,
-                     ops.pairwise_overlap_sum(set.xmin.data(),
-                                              set.ymin.data(),
-                                              set.xmax.data(),
-                                              set.ymax.data(), n),
+      ExpectBitEqual(ref_overlap, ops.pairwise_overlap_sum(set.columns(), n),
                      "PairwiseOverlapSum", level, n);
     }
   }
@@ -191,22 +179,17 @@ TEST(KernelsTest, ScalarSumsMatchSequentialWithinTolerance) {
     seq_margin += r.Margin();
   }
   const Ops& scalar = OpsFor(Level::kScalar);
-  EXPECT_NEAR(scalar.sum_areas(set.xmin.data(), set.ymin.data(),
-                               set.xmax.data(), set.ymax.data(), set.size()),
-              seq_area, 1e-12 * std::abs(seq_area));
-  EXPECT_NEAR(scalar.sum_margins(set.xmin.data(), set.ymin.data(),
-                                 set.xmax.data(), set.ymax.data(),
-                                 set.size()),
-              seq_margin, 1e-12 * std::abs(seq_margin));
+  EXPECT_NEAR(scalar.sum_areas(set.columns(), set.size()), seq_area,
+              1e-12 * std::abs(seq_area));
+  EXPECT_NEAR(scalar.sum_margins(set.columns(), set.size()), seq_margin,
+              1e-12 * std::abs(seq_margin));
   double seq_overlap = 0.0;
   for (size_t i = 0; i < set.size(); ++i) {
     for (size_t j = i + 1; j < set.size(); ++j) {
       seq_overlap += IntersectionArea(set.At(i), set.At(j));
     }
   }
-  EXPECT_NEAR(scalar.pairwise_overlap_sum(set.xmin.data(), set.ymin.data(),
-                                          set.xmax.data(), set.ymax.data(),
-                                          set.size()),
+  EXPECT_NEAR(scalar.pairwise_overlap_sum(set.columns(), set.size()),
               seq_overlap, 1e-12 * std::abs(seq_overlap));
 }
 
@@ -259,61 +242,62 @@ TEST(KernelsTest, SoaBufferGrowsAndKeepsSegmentsDisjoint) {
   EXPECT_GE(buf.capacity(), 10 * cap);
 }
 
-// --- NodeView batch path --------------------------------------------------
+// --- NodeView in-place scans ----------------------------------------------
 
-TEST(KernelsNodeViewTest, GatherCoordsMatchesEntriesAndScanMatchesScalar) {
+TEST(KernelsNodeViewTest, InPlaceScanMatchesEntriesUnderEveryTier) {
+  // A full 4 KiB node of adversarial rects: n = 84 leaves the AVX2 scan a
+  // 4-entry tail after ten 8-entry blocks, and the hit walk a 4-byte tail.
   std::vector<std::byte> page(storage::kDefaultPageSize);
   rtree::NodeView node(page);
   node.Init(/*level=*/0);
   Rng rng(5);
-  const Rect space(0, 0, 1, 1);
   const uint32_t n = rtree::NodeView::Capacity(page.size());
+  ASSERT_EQ(n, 84u);
+  const RectSet set = AdversarialSet(rng, n);
+  std::vector<Rect> rects;
   for (uint32_t i = 0; i < n; ++i) {
     rtree::Entry e;
     e.id = i + 1;
-    e.rect = test::RandomRect(rng, space, 0.1);
+    e.rect = set.At(i);
     node.Append(e);
+    rects.push_back(e.rect);
   }
-  node.RefreshAggregates();
+  std::vector<Rect> queries{Rect::Centered({0.4, 0.6}, 0.3, 0.3)};
+  for (int q = 0; q < 16; ++q) queries.push_back(AdversarialRect(rng));
 
-  SoaBuffer coords;
-  ASSERT_EQ(node.GatherCoords(&coords), n);
-  for (uint32_t i = 0; i < n; ++i) {
-    const Rect r = node.GetEntry(static_cast<uint16_t>(i)).rect;
-    EXPECT_EQ(coords.xmin()[i], r.xmin);
-    EXPECT_EQ(coords.ymin()[i], r.ymin);
-    EXPECT_EQ(coords.xmax()[i], r.xmax);
-    EXPECT_EQ(coords.ymax()[i], r.ymax);
-  }
+  const Level original = ActiveLevel();
+  for (const Level level : AvailableLevels()) {
+    ForceLevel(level);
+    for (const Rect& query : queries) {
+      std::vector<uint8_t> mask;
+      const size_t hits = node.ScanEntries(query, &mask);
+      ASSERT_EQ(mask.size(), n);
+      std::vector<uint16_t> expected;
+      for (uint16_t i = 0; i < n; ++i) {
+        const bool hit = query.Intersects(rects[i]);
+        EXPECT_EQ(mask[i], hit ? 1 : 0) << LevelName(level) << " " << i;
+        if (hit) expected.push_back(i);
+      }
+      EXPECT_EQ(hits, expected.size()) << LevelName(level);
+      std::vector<uint16_t> walked;
+      rtree::ForEachHit(mask, [&](uint16_t i) { walked.push_back(i); });
+      EXPECT_EQ(walked, expected) << "hit walk at " << LevelName(level);
+    }
 
-  std::vector<uint8_t> mask;
-  const Rect window = Rect::Centered({0.4, 0.6}, 0.3, 0.3);
-  const size_t hits = node.ScanEntries(window, &coords, &mask);
-  ASSERT_EQ(mask.size(), n);
-  size_t expected_hits = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    const bool hit =
-        window.Intersects(node.GetEntry(static_cast<uint16_t>(i)).rect);
-    EXPECT_EQ(mask[i], hit ? 1 : 0) << i;
-    expected_hits += hit;
+    // Header aggregates refreshed from the page columns equal the Rect-span
+    // recompute exactly (both route through the same kernels).
+    node.RefreshAggregates();
+    const EntryAggregates agg = ComputeEntryAggregates(rects);
+    const storage::PageMeta meta = node.header().ToMeta();
+    EXPECT_EQ(meta.mbr, agg.mbr);
+    ExpectBitEqual(agg.sum_entry_area, meta.sum_entry_area, "header EA",
+                   level, n);
+    ExpectBitEqual(agg.sum_entry_margin, meta.sum_entry_margin, "header EM",
+                   level, n);
+    ExpectBitEqual(agg.entry_overlap, meta.entry_overlap, "header EO", level,
+                   n);
   }
-  EXPECT_EQ(hits, expected_hits);
-
-  // Header aggregates written by RefreshAggregates equal the span-based
-  // recompute exactly (both route through the same kernels).
-  std::vector<Rect> rects;
-  for (uint32_t i = 0; i < n; ++i) {
-    rects.push_back(node.GetEntry(static_cast<uint16_t>(i)).rect);
-  }
-  const EntryAggregates agg = ComputeEntryAggregates(rects);
-  const storage::PageMeta meta = node.header().ToMeta();
-  EXPECT_EQ(meta.mbr, agg.mbr);
-  ExpectBitEqual(agg.sum_entry_area, meta.sum_entry_area, "header EA",
-                 ActiveLevel(), n);
-  ExpectBitEqual(agg.sum_entry_margin, meta.sum_entry_margin, "header EM",
-                 ActiveLevel(), n);
-  ExpectBitEqual(agg.entry_overlap, meta.entry_overlap, "header EO",
-                 ActiveLevel(), n);
+  ForceLevel(original);
 }
 
 // --- end-to-end determinism: whole-tree queries per dispatch tier ---------

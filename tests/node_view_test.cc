@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "rtree/node_view.h"
@@ -17,10 +18,81 @@ class NodeViewTest : public ::testing::Test {
   std::vector<std::byte> page_;
 };
 
+/// The value of type T stored at byte `offset` of `page`.
+template <typename T>
+T ReadAt(const std::vector<std::byte>& page, size_t offset) {
+  T value;
+  std::memcpy(&value, page.data() + offset, sizeof(T));
+  return value;
+}
+
+/// `n` entries whose fields all differ from entry to entry; ids use more
+/// than 32 bits.
+std::vector<Entry> DistinctEntries(size_t n) {
+  std::vector<Entry> entries(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i);
+    entries[i].rect = geom::Rect(x + 0.25, x + 0.5, x + 1.75, x + 2.0);
+    entries[i].id = (uint64_t{1} << 36) + i;
+    entries[i].ref = ObjectRef{static_cast<storage::PageId>(7000 + i),
+                               static_cast<uint16_t>(300 + i)};
+  }
+  return entries;
+}
+
 TEST_F(NodeViewTest, CapacityLeavesRoomForHeader) {
   const uint32_t capacity = NodeView::Capacity(storage::kDefaultPageSize);
   EXPECT_EQ(capacity, (4096u - 64u) / 48u);
   EXPECT_GE(capacity, 51u) << "the paper's directory fanout must fit";
+}
+
+TEST_F(NodeViewTest, ColumnLayoutAt4KiB) {
+  // The page layout is an on-disk format, so pin it: after the 64-byte
+  // header, each field has a column of Capacity entries, starting at
+  // 64 + {0, 8, 16, 24, 32, 40, 44} * 84.
+  ASSERT_EQ(NodeView::Capacity(storage::kDefaultPageSize), 84u);
+  NodeView node = View();
+  node.Init(0);
+  const std::vector<Entry> entries = DistinctEntries(84);
+  node.WriteEntries(entries);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const Entry& e = entries[i];
+    EXPECT_EQ(ReadAt<double>(page_, 64 + 8 * i), e.rect.xmin) << i;
+    EXPECT_EQ(ReadAt<double>(page_, 736 + 8 * i), e.rect.ymin) << i;
+    EXPECT_EQ(ReadAt<double>(page_, 1408 + 8 * i), e.rect.xmax) << i;
+    EXPECT_EQ(ReadAt<double>(page_, 2080 + 8 * i), e.rect.ymax) << i;
+    EXPECT_EQ(ReadAt<uint64_t>(page_, 2752 + 8 * i), e.id) << i;
+    EXPECT_EQ(ReadAt<uint32_t>(page_, 3424 + 4 * i), e.ref.page) << i;
+    EXPECT_EQ(ReadAt<uint16_t>(page_, 3760 + 2 * i), e.ref.slot) << i;
+  }
+}
+
+TEST(NodeViewLayoutTest, FullCapacityRoundTrip) {
+  // 512 B holds 9 entries: a capacity that is no multiple of 8, so column
+  // offsets must come from the page size, not from a fixed fanout.
+  ASSERT_EQ(NodeView::Capacity(512), 9u);
+  for (const size_t page_size : {storage::kDefaultPageSize, size_t{512}}) {
+    const uint32_t capacity = NodeView::Capacity(page_size);
+    const std::vector<Entry> entries = DistinctEntries(capacity);
+    std::vector<std::byte> page(page_size, std::byte{0xEE});
+    NodeView node(page);
+    node.Init(1);
+    node.WriteEntries(entries);
+    EXPECT_EQ(node.LoadEntries(), entries) << page_size;
+    for (uint16_t i = 0; i < capacity; ++i) {
+      EXPECT_EQ(node.GetEntry(i), entries[i]) << page_size << " " << i;
+      EXPECT_EQ(node.child(i), node.GetEntry(i).child())
+          << page_size << " " << i;
+    }
+
+    // Entry-at-a-time appends write the same page as the column passes.
+    std::vector<std::byte> appended(page_size, std::byte{0xEE});
+    NodeView append_node(appended);
+    append_node.Init(1);
+    for (const Entry& e : entries) append_node.Append(e);
+    append_node.RefreshAggregates();
+    EXPECT_EQ(appended, page) << page_size;
+  }
 }
 
 TEST_F(NodeViewTest, InitLeafClearsPage) {

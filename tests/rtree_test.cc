@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <vector>
@@ -208,6 +209,27 @@ TEST_F(RTreeTest, PersistAndReopenWithFreshBuffer) {
     EXPECT_EQ(Ids(reopened.WindowQuery(window, AccessContext{9})),
               BruteForceWindow(all_, window));
   }
+}
+
+TEST_F(RTreeTest, ReopenRefusesAnotherNodeLayout) {
+  InsertRandom(50, 7);
+  tree_.PersistMeta();
+  buffer_.FlushAll();
+  ASSERT_TRUE(RTree::HasCurrentLayout(disk_, tree_.meta_page()));
+  EXPECT_FALSE(RTree::HasCurrentLayout(disk_, tree_.root()));
+
+  // A row-layout tree wrote 0 in the meta record's last u32 (header + 44).
+  const std::span<const std::byte> meta = disk_.PeekPage(tree_.meta_page());
+  std::vector<std::byte> row_meta(meta.begin(), meta.end());
+  const uint32_t row_layout = 0;
+  std::memcpy(row_meta.data() + storage::PageHeaderView::kHeaderSize + 44,
+              &row_layout, sizeof(row_layout));
+  ASSERT_TRUE(disk_.Write(tree_.meta_page(), row_meta).ok());
+  EXPECT_FALSE(RTree::HasCurrentLayout(disk_, tree_.meta_page()));
+
+  BufferManager fresh(&disk_, 64, std::make_unique<core::LruPolicy>());
+  EXPECT_DEATH(RTree::Open(&disk_, &fresh, tree_.meta_page()),
+               "another node layout");
 }
 
 TEST_F(RTreeTest, NearestNeighborsMatchBruteForce) {
