@@ -49,6 +49,13 @@ Modes:
       plain arrays (a per-visit copy of the entries shows as about 5x).
       With repetitions, each row's median counts.
 
+  checksum micro_policy_overhead.json [--max-ratio 6]
+      Reads google-benchmark JSON from micro_policy_overhead and fails when
+      BM_PageChecksum, the CRC-32C verify of a hot 4 KiB page, costs more
+      than --max-ratio times BM_PageCopy, a copy of that page (one crc32q
+      chain measured about 10x, three interleaved chains about 4x). With
+      repetitions, each row's median counts.
+
   compare A.json B.json [--field hit_rate] [--tol 0]
       Joins two BENCH_sweep.json runs on the row key
       (bench, database, fraction, query_set, policy, baseline,
@@ -141,17 +148,21 @@ def check_evict_scaling(args):
 
 NODE_SCAN = "BM_NodeScanKernels"
 NODE_SCAN_BARE = "BM_NodeScanBareKernel"
+PAGE_CHECKSUM = "BM_PageChecksum"
+PAGE_COPY = "BM_PageCopy"
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def check_node_scan(args):
+def gbench_medians(path, names):
+    """Median real time in ns of each named google-benchmark row, or an
+    exit status (2) when the file is unreadable or a row is missing."""
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             report = json.load(handle)
     except (OSError, json.JSONDecodeError) as err:
-        print(f"cannot read {args.file}: {err}", file=sys.stderr)
+        print(f"cannot read {path}: {err}", file=sys.stderr)
         return 2
-    times = {NODE_SCAN: [], NODE_SCAN_BARE: []}
+    times = {name: [] for name in names}
     for row in report.get("benchmarks", []):
         name = row.get("run_name", row.get("name"))
         if name in times and row.get("run_type") != "aggregate":
@@ -159,23 +170,43 @@ def check_node_scan(args):
             times[name].append(row["real_time"] * unit)
     missing = [name for name, values in times.items() if not values]
     if missing:
-        print(f"{args.file}: no rows for {', '.join(missing)}",
-              file=sys.stderr)
+        print(f"{path}: no rows for {', '.join(missing)}", file=sys.stderr)
         return 2
-    scan = statistics.median(times[NODE_SCAN])
-    bare = statistics.median(times[NODE_SCAN_BARE])
-    if bare <= 0:
-        print(f"{NODE_SCAN_BARE}: time {bare} ns is not positive",
-              file=sys.stderr)
-        return 2
-    ratio = scan / bare
-    label = (f"node scan {scan:.1f} ns in place vs {bare:.1f} ns bare "
-             f"kernel: ratio {ratio:.2f}")
+    medians = {name: statistics.median(values)
+               for name, values in times.items()}
+    for name, value in medians.items():
+        if value <= 0:
+            print(f"{name}: time {value} ns is not positive", file=sys.stderr)
+            return 2
+    return medians
+
+
+def check_gbench_ratio(args, numerator, denominator, describe):
+    medians = gbench_medians(args.file, (numerator, denominator))
+    if not isinstance(medians, dict):
+        return medians
+    ratio = medians[numerator] / medians[denominator]
+    label = (f"{describe(medians[numerator], medians[denominator])}: "
+             f"ratio {ratio:.2f}")
     if ratio > args.max_ratio:
         print(f"FAIL {label} > {args.max_ratio:g}", file=sys.stderr)
         return 1
     print(f"ok   {label} <= {args.max_ratio:g}")
     return 0
+
+
+def check_node_scan(args):
+    return check_gbench_ratio(
+        args, NODE_SCAN, NODE_SCAN_BARE,
+        lambda scan, bare: f"node scan {scan:.1f} ns in place vs "
+                           f"{bare:.1f} ns bare kernel")
+
+
+def check_checksum(args):
+    return check_gbench_ratio(
+        args, PAGE_CHECKSUM, PAGE_COPY,
+        lambda crc, copy: f"page checksum {crc:.1f} ns vs page copy "
+                          f"{copy:.1f} ns")
 
 
 ROW_KEY = ("bench", "database", "fraction", "query_set", "policy",
@@ -419,6 +450,12 @@ def main():
     node_scan.add_argument("file")
     node_scan.add_argument("--max-ratio", type=float, default=2.0)
 
+    checksum = sub.add_parser("checksum",
+                              help="guard the page checksum against a "
+                                   "page copy")
+    checksum.add_argument("file")
+    checksum.add_argument("--max-ratio", type=float, default=6.0)
+
     cmp_parser = sub.add_parser("compare",
                                 help="diff a field between two bench runs")
     cmp_parser.add_argument("file_a")
@@ -453,6 +490,8 @@ def main():
         sys.exit(check_evict_scaling(args))
     if args.mode == "node-scan":
         sys.exit(check_node_scan(args))
+    if args.mode == "checksum":
+        sys.exit(check_checksum(args))
     if args.mode == "wal":
         sys.exit(check_wal(args))
     if args.mode == "writeback":

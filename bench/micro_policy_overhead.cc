@@ -13,11 +13,17 @@
 // service, a writable one (shard mutex) against a read-only one
 // (optimistic protocol) over the same pages — the service picks its latch
 // protocol from writability.
+//
+// BM_PageChecksum and BM_PageCopy time the two halves of a miss on the
+// in-memory device: verifying a hot 4 KiB page's CRC-32C and copying the
+// page into a frame. CI gates their ratio (check_bench_regression.py
+// checksum).
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +37,7 @@
 #include "obs/export.h"
 #include "rtree/node_view.h"
 #include "sim/report.h"
+#include "storage/crc32c.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injection.h"
 #include "svc/buffer_service.h"
@@ -79,6 +86,40 @@ void RunAccessLoop(benchmark::State& state, const std::string& policy,
   }
   state.counters["hit_rate"] = buffer.stats().HitRate();
 }
+
+std::vector<std::byte> RandomPage(uint64_t seed) {
+  std::vector<std::byte> page(storage::kDefaultPageSize);
+  Rng rng(seed);
+  for (std::byte& b : page) b = static_cast<std::byte>(rng.NextBelow(256));
+  return page;
+}
+
+void BM_PageChecksum(benchmark::State& state) {
+  std::vector<std::byte> page = RandomPage(11);
+  for (auto _ : state) {
+    const uint32_t crc = storage::crc32c::Checksum(page);
+    // Feeding the result into the next page image chains the iterations,
+    // so this times one verify's latency, as a miss pays it.
+    page[0] = static_cast<std::byte>(crc);
+  }
+  benchmark::DoNotOptimize(page.data());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_PageChecksum);
+
+void BM_PageCopy(benchmark::State& state) {
+  const std::vector<std::byte> page = RandomPage(11);
+  std::vector<std::byte> frame(page.size());
+  for (auto _ : state) {
+    std::memcpy(frame.data(), page.data(), page.size());
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(frame.data());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_PageCopy);
 
 void RegisterAll() {
   for (const char* policy :

@@ -94,7 +94,8 @@ BufferManager::BufferManager(storage::PageDevice* disk, size_t frames,
     : disk_(disk),
       policy_(std::move(policy)),
       page_size_(disk->page_size()),
-      resilience_(resilience) {
+      resilience_(resilience),
+      page_table_(frames) {
   SDB_CHECK(disk_ != nullptr);
   SDB_CHECK(policy_ != nullptr);
   SDB_CHECK_MSG(frames > 0, "buffer needs at least one frame");
@@ -135,9 +136,9 @@ StatusOr<PageHandle> BufferManager::FetchDrained(storage::PageId page,
     }
   }
   ++stats_.requests;
-  if (auto it = page_table_.find(page); it != page_table_.end()) {
+  if (const FrameId f = page_table_.Lookup(page);
+      f != PageTable::kInvalidFrame) {
     ++stats_.hits;
-    const FrameId f = it->second;
     if (PinIncrement(f) == 0) {
       policy_->SetEvictable(f, false);
     }
@@ -189,7 +190,7 @@ StatusOr<PageHandle> BufferManager::New(const AccessContext& ctx) {
 StatusOr<PageHandle> BufferManager::NewAt(storage::PageId page,
                                           const AccessContext& ctx) {
   SDB_DCHECK(!concurrent_);
-  SDB_CHECK_MSG(!page_table_.contains(page), "NewAt of a resident page");
+  SDB_CHECK_MSG(!page_table_.Contains(page), "NewAt of a resident page");
   ++stats_.requests;
   ++stats_.misses;
   StatusOr<FrameId> acquired = AcquireFrame(ctx, page);
@@ -211,27 +212,24 @@ void BufferManager::InstallLoadedPage(FrameId f, storage::PageId page,
   frame.page_lsn = 0;
   frame.rec_lsn =
       (dirty && wal_ != nullptr) ? wal_->next_lsn() + 1 : 0;
-  if (concurrent_) {
-    sync_[f].page.store(page, std::memory_order_release);
-    concurrent_table_->Insert(page, f);
-  }
+  if (concurrent_) sync_[f].page.store(page, std::memory_order_release);
+  page_table_.Insert(page, f);
   // fetch_add, not a store: a doomed optimistic pin (one that will fail its
   // validation and undo itself) may be in flight on this frame, and a plain
   // store would erase its +1 before the matching -1 lands.
   PinIncrement(f);
-  page_table_.emplace(page, f);
   FillMeta(f);
   policy_->OnPageLoaded(f, page, ctx);
 }
 
 bool BufferManager::Contains(storage::PageId page) const {
-  return page_table_.contains(page);
+  return page_table_.Contains(page);
 }
 
 std::span<const std::byte> BufferManager::Peek(storage::PageId page) const {
-  const auto it = page_table_.find(page);
-  if (it == page_table_.end()) return {};
-  return {FrameData(it->second), page_size_};
+  const FrameId f = page_table_.Lookup(page);
+  if (f == PageTable::kInvalidFrame) return {};
+  return {FrameData(f), page_size_};
 }
 
 void BufferManager::FlushAll() {
@@ -293,8 +291,8 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
   if (!free_frames_.empty()) {
     const FrameId f = free_frames_.back();
     free_frames_.pop_back();
-    // A free frame is invisible to optimistic readers (never in the
-    // concurrent table), but locking it anyway gives the caller one uniform
+    // A free frame is invisible to optimistic readers (never in the page
+    // table), but locking it anyway gives the caller one uniform
     // unlock-publishes-the-bytes protocol.
     if (concurrent_) sync_[f].Lock();
     return f;
@@ -409,9 +407,8 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
       event.page = frame.page;
       obs_->events().Push(event);
     }
-    page_table_.erase(frame.page);
+    page_table_.Erase(frame.page);
     if (concurrent_) {
-      concurrent_table_->Erase(frame.page);
       sync_[f].page.store(storage::kInvalidPageId, std::memory_order_release);
     }
     policy_->OnPageEvicted(f, frame.page);
@@ -548,7 +545,7 @@ void BufferManager::QuarantineWriteFailure(FrameId f) {
     write_quarantined_rec_lsn_floor_ = frame.rec_lsn;
   }
   bad_pages_.emplace(page, StatusCode::kPermanentFailure);
-  page_table_.erase(page);
+  page_table_.Erase(page);
   policy_->OnPageEvicted(f, page);
   SDB_DCHECK(dirty_frames_ > 0);
   --dirty_frames_;
@@ -755,9 +752,8 @@ Status BufferManager::ForceDirty(const AccessContext& ctx) {
 
 EvictStatus BufferManager::Evict(storage::PageId page) {
   SDB_DCHECK(!concurrent_);
-  const auto it = page_table_.find(page);
-  if (it == page_table_.end()) return EvictStatus::kNotResident;
-  const FrameId f = it->second;
+  const FrameId f = page_table_.Lookup(page);
+  if (f == PageTable::kInvalidFrame) return EvictStatus::kNotResident;
   Frame& frame = frames_[f];
   if (frame.quarantined) return EvictStatus::kQuarantined;
   if (frame.pin_count != 0) return EvictStatus::kPinned;
@@ -765,7 +761,7 @@ EvictStatus BufferManager::Evict(storage::PageId page) {
     return EvictStatus::kWriteBackFailed;
   }
   ++stats_.evictions;
-  page_table_.erase(frame.page);
+  page_table_.Erase(frame.page);
   policy_->OnPageEvicted(f, frame.page);
   frame.page = storage::kInvalidPageId;
   free_frames_.push_back(f);
@@ -905,11 +901,10 @@ StatusOr<size_t> BufferManager::FlushFrames(
 
 void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
   SDB_CHECK_MSG(!concurrent_, "EnableConcurrency is one-shot");
-  SDB_CHECK_MSG(page_table_.empty() && stats_.requests == 0,
+  SDB_CHECK_MSG(page_table_.size() == 0 && stats_.requests == 0,
                 "enable concurrency before traffic");
   SDB_CHECK_MSG(wal_ == nullptr && !writeback_.enabled, kReadOnlyShard);
   sync_ = std::make_unique<FrameSync[]>(frames_.size());
-  concurrent_table_ = std::make_unique<ConcurrentPageTable>(frames_.size());
   deferred_ = std::make_unique<AccessEventRing>(
       std::max<size_t>(options.event_ring_capacity, 8));
   storage::AsyncDeviceOptions async = options.async;
@@ -926,10 +921,10 @@ std::optional<PageHandle> BufferManager::TryOptimisticFetch(
     if (attempt > 0) {
       optimistic_retries_.fetch_add(1, std::memory_order_relaxed);
     }
-    const uint64_t table_version = concurrent_table_->version();
-    const uint32_t f = concurrent_table_->Lookup(page);
-    if (f == ConcurrentPageTable::kInvalidFrame) {
-      if (concurrent_table_->version() != table_version) {
+    const uint64_t table_version = page_table_.version();
+    const uint32_t f = page_table_.Lookup(page);
+    if (f == PageTable::kInvalidFrame) {
+      if (page_table_.version() != table_version) {
         // The probe raced a mutation; "not found" can't be trusted.
         version_conflicts_.fetch_add(1, std::memory_order_relaxed);
         continue;
@@ -1029,7 +1024,7 @@ void BufferManager::FetchBatchLocked(
     while (end < pages.size()) {
       const storage::PageId page = pages[end];
       const bool predicted_miss = !bad_pages_.contains(page) &&
-                                  !page_table_.contains(page) &&
+                                  !page_table_.Contains(page) &&
                                   !staged.slot.contains(page);
       if (predicted_miss && staged_pages.size() == depth) break;
       if (predicted_miss) {

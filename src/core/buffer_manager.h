@@ -12,6 +12,7 @@
 
 #include "core/access_context.h"
 #include "core/frame_sync.h"
+#include "core/page_table.h"
 #include "core/replacement_policy.h"
 #include "core/status.h"
 #include "obs/collector.h"
@@ -342,20 +343,20 @@ class BufferManager : public FrameMetaSource, public PageSource {
 
   /// Switches this buffer into concurrent mode (call once, before traffic,
   /// with the external latch already attached): allocates the per-frame
-  /// version stamps, the lock-free page table mirror, the deferred-event
-  /// ring and the async read pipeline. From then on TryOptimisticFetch may
-  /// serve hits without the latch, and exclusive sections (Fetch/Unpin/
-  /// stats under the latch) drain the ring first. A concurrent buffer is a
-  /// read-only service shard: a WAL or background write-back attached
-  /// before or after aborts, and New, NewAt and Evict are not for it.
+  /// version stamps, the deferred-event ring and the async read pipeline.
+  /// From then on TryOptimisticFetch may serve hits without the latch, and
+  /// exclusive sections (Fetch/Unpin/stats under the latch) drain the ring
+  /// first. A concurrent buffer is a read-only service shard: a WAL or
+  /// background write-back attached before or after aborts, and New, NewAt
+  /// and Evict are not for it.
   void EnableConcurrency(const ConcurrentOptions& options);
   bool concurrent() const { return concurrent_; }
 
-  /// Latch-free hit path: probes the concurrent page table, pins through
-  /// the frame's version stamp, and defers the policy/stats bookkeeping
-  /// into the event ring. Returns nullopt — after bounded retries — on a
-  /// miss, a version conflict, or a full ring; the caller then takes the
-  /// latch and calls Fetch. Only valid in concurrent mode.
+  /// Latch-free hit path: probes the page table, pins through the frame's
+  /// version stamp, and defers the policy/stats bookkeeping into the event
+  /// ring. Returns nullopt — after bounded retries — on a miss, a version
+  /// conflict, or a full ring; the caller then takes the latch and calls
+  /// Fetch. Only valid in concurrent mode.
   std::optional<PageHandle> TryOptimisticFetch(storage::PageId page,
                                                const AccessContext& ctx);
 
@@ -648,7 +649,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
     return frames_[f].pin_count--;
   }
   /// Installs `page` into frame `f` after its bytes are in place: page
-  /// table(s), frame fields, pin count 1, meta fill, policy load callback.
+  /// table, frame fields, pin count 1, meta fill, policy load callback.
   /// In concurrent mode the caller holds the frame's version latch and this
   /// publishes page/pins before the caller unlocks.
   void InstallLoadedPage(FrameId f, storage::PageId page,
@@ -705,7 +706,9 @@ class BufferManager : public FrameMetaSource, public PageSource {
   std::unique_ptr<std::byte[]> frame_data_;
   std::vector<Frame> frames_;
   std::vector<FrameId> free_frames_;
-  std::unordered_map<storage::PageId, FrameId> page_table_;
+  // Resident page -> frame, in every mode; optimistic readers probe it
+  // without the latch.
+  PageTable page_table_;
   BufferStats stats_;
   // Background write-back state: knobs plus the O(1) dirty census the
   // watermark checks read on every eviction.
@@ -727,9 +730,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   bool concurrent_ = false;
   // One sync word per frame; sized with frames_ at EnableConcurrency.
   std::unique_ptr<FrameSync[]> sync_;
-  // Lock-free-readable mirror of page_table_, maintained by every exclusive
-  // mutation. page_table_ stays authoritative inside exclusive sections.
-  std::unique_ptr<ConcurrentPageTable> concurrent_table_;
   std::unique_ptr<AccessEventRing> deferred_;
   std::atomic<uint64_t> optimistic_hits_{0};
   std::atomic<uint64_t> optimistic_retries_{0};

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/macros.h"
 #include "storage/page.h"
@@ -52,131 +51,6 @@ struct alignas(64) FrameSync {
     SDB_DCHECK((v & 1) != 0);
     version.store(v + 1, std::memory_order_release);
   }
-};
-
-/// Lock-free-readable page-id -> frame mapping: open addressing over packed
-/// 64-bit atomic slots, `(page + 1) << 32 | frame` (page ids are 32-bit, so
-/// the packed key 0 doubles as "empty"). Readers probe without any lock;
-/// writers (shard latch held) insert, erase (tombstone) and rebuild, bumping
-/// `version` on every mutation so a reader can tell its probe raced a
-/// writer and fall back to the latched path. A stale positive is harmless
-/// either way — the frame's own version stamp is re-validated before the
-/// pin counts — so the table only has to be atomically *word*-consistent,
-/// never globally consistent.
-class ConcurrentPageTable {
- public:
-  explicit ConcurrentPageTable(size_t frames) {
-    size_t capacity = 16;
-    while (capacity < frames * 2) capacity <<= 1;
-    slots_ = std::make_unique<std::atomic<uint64_t>[]>(capacity);
-    for (size_t i = 0; i < capacity; ++i) {
-      slots_[i].store(kEmpty, std::memory_order_relaxed);
-    }
-    mask_ = capacity - 1;
-  }
-
-  /// Lock-free probe. Returns the mapped frame or kInvalidFrame.
-  uint32_t Lookup(storage::PageId page) const {
-    const uint64_t key = Key(page);
-    for (size_t i = Home(page);; i = (i + 1) & mask_) {
-      const uint64_t slot = slots_[i].load(std::memory_order_acquire);
-      if (slot == kEmpty) return kInvalidFrame;
-      if ((slot >> 32) == (key >> 32)) {
-        return static_cast<uint32_t>(slot & 0xffffffffu);
-      }
-      // Occupied by another page or a tombstone: keep probing.
-    }
-  }
-
-  /// Writer-side insert (shard latch held). The page must not be present.
-  void Insert(storage::PageId page, uint32_t frame) {
-    BumpVersion();
-    for (size_t i = Home(page);; i = (i + 1) & mask_) {
-      const uint64_t slot = slots_[i].load(std::memory_order_relaxed);
-      if (slot == kEmpty || slot == kTombstone) {
-        if (slot == kTombstone) --tombstones_;
-        slots_[i].store(Key(page) | frame, std::memory_order_release);
-        ++size_;
-        SDB_DCHECK(size_ + tombstones_ <= mask_);  // never fills: cap >= 2x
-        return;
-      }
-      SDB_DCHECK((slot >> 32) != (Key(page) >> 32));
-    }
-  }
-
-  /// Writer-side erase (shard latch held); no-op if absent. Compacts the
-  /// table once tombstones pile up, so probe chains stay short on churny
-  /// (eviction-heavy) shards.
-  void Erase(storage::PageId page) {
-    BumpVersion();
-    const uint64_t key = Key(page);
-    for (size_t i = Home(page);; i = (i + 1) & mask_) {
-      const uint64_t slot = slots_[i].load(std::memory_order_relaxed);
-      if (slot == kEmpty) return;
-      if ((slot >> 32) == (key >> 32)) {
-        slots_[i].store(kTombstone, std::memory_order_release);
-        --size_;
-        ++tombstones_;
-        if (tombstones_ > (mask_ + 1) / 4) Rebuild();
-        return;
-      }
-    }
-  }
-
-  /// Mutation counter, bumped at the start of every writer mutation.
-  /// Readers sample it before and after a probe: a change means the probe
-  /// raced a writer and its negative result cannot be trusted.
-  uint64_t version() const { return version_.load(std::memory_order_acquire); }
-
-  size_t size() const { return size_; }
-
-  static constexpr uint32_t kInvalidFrame = 0xffffffffu;
-
- private:
-  static constexpr uint64_t kEmpty = 0;
-  // An impossible key (page kInvalidPageId is never inserted) with frame
-  // field 0: marks a vacated slot that probes must walk through.
-  static constexpr uint64_t kTombstone =
-      (static_cast<uint64_t>(storage::kInvalidPageId) + 1) << 32;
-
-  static uint64_t Key(storage::PageId page) {
-    return (static_cast<uint64_t>(page) + 1) << 32;
-  }
-
-  size_t Home(storage::PageId page) const {
-    uint64_t x = static_cast<uint64_t>(page) + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>(x ^ (x >> 31)) & mask_;
-  }
-
-  void BumpVersion() {
-    version_.fetch_add(1, std::memory_order_acq_rel);
-  }
-
-  void Rebuild() {
-    std::vector<uint64_t> live;
-    live.reserve(size_);
-    for (size_t i = 0; i <= mask_; ++i) {
-      const uint64_t slot = slots_[i].load(std::memory_order_relaxed);
-      if (slot != kEmpty && slot != kTombstone) live.push_back(slot);
-      slots_[i].store(kEmpty, std::memory_order_release);
-    }
-    tombstones_ = 0;
-    size_ = 0;
-    for (const uint64_t slot : live) {
-      const storage::PageId page =
-          static_cast<storage::PageId>((slot >> 32) - 1);
-      Insert(page, static_cast<uint32_t>(slot & 0xffffffffu));
-    }
-  }
-
-  std::unique_ptr<std::atomic<uint64_t>[]> slots_;
-  size_t mask_ = 0;
-  std::atomic<uint64_t> version_{0};
-  // Writer-only bookkeeping (shard latch held).
-  size_t size_ = 0;
-  size_t tombstones_ = 0;
 };
 
 /// One deferred policy/stats event from the latch-free path. Optimistic

@@ -1,22 +1,19 @@
 #include "storage/crc32c.h"
 
 #include <array>
-#include <cstdlib>
-#include <cstring>
-
-#include "common/macros.h"
 
 namespace sdb::storage::crc32c {
 
 namespace detail {
-// Defined in crc32c_sse42.cc (compiled with -msse4.2 when available).
-uint32_t ChecksumSse42(const std::byte* data, size_t size);
+// Defined in crc32c_sse42.cc (compiled with -msse4.2 -mpclmul when the
+// compiler takes both). Works on the raw, uninverted CRC register.
+uint32_t ExtendHardware(uint32_t state, const std::byte* data, size_t size);
 }  // namespace detail
 
 namespace {
 
 /// Reflected CRC-32C lookup table (polynomial 0x82F63B78), built at compile
-/// time so the scalar tier has no startup cost.
+/// time so the scalar path has no startup cost.
 constexpr std::array<uint32_t, 256> BuildTable() {
   std::array<uint32_t, 256> table{};
   for (uint32_t i = 0; i < 256; ++i) {
@@ -31,86 +28,39 @@ constexpr std::array<uint32_t, 256> BuildTable() {
 
 constexpr std::array<uint32_t, 256> kTable = BuildTable();
 
-bool CpuHasSse42() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("sse4.2");
-#else
-  return false;
-#endif
-}
-
-bool CompiledSse42() {
-#if defined(SDB_CRC32C_COMPILED_SSE42)
-  return true;
-#else
-  return false;
-#endif
-}
-
-Level DetectBest() {
-  if (CompiledSse42() && CpuHasSse42()) return Level::kSse42;
-  return Level::kScalar;
-}
-
-/// Startup tier: best available, unless SDB_CRC32C pins one.
-Level InitialLevel() {
-  const char* env = std::getenv("SDB_CRC32C");
-  if (env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "scalar") == 0) return Level::kScalar;
-    if (std::strcmp(env, "sse42") == 0) {
-      SDB_CHECK_MSG(LevelAvailable(Level::kSse42),
-                    "SDB_CRC32C=sse42 but SSE4.2 is unavailable");
-      return Level::kSse42;
-    }
-    SDB_CHECK_MSG(false, "SDB_CRC32C must be 'scalar' or 'sse42'");
+uint32_t ExtendTable(uint32_t state, std::span<const std::byte> data) {
+  for (std::byte b : data) {
+    state = kTable[(state ^ static_cast<uint32_t>(b)) & 0xFFu] ^ (state >> 8);
   }
-  return DetectBest();
+  return state;
 }
 
-Level g_level = InitialLevel();
+bool HardwareAvailable() {
+#if defined(SDB_CRC_HARDWARE) && (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("pclmul");
+#else
+  return false;
+#endif
+}
+
+// Probed once at startup. A checksum taken during another translation
+// unit's static initialization may still see false and use the table, which
+// gives the same value.
+const bool g_hardware = HardwareAvailable();
 
 }  // namespace
 
-std::string_view LevelName(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return "scalar";
-    case Level::kSse42:
-      return "sse42";
-  }
-  return "unknown";
+uint32_t Extend(uint32_t crc, std::span<const std::byte> data) {
+  const uint32_t state =
+      g_hardware ? detail::ExtendHardware(~crc, data.data(), data.size())
+                 : ExtendTable(~crc, data);
+  return ~state;
 }
 
-bool LevelAvailable(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return true;
-    case Level::kSse42:
-      return CompiledSse42() && CpuHasSse42();
-  }
-  return false;
-}
-
-Level ActiveLevel() { return g_level; }
-
-void ForceLevel(Level level) {
-  SDB_CHECK_MSG(LevelAvailable(level), "requested CRC32C tier unavailable");
-  g_level = level;
-}
+uint32_t Checksum(std::span<const std::byte> data) { return Extend(0, data); }
 
 uint32_t ChecksumScalar(std::span<const std::byte> data) {
-  uint32_t crc = 0xFFFFFFFFu;
-  for (std::byte b : data) {
-    crc = kTable[(crc ^ static_cast<uint32_t>(b)) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-uint32_t Checksum(std::span<const std::byte> data) {
-  if (g_level == Level::kSse42) {
-    return detail::ChecksumSse42(data.data(), data.size());
-  }
-  return ChecksumScalar(data);
+  return ~ExtendTable(0xFFFFFFFFu, data);
 }
 
 }  // namespace sdb::storage::crc32c

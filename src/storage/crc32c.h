@@ -4,35 +4,21 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
 
 namespace sdb::storage::crc32c {
 
-/// Implementation tiers, mirroring geom/kernels: runtime cpuid probe picks
-/// the best available one, SDB_CRC32C=scalar|sse42 overrides at startup, and
-/// ForceLevel supports A/B benchmarking. Every tier produces the identical
-/// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78) value.
-enum class Level : uint8_t {
-  kScalar = 0,
-  kSse42 = 1,
-};
-
-std::string_view LevelName(Level level);
-
-/// True if this build + CPU can execute the tier.
-bool LevelAvailable(Level level);
-
-Level ActiveLevel();
-
-/// Pins the dispatcher to one tier (must be available). Not thread-safe;
-/// call before spawning readers.
-void ForceLevel(Level level);
-
-/// CRC-32C of `data` via the active tier.
+/// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78) of `data`. A cpuid
+/// probe at startup picks the SSE4.2 + PCLMUL kernel when the CPU and build
+/// have both, else the table; the two agree on every input.
 uint32_t Checksum(std::span<const std::byte> data);
 
+/// Continues a checksum: Extend(Checksum(a), b) == Checksum(a‖b), and
+/// Extend(0, data) == Checksum(data). Lets a caller checksum bytes that are
+/// not contiguous without copying them together.
+uint32_t Extend(uint32_t crc, std::span<const std::byte> data);
+
 /// Reference implementation (table-driven); always available. The hardware
-/// tier must match it bit-for-bit on every input.
+/// kernel must match it bit-for-bit on every input.
 uint32_t ChecksumScalar(std::span<const std::byte> data);
 
 }  // namespace sdb::storage::crc32c

@@ -156,24 +156,17 @@ inline std::optional<ParsedRecord> ParseRecordAt(
   const size_t total = RecordHeader::kSize + record.header.length;
   if (offset + total > stream.size()) return std::nullopt;
 
-  // CRC covers the header with its crc field zeroed, plus the payload.
+  // CRC covers the header with its crc field zeroed, then the payload,
+  // which is checksummed in place.
   std::byte scratch[RecordHeader::kSize];
   std::memcpy(scratch, base, RecordHeader::kSize);
   detail::PutU32(scratch + 12, 0);
-  uint32_t crc = storage::crc32c::Checksum({scratch, RecordHeader::kSize});
-  if (record.header.length > 0) {
-    // Continue the CRC over the payload by checksumming the concatenation;
-    // crc32c::Checksum has no streaming entry point, so build it in one
-    // buffer only when the payload is present.
-    std::vector<std::byte> whole(total);
-    std::memcpy(whole.data(), scratch, RecordHeader::kSize);
-    std::memcpy(whole.data() + RecordHeader::kSize, base + RecordHeader::kSize,
-                record.header.length);
-    crc = storage::crc32c::Checksum(whole);
-  }
+  record.payload = {base + RecordHeader::kSize, record.header.length};
+  const uint32_t crc = storage::crc32c::Extend(
+      storage::crc32c::Checksum({scratch, RecordHeader::kSize}),
+      record.payload);
   if (crc != record.header.crc) return std::nullopt;
 
-  record.payload = {base + RecordHeader::kSize, record.header.length};
   record.end = offset + total;
   return record;
 }

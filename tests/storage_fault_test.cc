@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "core/buffer_manager.h"
 #include "core/policy_lru.h"
 #include "rtree/node_view.h"
@@ -45,25 +46,53 @@ TEST(Crc32cTest, KnownAnswer) {
 }
 
 TEST(Crc32cTest, ActiveLevelMatchesScalarOnAllLengths) {
-  // Cover every tail length the SSE4.2 path distinguishes (8-byte chunks
-  // plus 0..7 tail bytes), with non-trivial content.
-  std::vector<std::byte> data(129);
+  // Every tail length of the 8-byte chunks (0..129 bytes), then lengths
+  // around a page and around two pages — where the three-stream kernel runs
+  // one or two rounds of blocks before its tail — at every start alignment.
+  std::vector<std::byte> data(8192 + 8 + 7);
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::byte>((i * 131 + 17) & 0xFF);
   }
-  for (size_t len = 0; len <= data.size(); ++len) {
+  for (size_t len = 0; len <= 129; ++len) {
     const std::span<const std::byte> s{data.data(), len};
     ASSERT_EQ(crc32c::Checksum(s), crc32c::ChecksumScalar(s)) << len;
+  }
+  std::vector<size_t> lengths;
+  for (size_t len = 4000; len <= 4200; ++len) lengths.push_back(len);
+  for (size_t len = 8192 - 8; len <= 8192 + 8; ++len) lengths.push_back(len);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (const size_t len : lengths) {
+      const std::span<const std::byte> s{data.data() + offset, len};
+      ASSERT_EQ(crc32c::Checksum(s), crc32c::ChecksumScalar(s))
+          << "offset " << offset << " length " << len;
+    }
   }
 }
 
 TEST(Crc32cTest, SensitiveToEverySingleBit) {
-  std::vector<std::byte> data(64, std::byte{0});
+  std::vector<std::byte> data(kDefaultPageSize, std::byte{0});
   const uint32_t base = crc32c::Checksum({data.data(), data.size()});
   for (size_t bit = 0; bit < data.size() * 8; ++bit) {
     data[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
     ASSERT_NE(crc32c::Checksum({data.data(), data.size()}), base) << bit;
     data[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+  }
+}
+
+TEST(Crc32cTest, ExtendContinuesAChecksumAtAnySplit) {
+  std::vector<std::byte> data(2 * kDefaultPageSize + 40);
+  Rng rng(5);
+  for (std::byte& b : data) b = static_cast<std::byte>(rng.NextBelow(256));
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t len = rng.NextBelow(data.size() + 1);
+    const size_t split = rng.NextBelow(len + 1);
+    const std::span<const std::byte> whole{data.data(), len};
+    const uint32_t expected = crc32c::ChecksumScalar(whole);
+    EXPECT_EQ(crc32c::Extend(crc32c::Extend(0, whole.first(split)),
+                             whole.subspan(split)),
+              expected)
+        << "length " << len << " split " << split;
+    EXPECT_EQ(crc32c::Extend(0, whole), expected) << len;
   }
 }
 
