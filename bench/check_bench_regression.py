@@ -49,6 +49,15 @@ Modes:
       plain arrays (a per-visit copy of the entries shows as about 5x).
       With repetitions, each row's median counts.
 
+  choose-subtree micro_rtree.json [--max-ratio 0.5]
+      Reads google-benchmark JSON from micro_rtree and fails when
+      BM_Insert, one whole insert into a growing R*-tree, costs more than
+      --max-ratio times BM_ChooseSubtreeReference, the pre-kernel R*
+      ChooseSubtree loop on one full 51-entry level-1 node (that loop made
+      an insert cost about 0.94x the row; the overlap_enlargement kernel
+      and the in-place append 0.21-0.33x). With repetitions, each row's median
+      counts.
+
   checksum micro_policy_overhead.json [--max-ratio 6]
       Reads google-benchmark JSON from micro_policy_overhead and fails when
       BM_PageChecksum, the CRC-32C verify of a hot 4 KiB page, costs more
@@ -148,6 +157,8 @@ def check_evict_scaling(args):
 
 NODE_SCAN = "BM_NodeScanKernels"
 NODE_SCAN_BARE = "BM_NodeScanBareKernel"
+INSERT = "BM_Insert"
+CHOOSE_SUBTREE_REFERENCE = "BM_ChooseSubtreeReference"
 PAGE_CHECKSUM = "BM_PageChecksum"
 PAGE_COPY = "BM_PageCopy"
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -200,6 +211,13 @@ def check_node_scan(args):
         args, NODE_SCAN, NODE_SCAN_BARE,
         lambda scan, bare: f"node scan {scan:.1f} ns in place vs "
                            f"{bare:.1f} ns bare kernel")
+
+
+def check_choose_subtree(args):
+    return check_gbench_ratio(
+        args, INSERT, CHOOSE_SUBTREE_REFERENCE,
+        lambda insert, loop: f"insert {insert / 1e3:.1f} us vs reference "
+                             f"ChooseSubtree step {loop / 1e3:.1f} us")
 
 
 def check_checksum(args):
@@ -450,6 +468,12 @@ def main():
     node_scan.add_argument("file")
     node_scan.add_argument("--max-ratio", type=float, default=2.0)
 
+    choose = sub.add_parser("choose-subtree",
+                            help="guard an insert against the pre-kernel "
+                                 "ChooseSubtree loop")
+    choose.add_argument("file")
+    choose.add_argument("--max-ratio", type=float, default=0.5)
+
     checksum = sub.add_parser("checksum",
                               help="guard the page checksum against a "
                                    "page copy")
@@ -490,6 +514,8 @@ def main():
         sys.exit(check_evict_scaling(args))
     if args.mode == "node-scan":
         sys.exit(check_node_scan(args))
+    if args.mode == "choose-subtree":
+        sys.exit(check_choose_subtree(args))
     if args.mode == "checksum":
         sys.exit(check_checksum(args))
     if args.mode == "wal":

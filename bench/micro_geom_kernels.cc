@@ -1,7 +1,7 @@
 // Microbenchmark (google-benchmark): throughput of the batch geometry
 // kernels (geom/kernels) per dispatch tier — IntersectMask, SumAreas,
-// SumMargins and the O(n²) PairwiseOverlapSum — on SoA coordinate columns at
-// R*-tree node fanouts.
+// SumMargins and the O(n²) PairwiseOverlapSum and OverlapEnlargement — on
+// SoA coordinate columns at R*-tree node fanouts.
 //
 // Besides the google-benchmark timings, the binary runs a deterministic
 // scalar-vs-tier A/B table over the kernel × fanout grid, verifies the
@@ -108,6 +108,22 @@ void BM_Sum(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * n);
 }
 
+void BM_OverlapEnlargement(benchmark::State& state, Level level) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<CoordSet> sets = MakeSets(n, 8);
+  std::vector<double> out(n);
+  const Ops& ops = geom::kernels::OpsFor(level);
+  size_t idx = 0;
+  for (auto _ : state) {
+    const CoordSet& set = sets[idx];
+    idx = (idx + 1) % sets.size();
+    ops.overlap_enlargement(set.query, set.buf.columns(), n, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
 void RegisterAll() {
   for (const Level level : AvailableLevels()) {
     const std::string suffix(geom::kernels::LevelName(level));
@@ -140,6 +156,14 @@ void RegisterAll() {
         ->Arg(16)
         ->Arg(64)
         ->Arg(84);
+    benchmark::RegisterBenchmark(
+        ("overlap_enlargement/" + suffix).c_str(),
+        [level](benchmark::State& state) {
+          BM_OverlapEnlargement(state, level);
+        })
+        ->Arg(42)
+        ->Arg(51)
+        ->Arg(84);
   }
 }
 
@@ -160,10 +184,19 @@ Cell TimeKernel(const std::string& kernel, Level level,
                 const std::vector<CoordSet>& sets, size_t n,
                 std::vector<uint8_t>& mask) {
   const Ops& ops = geom::kernels::OpsFor(level);
+  std::vector<double> out(n);
   size_t idx = 0;
   const auto call = [&]() -> double {
     const CoordSet& set = sets[idx];
     idx = (idx + 1) % sets.size();
+    if (kernel == "overlap_enlargement") {
+      // The query rect is the one added; every out[i] is folded into the
+      // returned bits, so the checksum covers the whole output.
+      ops.overlap_enlargement(set.query, set.buf.columns(), n, out.data());
+      uint64_t fold = 0;
+      for (size_t i = 0; i < n; ++i) fold = FoldChecksum(fold, out[i]);
+      return std::bit_cast<double>(fold);
+    }
     if (kernel == "intersect_mask") {
       return static_cast<double>(
           ops.intersect_mask(set.query, set.buf.columns(), n, mask.data()));
@@ -215,7 +248,8 @@ Cell TimeKernel(const std::string& kernel, Level level,
 void RunKernelTable() {
   const std::vector<Level> levels = AvailableLevels();
   const std::vector<std::string> kernels = {
-      "intersect_mask", "sum_areas", "sum_margins", "pairwise_overlap_sum"};
+      "intersect_mask", "sum_areas", "sum_margins", "pairwise_overlap_sum",
+      "overlap_enlargement"};
   // 42 / 84: the data-page fanout of the paper's trees and the 4 KiB page
   // capacity; 256: a large directory sweep.
   const std::vector<size_t> fanouts = {16, 42, 64, 84, 256};

@@ -1,5 +1,6 @@
 // Microbenchmark (google-benchmark): R*-tree operation throughput on the
-// paged tree — insertion, point/window queries, STR bulk loading, and the
+// paged tree — insertion (and the pre-kernel ChooseSubtree step it is gated
+// against), point/window queries, STR bulk loading, and the
 // synchronized-traversal join — all through a large (all-resident) buffer,
 // i.e. measuring CPU cost rather than I/O.
 
@@ -16,6 +17,7 @@
 #include "rtree/bulk_load.h"
 #include "rtree/node_view.h"
 #include "rtree/rtree.h"
+#include "rtree/rtree_config.h"
 #include "rtree/spatial_join.h"
 #include "storage/page.h"
 
@@ -71,6 +73,63 @@ void BM_Insert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Insert);
+
+// The R* ChooseSubtree step on one full level-1 node (51 entries, the
+// paper's directory fanout) as ChoosePath ran it before the
+// overlap_enlargement kernel: decode the node with LoadEntries, then an
+// O(n²) loop of out-of-line geom::IntersectionArea calls, then the choice by
+// overlap, enlargement and area. One such step was most of an insert; CI
+// gates BM_Insert against this row (check_bench_regression.py
+// choose-subtree).
+void BM_ChooseSubtreeReference(benchmark::State& state) {
+  std::vector<std::byte> page(storage::kDefaultPageSize);
+  rtree::NodeView node(page);
+  node.Init(/*level=*/1);
+  Rng rng(43);
+  // Data-page MBRs of one region, overlapping their neighbours a little.
+  for (uint32_t i = 0; i < rtree::RTreeConfig{}.max_dir_entries; ++i) {
+    rtree::Entry e;
+    e.id = i + 1;
+    const double x = rng.NextDouble() * 0.2, y = rng.NextDouble() * 0.2;
+    e.rect = geom::Rect(x, y, x + 0.01 + rng.NextDouble() * 0.03,
+                        y + 0.01 + rng.NextDouble() * 0.03);
+    node.Append(e);
+  }
+  node.RefreshAggregates();
+  size_t chosen = 0;
+  for (auto _ : state) {
+    const double x = rng.NextDouble() * 0.2, y = rng.NextDouble() * 0.2;
+    const geom::Rect rect(x, y, x + 0.001, y + 0.001);
+    const std::vector<rtree::Entry> entries = node.LoadEntries();
+    size_t best = 0;
+    double best_overlap = 0.0, best_enlarge = 0.0, best_area = 0.0;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const geom::Rect united = geom::Union(entries[i].rect, rect);
+      double overlap_delta = 0.0;
+      for (size_t j = 0; j < entries.size(); ++j) {
+        if (j == i) continue;
+        overlap_delta +=
+            geom::IntersectionArea(united, entries[j].rect) -
+            geom::IntersectionArea(entries[i].rect, entries[j].rect);
+      }
+      const double enlarge = geom::AreaEnlargement(entries[i].rect, rect);
+      const double area = entries[i].rect.Area();
+      if (i == 0 || overlap_delta < best_overlap ||
+          (overlap_delta == best_overlap &&
+           (enlarge < best_enlarge ||
+            (enlarge == best_enlarge && area < best_area)))) {
+        best = i;
+        best_overlap = overlap_delta;
+        best_enlarge = enlarge;
+        best_area = area;
+      }
+    }
+    chosen += best;
+    benchmark::DoNotOptimize(chosen);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChooseSubtreeReference);
 
 void BM_PointQuery(benchmark::State& state) {
   TreeFixture fixture(static_cast<size_t>(state.range(0)));

@@ -18,9 +18,10 @@ namespace sdb::geom::kernels {
 ///
 /// Every tier produces BIT-IDENTICAL results: the scalar reference
 /// implementation is the single source of truth, and it is defined in the
-/// same canonical accumulation order the vector units use (8 strided
-/// partial sums s0..s7, combined as u_k = s_k + s_{k+4} then
-/// (u0+u2)+(u1+u3), sequential tail) — so query hit counts, page aggregates
+/// same canonical accumulation order the vector units use (for the sums, 8
+/// strided partial sums s0..s7, combined as u_k = s_k + s_{k+4} then
+/// (u0+u2)+(u1+u3), sequential tail; overlap_enlargement has its own order,
+/// below) — so query hit counts, ChooseSubtree decisions, page aggregates
 /// and every BENCH_*.json row are independent of the dispatch level.
 enum class Level : uint8_t {
   kScalar = 0,
@@ -62,6 +63,18 @@ struct Ops {
   /// EO criterion term. Canonical order: for each i ascending, the inner
   /// j-sum (j > i) is a canonical strided sum added to the running total.
   double (*pairwise_overlap_sum)(Columns c, size_t n);
+  /// out[i] = Σ_{j≠i} (area(Union(e_i, add) ∩ e_j) − area(e_i ∩ e_j)): how
+  /// much entry i's overlap with its siblings grows if it is enlarged to
+  /// cover `add`, the R* ChooseSubtree criterion of a level-1 node. Each
+  /// term is rounded as geom::IntersectionArea(u, e_j) −
+  /// geom::IntersectionArea(e_i, e_j). Canonical order, NOT the strided one:
+  /// per i, the terms for j = 0…n−1, j ≠ i, are added one at a time to a sum
+  /// that starts at 0.0. The AVX2 tier runs four values of i per register
+  /// with j sequential in every lane and adds +0.0 for j = i, which is exact
+  /// because every term is ≥ +0 (Union(e_i, add) contains e_i, and min,
+  /// max, subtraction and multiplication are monotone) or NaN.
+  void (*overlap_enlargement)(const Rect& add, Columns c, size_t n,
+                              double* out);
 };
 
 /// Reusable SoA scratch for entry coordinates held as Rects elsewhere (the

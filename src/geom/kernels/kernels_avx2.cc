@@ -4,7 +4,8 @@
 // strided partial s_k and lane k of acc_b holds s_{k+4}; acc_a + acc_b
 // yields u_k = s_k + s_{k+4} and the 128-bit reduction reproduces the
 // (u0+u2) + (u1+u3) combine — so results are bit-identical to the scalar
-// tier's canonical 8-stride order.
+// tier's canonical 8-stride order. overlap_enlargement is not a strided
+// sum: its lanes are four entries i, each summing over j in sequence.
 //
 // Deliberately no FMA: a fused multiply-add rounds once where the scalar
 // reference rounds twice, which would break the bit-identity contract (the
@@ -147,13 +148,29 @@ size_t IntersectMaskAvx2(const Rect& query, Columns c, size_t n,
   return hits;
 }
 
-/// Overlap products of the broadcast rect against entries (j .. j+3).
-inline __m256d OverlapProducts(__m256d ax0, __m256d ay0, __m256d ax1,
-                               __m256d ay1, const Columns& c, size_t j) {
-  const __m256d w = _mm256_sub_pd(_mm256_min_pd(Load4(c.xmax, j), ax1),
-                                  _mm256_max_pd(Load4(c.xmin, j), ax0));
-  const __m256d h = _mm256_sub_pd(_mm256_min_pd(Load4(c.ymax, j), ay1),
-                                  _mm256_max_pd(Load4(c.ymin, j), ay0));
+/// Four rects, one per lane.
+struct Rects4 {
+  __m256d x0, y0, x1, y1;
+};
+
+/// `r` in every lane.
+inline Rects4 Broadcast(const Rect& r) {
+  return {_mm256_set1_pd(r.xmin), _mm256_set1_pd(r.ymin),
+          _mm256_set1_pd(r.xmax), _mm256_set1_pd(r.ymax)};
+}
+
+/// Entries i .. i+3.
+inline Rects4 LoadRects(const Columns& c, size_t i) {
+  return {Load4(c.xmin, i), Load4(c.ymin, i), Load4(c.xmax, i),
+          Load4(c.ymax, i)};
+}
+
+/// OverlapArea(a, b) lane by lane.
+inline __m256d OverlapAreas(const Rects4& a, const Rects4& b) {
+  const __m256d w = _mm256_sub_pd(_mm256_min_pd(b.x1, a.x1),
+                                  _mm256_max_pd(b.x0, a.x0));
+  const __m256d h = _mm256_sub_pd(_mm256_min_pd(b.y1, a.y1),
+                                  _mm256_max_pd(b.y0, a.y0));
   const __m256d zero = _mm256_setzero_pd();
   const __m256d none = _mm256_or_pd(_mm256_cmp_pd(w, zero, _CMP_LE_OQ),
                                     _mm256_cmp_pd(h, zero, _CMP_LE_OQ));
@@ -163,20 +180,16 @@ inline __m256d OverlapProducts(__m256d ax0, __m256d ay0, __m256d ax1,
 double PairwiseOverlapSumAvx2(Columns c, size_t n) {
   double total = 0.0;
   for (size_t i = 0; i + 1 < n; ++i) {
-    const __m256d ax0 = _mm256_set1_pd(ColumnValue(c.xmin, i));
-    const __m256d ay0 = _mm256_set1_pd(ColumnValue(c.ymin, i));
-    const __m256d ax1 = _mm256_set1_pd(ColumnValue(c.xmax, i));
-    const __m256d ay1 = _mm256_set1_pd(ColumnValue(c.ymax, i));
+    const Rects4 a = Broadcast(EntryAt(c, i));
     const size_t base = i + 1;
     const size_t m = n - base;
     const size_t m8 = m & ~static_cast<size_t>(7);
     __m256d acc_a = _mm256_setzero_pd();
     __m256d acc_b = _mm256_setzero_pd();
     for (size_t t = 0; t < m8; t += 8) {
-      acc_a = _mm256_add_pd(
-          acc_a, OverlapProducts(ax0, ay0, ax1, ay1, c, base + t));
-      acc_b = _mm256_add_pd(
-          acc_b, OverlapProducts(ax0, ay0, ax1, ay1, c, base + t + 4));
+      acc_a = _mm256_add_pd(acc_a, OverlapAreas(a, LoadRects(c, base + t)));
+      acc_b =
+          _mm256_add_pd(acc_b, OverlapAreas(a, LoadRects(c, base + t + 4)));
     }
     double inner = Reduce(_mm256_add_pd(acc_a, acc_b));
     size_t t = m8;
@@ -184,9 +197,8 @@ double PairwiseOverlapSumAvx2(Columns c, size_t n) {
       // Tail block of 4: each lane's product rounds exactly as the scalar
       // OverlapArea, and adding the lanes in order reproduces the scalar
       // reference's sequential tail.
-      const __m256d p = OverlapProducts(ax0, ay0, ax1, ay1, c, base + t);
       alignas(32) double lanes[4];
-      _mm256_store_pd(lanes, p);
+      _mm256_store_pd(lanes, OverlapAreas(a, LoadRects(c, base + t)));
       inner += lanes[0];
       inner += lanes[1];
       inner += lanes[2];
@@ -201,22 +213,45 @@ double PairwiseOverlapSumAvx2(Columns c, size_t n) {
       const size_t j = base + t;
       const __m256i sel = _mm256_set_epi64x(0, rem > 2 ? -1LL : 0,
                                             rem > 1 ? -1LL : 0, -1LL);
-      const __m256d w = _mm256_sub_pd(
-          _mm256_min_pd(_mm256_maskload_pd(LaneAddress(c.xmax, j), sel), ax1),
-          _mm256_max_pd(_mm256_maskload_pd(LaneAddress(c.xmin, j), sel), ax0));
-      const __m256d h = _mm256_sub_pd(
-          _mm256_min_pd(_mm256_maskload_pd(LaneAddress(c.ymax, j), sel), ay1),
-          _mm256_max_pd(_mm256_maskload_pd(LaneAddress(c.ymin, j), sel), ay0));
-      const __m256d zero = _mm256_setzero_pd();
-      const __m256d none = _mm256_or_pd(_mm256_cmp_pd(w, zero, _CMP_LE_OQ),
-                                        _mm256_cmp_pd(h, zero, _CMP_LE_OQ));
+      const Rects4 b{_mm256_maskload_pd(LaneAddress(c.xmin, j), sel),
+                     _mm256_maskload_pd(LaneAddress(c.ymin, j), sel),
+                     _mm256_maskload_pd(LaneAddress(c.xmax, j), sel),
+                     _mm256_maskload_pd(LaneAddress(c.ymax, j), sel)};
       alignas(32) double lanes[4];
-      _mm256_store_pd(lanes, _mm256_andnot_pd(none, _mm256_mul_pd(w, h)));
+      _mm256_store_pd(lanes, OverlapAreas(a, b));
       for (size_t k = 0; k < rem; ++k) inner += lanes[k];
     }
     total += inner;
   }
   return total;
+}
+
+/// Four entries i .. i+3 per register, j sequential in every lane: lane k
+/// holds the scalar reference's sum for entry i + k, term for term.
+void OverlapEnlargementAvx2(const Rect& add, Columns c, size_t n,
+                            double* out) {
+  const Rects4 a = Broadcast(add);
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const Rects4 e = LoadRects(c, i);
+    // Union(e, add): std::min(e, add) is _mm256_min_pd(add, e).
+    const Rects4 u{_mm256_min_pd(a.x0, e.x0), _mm256_min_pd(a.y0, e.y0),
+                   _mm256_max_pd(a.x1, e.x1), _mm256_max_pd(a.y1, e.y1)};
+    __m256d sum = _mm256_setzero_pd();
+    for (size_t j = 0; j < n; ++j) {
+      const Rects4 f = Broadcast(EntryAt(c, j));
+      // Lane j − i (none when j < i wraps) adds +0.0 where the reference
+      // skips the term; its sum is never −0, so that leaves it unchanged.
+      const __m256d self = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+          lane, _mm256_set1_epi64x(static_cast<long long>(j - i))));
+      sum = _mm256_add_pd(
+          sum, _mm256_andnot_pd(self, _mm256_sub_pd(OverlapAreas(u, f),
+                                                    OverlapAreas(e, f))));
+    }
+    _mm256_storeu_pd(out + i, sum);
+  }
+  for (; i < n; ++i) out[i] = OverlapEnlargementAt(add, c, n, i);
 }
 
 }  // namespace
@@ -226,6 +261,7 @@ const Ops kAvx2Ops = {
     SumAreasAvx2,
     SumMarginsAvx2,
     PairwiseOverlapSumAvx2,
+    OverlapEnlargementAvx2,
 };
 
 }  // namespace sdb::geom::kernels::internal

@@ -51,6 +51,21 @@ inline double OverlapArea(const Rect& a, const Rect& b) {
   return w * h;
 }
 
+/// overlap_enlargement's out[i] in its canonical order (see kernels.h).
+inline double OverlapEnlargementAt(const Rect& add, const Columns& c,
+                                   size_t n, size_t i) {
+  const Rect e = EntryAt(c, i);
+  Rect u = e;
+  u.Extend(add);  // geom::Union(e, add)
+  double sum = 0.0;
+  for (size_t j = 0; j < n; ++j) {
+    if (j == i) continue;
+    const Rect f = EntryAt(c, j);
+    sum += OverlapArea(u, f) - OverlapArea(e, f);
+  }
+  return sum;
+}
+
 /// Element semantics of query.Intersects(entry) (closed-set: touching edges
 /// intersect; any NaN coordinate compares false, i.e. no intersection).
 inline bool Intersects(const Rect& q, const Rect& e) {

@@ -40,6 +40,11 @@ double PairwiseOverlapSumScalar(Columns c, size_t n) {
   return total;
 }
 
+void OverlapEnlargementScalar(const Rect& add, Columns c, size_t n,
+                              double* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = OverlapEnlargementAt(add, c, n, i);
+}
+
 }  // namespace
 
 const Ops kScalarOps = {
@@ -47,6 +52,7 @@ const Ops kScalarOps = {
     SumAreasScalar,
     SumMarginsScalar,
     PairwiseOverlapSumScalar,
+    OverlapEnlargementScalar,
 };
 
 }  // namespace sdb::geom::kernels::internal

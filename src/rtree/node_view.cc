@@ -72,11 +72,29 @@ void NodeView::SetEntry(uint16_t i, const Entry& e) {
   });
 }
 
-storage::PageId NodeView::child(uint16_t i) const {
+geom::Rect NodeView::rect(uint16_t i) const {
+  SDB_DCHECK(i < count());
+  geom::Rect r;
+  LoadAt(column(kXmin), i, &r.xmin);
+  LoadAt(column(kYmin), i, &r.ymin);
+  LoadAt(column(kXmax), i, &r.xmax);
+  LoadAt(column(kYmax), i, &r.ymax);
+  return r;
+}
+
+void NodeView::set_rect(uint16_t i, const geom::Rect& r) {
+  SDB_DCHECK(i < count());
+  StoreAt(column(kXmin), i, r.xmin);
+  StoreAt(column(kYmin), i, r.ymin);
+  StoreAt(column(kXmax), i, r.xmax);
+  StoreAt(column(kYmax), i, r.ymax);
+}
+
+uint64_t NodeView::id(uint16_t i) const {
   SDB_DCHECK(i < count());
   uint64_t id;
   LoadAt(column(kId), i, &id);
-  return static_cast<storage::PageId>(id);
+  return id;
 }
 
 void NodeView::Append(const Entry& e) {

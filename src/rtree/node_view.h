@@ -90,8 +90,16 @@ class NodeView {
   Entry GetEntry(uint16_t i) const;
   void SetEntry(uint16_t i, const Entry& e);
 
-  /// Entry i's id read as a child page id, from the id column alone.
-  storage::PageId child(uint16_t i) const;
+  /// Entry i's rectangle, from the coordinate columns alone.
+  geom::Rect rect(uint16_t i) const;
+  /// Overwrites entry i's rectangle without refreshing aggregates.
+  void set_rect(uint16_t i, const geom::Rect& r);
+  /// Entry i's id, from the id column alone.
+  uint64_t id(uint16_t i) const;
+  /// Entry i's id read as a child page id.
+  storage::PageId child(uint16_t i) const {
+    return static_cast<storage::PageId>(id(i));
+  }
 
   /// Appends without refreshing aggregates; call RefreshAggregates (or
   /// WriteEntries) once the batch of modifications is complete.
@@ -115,11 +123,12 @@ class NodeView {
   /// replacement policies' view of the page accurate.
   void RefreshAggregates();
 
+  /// The four coordinate columns, as the kernels take them.
+  geom::kernels::Columns coords() const;
+
  private:
   /// Start of the k-th column of the layout above.
   std::byte* column(size_t k) const;
-  /// The four coordinate columns, as the kernels take them.
-  geom::kernels::Columns coords() const;
 
   std::span<std::byte> page_;
 };

@@ -7,6 +7,7 @@
 #include <queue>
 
 #include "common/macros.h"
+#include "geom/kernels/kernels.h"
 
 namespace sdb::rtree {
 
@@ -141,7 +142,11 @@ void RTree::PersistMeta() {
 // ---------------------------------------------------------------------------
 
 void RTree::Insert(const Entry& entry, const AccessContext& ctx) {
-  SDB_CHECK_MSG(!entry.rect.IsEmpty(), "cannot index an empty rectangle");
+  // Both comparisons are false for an inverted (empty) rect and for a NaN
+  // coordinate, which would corrupt the header aggregates.
+  SDB_CHECK_MSG(entry.rect.xmin <= entry.rect.xmax &&
+                    entry.rect.ymin <= entry.rect.ymax,
+                "cannot index an empty rectangle or a NaN coordinate");
   // One forced reinsertion per level per user-level insertion (R* rule);
   // generously sized so root growth during the insert stays in range.
   std::vector<bool> reinserted(64, false);
@@ -155,6 +160,7 @@ void RTree::ChoosePath(const Rect& rect, uint8_t target_level,
                        std::vector<uint16_t>* child_index) const {
   path->clear();
   child_index->clear();
+  std::vector<double> overlap;
   PageId current = root_;
   while (true) {
     path->push_back(current);
@@ -163,52 +169,36 @@ void RTree::ChoosePath(const Rect& rect, uint8_t target_level,
     const uint8_t level = node.level();
     if (level == target_level) return;
     SDB_DCHECK(level > target_level);
-    const std::vector<Entry> entries = node.LoadEntries();
-    SDB_CHECK_MSG(!entries.empty(), "descending through an empty node");
+    const uint16_t n = node.count();
+    SDB_CHECK_MSG(n > 0, "descending through an empty node");
 
-    size_t best = 0;
+    // R* ChooseSubtree: the least overlap enlargement when the children are
+    // data pages (the kernel reads the page's columns in place), then the
+    // least area enlargement, then the least area. At other levels, and in
+    // the Guttman variants, every overlap is 0 and never decides.
+    overlap.assign(n, 0.0);
     if (level == 1 && config_.variant == TreeVariant::kRStar) {
-      // Children are data pages: minimize overlap enlargement; resolve ties
-      // by area enlargement, then by area (R* ChooseSubtree).
-      double best_overlap = 0.0, best_enlarge = 0.0, best_area = 0.0;
-      for (size_t i = 0; i < entries.size(); ++i) {
-        const Rect united = geom::Union(entries[i].rect, rect);
-        double overlap_delta = 0.0;
-        for (size_t j = 0; j < entries.size(); ++j) {
-          if (j == i) continue;
-          overlap_delta +=
-              geom::IntersectionArea(united, entries[j].rect) -
-              geom::IntersectionArea(entries[i].rect, entries[j].rect);
-        }
-        const double enlarge = geom::AreaEnlargement(entries[i].rect, rect);
-        const double area = entries[i].rect.Area();
-        if (i == 0 || overlap_delta < best_overlap ||
-            (overlap_delta == best_overlap &&
-             (enlarge < best_enlarge ||
-              (enlarge == best_enlarge && area < best_area)))) {
-          best = i;
-          best_overlap = overlap_delta;
-          best_enlarge = enlarge;
-          best_area = area;
-        }
-      }
-    } else {
-      // Children are directory pages: minimize area enlargement, ties by
-      // area.
-      double best_enlarge = 0.0, best_area = 0.0;
-      for (size_t i = 0; i < entries.size(); ++i) {
-        const double enlarge = geom::AreaEnlargement(entries[i].rect, rect);
-        const double area = entries[i].rect.Area();
-        if (i == 0 || enlarge < best_enlarge ||
-            (enlarge == best_enlarge && area < best_area)) {
-          best = i;
-          best_enlarge = enlarge;
-          best_area = area;
-        }
+      geom::kernels::ActiveOps().overlap_enlargement(rect, node.coords(), n,
+                                                     overlap.data());
+    }
+    uint16_t best = 0;
+    double best_overlap = 0.0, best_enlarge = 0.0, best_area = 0.0;
+    for (uint16_t i = 0; i < n; ++i) {
+      const Rect r = node.rect(i);
+      const double enlarge = geom::AreaEnlargement(r, rect);
+      const double area = r.Area();
+      if (i == 0 || overlap[i] < best_overlap ||
+          (overlap[i] == best_overlap &&
+           (enlarge < best_enlarge ||
+            (enlarge == best_enlarge && area < best_area)))) {
+        best = i;
+        best_overlap = overlap[i];
+        best_enlarge = enlarge;
+        best_area = area;
       }
     }
-    child_index->push_back(static_cast<uint16_t>(best));
-    current = entries[best].child();
+    child_index->push_back(best);
+    current = node.child(best);
   }
 }
 
@@ -229,16 +219,17 @@ void RTree::InsertAtLevel(const Entry& entry, uint8_t target_level,
     const PageId node_id = path[depth];
     core::PageHandle page = buffer_->FetchOrDie(node_id, ctx);
     NodeView node(page.bytes());
-    std::vector<Entry> entries = node.LoadEntries();
-    entries.push_back(pending);
-
-    if (entries.size() <= MaxEntries(level)) {
-      node.WriteEntries(entries);
+    if (node.count() < MaxEntries(level)) {
+      // The common case: room on the page, so append in place.
+      node.Append(pending);
+      node.RefreshAggregates();
       page.MarkDirty();
       page.Release();
       AdjustPathUpwards(path, child_index, depth, ctx);
       return;
     }
+    std::vector<Entry> entries = node.LoadEntries();
+    entries.push_back(pending);
 
     const bool is_root = (node_id == root_);
     if (config_.variant == TreeVariant::kRStar && !is_root &&
@@ -298,9 +289,7 @@ void RTree::InsertAtLevel(const Entry& entry, uint8_t target_level,
       const PageId parent_id = path[depth - 1];
       core::PageHandle parent_page = buffer_->FetchOrDie(parent_id, ctx);
       NodeView parent(parent_page.bytes());
-      Entry parent_entry = parent.GetEntry(child_index[depth - 1]);
-      parent_entry.rect = MbrOf(group_a);
-      parent.SetEntry(child_index[depth - 1], parent_entry);
+      parent.set_rect(child_index[depth - 1], MbrOf(group_a));
       parent.RefreshAggregates();
       parent_page.MarkDirty();
     }
@@ -317,10 +306,10 @@ void RTree::AdjustPathUpwards(const std::vector<PageId>& path,
     const Rect child_mbr = NodeMbr(path[d], ctx);
     core::PageHandle parent_page = buffer_->FetchOrDie(path[d - 1], ctx);
     NodeView parent(parent_page.bytes());
-    Entry entry = parent.GetEntry(child_index[d - 1]);
-    if (entry.rect == child_mbr) return;  // ancestors already consistent
-    entry.rect = child_mbr;
-    parent.SetEntry(child_index[d - 1], entry);
+    if (parent.rect(child_index[d - 1]) == child_mbr) {
+      return;  // ancestors already consistent
+    }
+    parent.set_rect(child_index[d - 1], child_mbr);
     parent.RefreshAggregates();
     parent_page.MarkDirty();
   }
@@ -620,6 +609,7 @@ bool RTree::Delete(uint64_t id, const Rect& rect, const AccessContext& ctx) {
   std::vector<PathStep> path{{root_, 0}};
   std::vector<uint16_t> cursor{0};
   std::optional<uint16_t> found_index;
+  std::vector<uint8_t> mask;
 
   while (!path.empty()) {
     const PageId node_id = path.back().page;
@@ -627,18 +617,20 @@ bool RTree::Delete(uint64_t id, const Rect& rect, const AccessContext& ctx) {
     const NodeView node(page.bytes());
     const uint16_t n = node.count();
     const bool leaf = node.is_leaf();
+    // A leaf reads the id column first and a rectangle only on an id match;
+    // a directory scans its coordinate columns and reads a hit's child id.
+    if (!leaf) node.ScanEntries(rect, &mask);
     bool descended = false;
     uint16_t i = cursor.back();
     for (; i < n; ++i) {
-      const Entry e = node.GetEntry(i);
       if (leaf) {
-        if (e.id == id && e.rect == rect) {
+        if (node.id(i) == id && node.rect(i) == rect) {
           found_index = i;
           break;
         }
-      } else if (e.rect.Intersects(rect)) {
+      } else if (mask[i] != 0) {
         cursor.back() = i + 1;  // resume after this child on backtrack
-        path.push_back({e.child(), i});
+        path.push_back({node.child(i), i});
         cursor.push_back(0);
         descended = true;
         break;

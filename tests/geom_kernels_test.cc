@@ -1,9 +1,12 @@
 // Property suite for the batch geometry kernels (geom/kernels): every
 // compiled-in dispatch tier must match the scalar reference BIT-FOR-BIT —
 // same mask bytes and hit counts from IntersectMask, and identical double
-// bit patterns from the three sum kernels — over adversarial rectangle
-// sets: empty (inverted, ±inf coordinates), degenerate points/lines,
-// touching edges, huge-magnitude coordinates, and dense random mixtures.
+// bit patterns from the three sum kernels and OverlapEnlargement — over
+// adversarial rectangle sets: empty (inverted, ±inf coordinates),
+// degenerate points/lines, touching edges, huge-magnitude coordinates, and
+// dense random mixtures. OverlapEnlargement must also reproduce the R*
+// ChooseSubtree loop it replaced, and insert-built trees must be
+// byte-identical under every tier and to an image recorded from that loop.
 //
 // Carries the "kernels" ctest label so the asan preset (full suite) and the
 // tsan preset (label filter tsan|obs|kernels) both exercise it.
@@ -28,6 +31,7 @@
 #include "geom/kernels/kernels.h"
 #include "rtree/node_view.h"
 #include "rtree/rtree.h"
+#include "storage/crc32c.h"
 #include "storage/disk_manager.h"
 #include "test_util.h"
 
@@ -160,6 +164,25 @@ TEST_P(KernelsPropertyTest, AllTiersMatchScalarBitForBit) {
                      "PairwiseOverlapSum", level, n);
     }
   }
+
+  // OverlapEnlargement at every node size up to a full 4 KiB page (84), so
+  // each remainder of the AVX2 tier's 4-entry blocks shows, against
+  // adversarial added rects; every seventh has a NaN coordinate, which
+  // Union(e_i, add) drops.
+  for (size_t n = 1; n <= 84; ++n) {
+    const RectSet set = AdversarialSet(rng, n);
+    Rect add = AdversarialRect(rng);
+    if (n % 7 == 0) add.xmax = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> ref(n + 1, -1.0), out(n + 1, -1.0);
+    scalar.overlap_enlargement(add, set.columns(), n, ref.data());
+    for (const Level level : levels) {
+      OpsFor(level).overlap_enlargement(add, set.columns(), n, out.data());
+      for (size_t i = 0; i < n; ++i) {
+        ExpectBitEqual(ref[i], out[i], "OverlapEnlargement", level, n);
+      }
+      EXPECT_EQ(out[n], -1.0) << "wrote past out at " << LevelName(level);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelsPropertyTest,
@@ -191,6 +214,57 @@ TEST(KernelsTest, ScalarSumsMatchSequentialWithinTolerance) {
   }
   EXPECT_NEAR(scalar.pairwise_overlap_sum(set.columns(), set.size()),
               seq_overlap, 1e-12 * std::abs(seq_overlap));
+}
+
+/// The R* ChooseSubtree overlap loop that overlap_enlargement replaced, kept
+/// as its oracle: Entry rects and the out-of-line geom::IntersectionArea.
+std::vector<double> ChooseSubtreeOverlapLoop(
+    const std::vector<rtree::Entry>& entries, const Rect& rect) {
+  std::vector<double> out;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const Rect united = Union(entries[i].rect, rect);
+    double overlap_delta = 0.0;
+    for (size_t j = 0; j < entries.size(); ++j) {
+      if (j == i) continue;
+      overlap_delta += IntersectionArea(united, entries[j].rect) -
+                       IntersectionArea(entries[i].rect, entries[j].rect);
+    }
+    out.push_back(overlap_delta);
+  }
+  return out;
+}
+
+TEST(KernelsTest, OverlapEnlargementMatchesChooseSubtreeLoop) {
+  // Random finite node sets: boxes in the unit square, and boxes on an
+  // integer grid whose edges touch exactly and whose terms often tie.
+  Rng rng(31);
+  const Rect space(0, 0, 1, 1);
+  const auto random_rect = [&](bool grid) {
+    if (!grid) return test::RandomRect(rng, space, 0.3);
+    const double x = static_cast<double>(rng.NextU64() % 8);
+    const double y = static_cast<double>(rng.NextU64() % 8);
+    return Rect(x, y, x + static_cast<double>(rng.NextU64() % 3),
+                y + static_cast<double>(rng.NextU64() % 3));
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const bool grid = trial % 2 == 1;
+    const size_t n = 1 + rng.NextU64() % 84;
+    std::vector<rtree::Entry> entries(n);
+    RectSet set;
+    for (rtree::Entry& e : entries) {
+      e.rect = random_rect(grid);
+      set.Add(e.rect);
+    }
+    const Rect add = random_rect(grid);
+    const std::vector<double> expected = ChooseSubtreeOverlapLoop(entries, add);
+    std::vector<double> out(n);
+    for (const Level level : AvailableLevels()) {
+      OpsFor(level).overlap_enlargement(add, set.columns(), n, out.data());
+      for (size_t i = 0; i < n; ++i) {
+        ExpectBitEqual(expected[i], out[i], "ChooseSubtree overlap", level, n);
+      }
+    }
+  }
 }
 
 TEST(KernelsTest, LevelNamesRoundTrip) {
@@ -337,6 +411,71 @@ TEST(KernelsRTreeTest, WindowQueriesIdenticalAcrossDispatchLevels) {
     EXPECT_EQ(per_level[i], per_level[0])
         << "query results diverge between dispatch tiers";
   }
+}
+
+/// Inserts 3,000 entries into an R* tree on `disk`, deleting a random live
+/// entry after every fifth insert, so splits, forced reinsertion, condensing
+/// and the reinsertion of orphans all run; then writes every page to `disk`.
+void BuildChurnedTree(storage::DiskManager* disk) {
+  core::BufferManager buffer(disk, 256, std::make_unique<core::LruPolicy>());
+  rtree::RTree tree(disk, &buffer);
+  Rng rng(19);
+  const Rect space(0, 0, 1, 1);
+  std::vector<rtree::Entry> live;
+  for (uint64_t i = 1; i <= 3000; ++i) {
+    rtree::Entry e;
+    e.id = i;
+    e.rect = test::RandomRect(rng, space, 0.02);
+    tree.Insert(e, core::AccessContext{});
+    live.push_back(e);
+    if (i % 5 == 0) {
+      const size_t victim = rng.NextU64() % live.size();
+      ASSERT_TRUE(tree.Delete(live[victim].id, live[victim].rect,
+                              core::AccessContext{}));
+      live[victim] = live.back();
+      live.pop_back();
+    }
+  }
+  ASSERT_EQ(tree.Validate(), "");
+  tree.PersistMeta();
+  buffer.FlushAll();
+}
+
+TEST(KernelsRTreeTest, InsertBuiltTreesIdenticalAcrossDispatchLevels) {
+  const Level original = ActiveLevel();
+  const std::vector<Level> levels = AvailableLevels();
+  std::vector<storage::DiskManager> disks(levels.size());
+  for (size_t k = 0; k < levels.size(); ++k) {
+    ForceLevel(levels[k]);
+    BuildChurnedTree(&disks[k]);
+  }
+  ForceLevel(original);
+  for (size_t k = 1; k < levels.size(); ++k) {
+    ASSERT_EQ(disks[k].page_count(), disks[0].page_count());
+    for (storage::PageId id = 0; id < disks[0].page_count(); ++id) {
+      const std::span<const std::byte> a = disks[0].PeekPage(id);
+      const std::span<const std::byte> b = disks[k].PeekPage(id);
+      EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size()))
+          << "page " << id << " differs at " << LevelName(levels[k]);
+    }
+  }
+}
+
+TEST(KernelsRTreeTest, InsertBuiltTreeMatchesRecordedImage) {
+  // Page count and CRC-32C of BuildChurnedTree's image (page bytes in id
+  // order), recorded while ChoosePath still ran the loop that
+  // ChooseSubtreeOverlapLoop keeps: a changed subtree choice, split or
+  // aggregate changes them.
+  constexpr size_t kPages = 92;
+  constexpr uint32_t kImageCrc = 0x71e08b7c;
+  storage::DiskManager disk;
+  BuildChurnedTree(&disk);
+  uint32_t crc = 0;
+  for (storage::PageId id = 0; id < disk.page_count(); ++id) {
+    crc = storage::crc32c::Extend(crc, disk.PeekPage(id));
+  }
+  EXPECT_EQ(disk.page_count(), kPages);
+  EXPECT_EQ(crc, kImageCrc) << std::hex << "0x" << crc;
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <vector>
@@ -151,7 +152,31 @@ TEST_F(RTreeTest, DeleteWithWrongRectFails) {
   InsertRandom(50, 77);
   const Entry victim = all_[10];
   EXPECT_FALSE(tree_.Delete(victim.id, Rect(0.9, 0.9, 0.95, 0.95), ctx_));
+  // The right id in a leaf the search does visit, but not the entry's rect.
+  Rect overlapping = victim.rect;
+  overlapping.xmax += 1e-9;
+  EXPECT_FALSE(tree_.Delete(victim.id, overlapping, ctx_));
   EXPECT_EQ(tree_.size(), 50u);
+}
+
+using RTreeDeathTest = RTreeTest;
+
+TEST_F(RTreeDeathTest, InsertRejectsEmptyAndNaNRectangles) {
+  // A NaN coordinate is not an empty rect (IsEmpty() compares false), yet
+  // inserting one corrupted the header aggregates and hid the entry from
+  // Delete and from window queries; both are rejected up front.
+  InsertRandom(2000, 41);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const char* message = "cannot index an empty rectangle or a NaN coordinate";
+  EXPECT_DEATH(tree_.Insert(MakeEntry(2001, Rect()), ctx_), message);
+  EXPECT_DEATH(tree_.Insert(MakeEntry(2001, Rect(0.6, 0.5, 0.5, 0.6)), ctx_),
+               message);
+  EXPECT_DEATH(tree_.Insert(MakeEntry(2001, Rect(0.5, 0.5, nan, 0.6)), ctx_),
+               message);
+  EXPECT_DEATH(tree_.Insert(MakeEntry(2001, Rect(0.5, nan, 0.6, 0.6)), ctx_),
+               message);
+  EXPECT_EQ(tree_.Validate(), "");
+  EXPECT_EQ(tree_.size(), 2000u);
 }
 
 TEST_F(RTreeTest, MassDeletionKeepsTreeValidAndQueriesCorrect) {
