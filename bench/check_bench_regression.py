@@ -14,6 +14,15 @@ Modes:
       --max-ratio times its value at the smallest (victim choice must not
       grow with the buffer).
 
+  hit-scaling BENCH_policy_overhead.json --max-ratio 4
+      Reads the bench:"latch_overhead" rows that carry `threads` (the
+      per-thread cost of an all-hit fetch on a 4-shard read-only service)
+      and fails when the row at `max_threads` (min(4, hardware threads))
+      costs more than --max-ratio times the one-thread row (hits that all
+      write one shared word measured 6.8-8.6x at 4 threads, per-thread
+      event stripes 2.4-3.2x). On a host with one hardware thread
+      max_threads is 1 and the check passes with a note.
+
   wal A.json B.json --max-drop 0.5
       Joins the bench:"wal_commit" rows of two BENCH_wal.json runs on
       (window_us, threads) and fails when commits_per_sec in B dropped
@@ -148,6 +157,42 @@ def check_evict_scaling(args):
     ratio = top / base
     label = (f"{args.policy} ns/evict {base:.1f} @ {smallest} frames -> "
              f"{top:.1f} @ {largest} frames: ratio {ratio:.2f}")
+    if ratio > args.max_ratio:
+        print(f"FAIL {label} > {args.max_ratio:g}", file=sys.stderr)
+        return 1
+    print(f"ok   {label} <= {args.max_ratio:g}")
+    return 0
+
+
+def check_hit_scaling(args):
+    rows = {}
+    most = None
+    for row in read_rows(args.file):
+        if (row.get("bench") == "latch_overhead"
+                and row.get("threads") is not None
+                and row.get("ns_per_fetch_per_thread") is not None):
+            rows[row["threads"]] = row["ns_per_fetch_per_thread"]
+            most = row.get("max_threads", most)
+    if 1 not in rows or most is None:
+        print(f"{args.file}: no one-thread latch_overhead row with "
+              f"max_threads", file=sys.stderr)
+        return 2
+    base = rows[1]
+    if base <= 0:
+        print(f"one-thread ns_per_fetch_per_thread {base} is not positive",
+              file=sys.stderr)
+        return 2
+    if most == 1:
+        print(f"ok   hit scaling: T = 1 ({base:.1f} ns per fetch); a host "
+              f"with one hardware thread has no contention to gate")
+        return 0
+    if most not in rows:
+        print(f"{args.file}: no latch_overhead row at {most} threads",
+              file=sys.stderr)
+        return 2
+    ratio = rows[most] / base
+    label = (f"hit scaling {base:.1f} ns per fetch @ 1 thread -> "
+             f"{rows[most]:.1f} @ {most} threads: ratio {ratio:.2f}")
     if ratio > args.max_ratio:
         print(f"FAIL {label} > {args.max_ratio:g}", file=sys.stderr)
         return 1
@@ -462,6 +507,12 @@ def main():
     scaling.add_argument("--policy", default="LRU")
     scaling.add_argument("--max-ratio", type=float, default=3.0)
 
+    hits = sub.add_parser("hit-scaling",
+                          help="guard contended all-hit fetches against "
+                               "one thread")
+    hits.add_argument("file")
+    hits.add_argument("--max-ratio", type=float, default=4.0)
+
     node_scan = sub.add_parser("node-scan",
                                help="guard the in-place node scan against "
                                     "the bare kernel")
@@ -512,6 +563,8 @@ def main():
         sys.exit(check_obs_overhead(args))
     if args.mode == "evict-scaling":
         sys.exit(check_evict_scaling(args))
+    if args.mode == "hit-scaling":
+        sys.exit(check_hit_scaling(args))
     if args.mode == "node-scan":
         sys.exit(check_node_scan(args))
     if args.mode == "choose-subtree":

@@ -12,7 +12,10 @@
 // latch_overhead table: ns per fetch on the all-hit path of a 1-shard
 // service, a writable one (shard mutex) against a read-only one
 // (optimistic protocol) over the same pages — the service picks its latch
-// protocol from writability.
+// protocol from writability. Beside it, the per-thread cost of an all-hit
+// fetch on a 4-shard read-only service at one thread and at min(4,
+// hardware threads); CI gates their ratio (check_bench_regression.py
+// hit-scaling).
 //
 // BM_PageChecksum and BM_PageCopy time the two halves of a miss on the
 // in-memory device: verifying a hot 4 KiB page's CRC-32C and copying the
@@ -21,11 +24,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <latch>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/macros.h"
@@ -425,6 +431,97 @@ void RunLatchOverheadTable() {
   }
 }
 
+/// Wall ns per fetch of each of `threads` clients fetching from a warm
+/// 4-shard read-only service (working set = half the buffer, so every fetch
+/// is a latch-free hit). Each client walks the pages from its own offset:
+/// the clients share frames, but rarely touch the same one at once. With
+/// perfect scaling the figure stays at its one-thread value; whatever the
+/// clients serialize on (a word every hit writes, the shard latch) shows as
+/// growth with the thread count.
+double MeasureContendedHitNs(storage::DiskManager& disk, size_t threads,
+                             size_t frames, size_t pages) {
+  svc::BufferServiceConfig config;
+  config.total_frames = frames;
+  config.shard_count = 4;
+  config.policy_spec = "ASB";
+  svc::BufferService service(disk, config);
+  for (storage::PageId page = 0; page < pages; ++page) {
+    service.FetchOrDie(page, core::AccessContext{page + 1}).Release();
+  }
+  constexpr size_t kFetchesPerThread = size_t{1} << 17;
+  std::latch ready(static_cast<std::ptrdiff_t>(threads));
+  std::latch go(1);
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < threads; ++t) {
+    clients.emplace_back([&, t] {
+      storage::PageId next = static_cast<storage::PageId>(t * pages / threads);
+      uint64_t query = (uint64_t{t} + 1) << 40;
+      ready.count_down();
+      go.wait();
+      for (size_t i = 0; i < kFetchesPerThread; ++i) {
+        core::PageHandle handle =
+            service.FetchOrDie(next, core::AccessContext{++query});
+        benchmark::DoNotOptimize(handle.bytes().data());
+        handle.Release();
+        next = static_cast<storage::PageId>((next + 1) % pages);
+      }
+    });
+  }
+  ready.wait();
+  const auto start = std::chrono::steady_clock::now();
+  go.count_down();
+  for (std::thread& client : clients) client.join();
+  const auto total_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  return static_cast<double>(total_ns) /
+         static_cast<double>(kFetchesPerThread);
+}
+
+/// Contended all-hit fetches against one thread (see MeasureContendedHitNs),
+/// appended to BENCH_policy_overhead.json as bench:"latch_overhead" rows
+/// that carry `threads` and `max_threads` (min(4, hardware threads)). A
+/// host with one hardware thread writes only the one-thread row.
+void RunHitScalingTable() {
+  constexpr size_t kFrames = 1024;
+  const size_t pages = kFrames / 2;
+  auto disk = StageDisk(pages);
+  const size_t most =
+      std::clamp<size_t>(std::thread::hardware_concurrency(), 1, 4);
+  std::vector<size_t> thread_counts = {1};
+  if (most > 1) thread_counts.push_back(most);
+  const std::string json_path = "BENCH_policy_overhead.json";
+  bool json_ok = true;
+  sim::Table table({"threads", "ns/fetch per thread", "vs 1 thread"});
+  double one_thread_ns = 0.0;
+  for (const size_t threads : thread_counts) {
+    // Median of 5: the contended side swings with the scheduler.
+    std::vector<double> runs;
+    for (int rep = 0; rep < 5; ++rep) {
+      runs.push_back(MeasureContendedHitNs(*disk, threads, kFrames, pages));
+    }
+    std::sort(runs.begin(), runs.end());
+    const double ns = runs[runs.size() / 2];
+    if (threads == 1) one_thread_ns = ns;
+    table.AddRow({std::to_string(threads), sim::FormatDouble(ns, 1),
+                  sim::FormatDouble(ns / one_thread_ns, 2) + "x"});
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "{\"schema_version\":%d,\"bench\":\"latch_overhead\","
+                  "\"policy\":\"ASB\",\"shards\":4,\"frames\":%zu,"
+                  "\"threads\":%zu,\"max_threads\":%zu,"
+                  "\"ns_per_fetch_per_thread\":%.1f}",
+                  obs::kBenchJsonSchemaVersion, kFrames, threads, most, ns);
+    json_ok = sim::AppendJsonLine(json_path, line) && json_ok;
+  }
+  table.Print(
+      "per-thread cost of an all-hit fetch on a 4-shard read-only service "
+      "(1,024 frames, 512 pages)");
+  if (!json_ok) {
+    std::fprintf(stderr, "warning: could not write %s\n", json_path.c_str());
+  }
+}
+
 /// ns per fetch on a hit-dominated BufferManager loop (working set = half
 /// the buffer, every access a hit after warm-up) with or without a
 /// metrics-only collector attached. This is the CI-guarded overhead: the
@@ -600,6 +697,7 @@ int main(int argc, char** argv) {
   RunEvictionCostTable();
   RunFaultOverheadTable();
   RunLatchOverheadTable();
+  RunHitScalingTable();
   RunObsOverheadTable();
   RunEoRefreshCostTable();
   return 0;

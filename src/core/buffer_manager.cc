@@ -1,6 +1,8 @@
 #include "core/buffer_manager.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -23,7 +25,7 @@ uint64_t Mix64(uint64_t x) {
 
 /// Concurrent-mode bound on victimless policy scans before AcquireFrame
 /// concludes the pool is genuinely exhausted (each scan drains the deferred
-/// ring and yields, so lagging unpin events get every chance to land).
+/// events and yields, so lagging unpin events get every chance to land).
 constexpr size_t kVictimScanLimit = 1u << 16;
 
 /// Optimistic probe retries (after the first attempt) before
@@ -32,6 +34,15 @@ constexpr uint32_t kMaxOptimisticRetries = 3;
 
 /// Abort message of the read-only-shard invariant (EnableConcurrency).
 constexpr char kReadOnlyShard[] = "a concurrent buffer is a read-only shard";
+
+/// This thread's stripe ordinal: handed out in first-use order, kept for the
+/// thread's life.
+size_t ThreadOrdinal() {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t ordinal =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return ordinal;
+}
 }  // namespace
 
 PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
@@ -367,7 +378,7 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
         // frame and rescan — the pin count is the authority.
         sync_[f].Unlock();
         policy_->SetEvictable(f, false);
-        version_conflicts_.fetch_add(1, std::memory_order_relaxed);
+        OwnStripe().conflicts.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
     } else {
@@ -621,23 +632,27 @@ void BufferManager::ReleasePin(FrameId f) {
   const storage::PageId page = sync_[f].page.load(std::memory_order_acquire);
   const uint32_t prev = sync_[f].pins.fetch_sub(1, std::memory_order_acq_rel);
   SDB_DCHECK(prev > 0);
+  // Only the 1 -> 0 edge changes what the policy sees.
+  if (prev != 1) return;
   DeferredEvent event;
   event.frame = f;
   event.page = page;
   event.kind = DeferredEvent::Kind::kUnpin;
-  event.edge = prev == 1;
-  if (deferred_->TryPush(event)) return;
-  // Ring full: apply under the latch, draining the backlog first so the
-  // event order the policy sees stays FIFO.
-  const auto apply = [&] {
-    DrainDeferred();
-    ApplyDeferred(event);
+  event.edge = true;
+  AccessEventRing& events = OwnStripe().events;
+  if (events.TryPush(event)) return;
+  // Stripe full: drain under the latch to make room; the event then queues
+  // behind this thread's earlier ones, so their order stays FIFO.
+  const auto drain_and_push = [&] {
+    do {
+      DrainDeferred();
+    } while (!events.TryPush(event));
   };
   if (latch_ == nullptr) {
-    apply();
+    drain_and_push();
   } else {
     std::lock_guard<std::mutex> lock(*latch_);
-    apply();
+    drain_and_push();
   }
 }
 
@@ -905,8 +920,14 @@ void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
                 "enable concurrency before traffic");
   SDB_CHECK_MSG(wal_ == nullptr && !writeback_.enabled, kReadOnlyShard);
   sync_ = std::make_unique<FrameSync[]>(frames_.size());
-  deferred_ = std::make_unique<AccessEventRing>(
-      std::max<size_t>(options.event_ring_capacity, 8));
+  const size_t stripes =
+      std::bit_ceil(std::max(1u, std::thread::hardware_concurrency()));
+  stripes_ = std::make_unique<EventStripe[]>(stripes);
+  for (size_t s = 0; s < stripes; ++s) {
+    stripes_[s].events.Allocate(options.event_ring_capacity / stripes);
+  }
+  stripe_mask_ = stripes - 1;
+  edged_frames_.reserve(options.event_ring_capacity);
   storage::AsyncDeviceOptions async = options.async;
   async.queue_depth = std::clamp<size_t>(async.queue_depth, 1, frames_.size());
   async_device_ = std::make_unique<storage::AsyncPageDevice>(disk_, async);
@@ -917,16 +938,15 @@ void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
 std::optional<PageHandle> BufferManager::TryOptimisticFetch(
     storage::PageId page, const AccessContext& ctx) {
   SDB_DCHECK(concurrent_);
+  EventStripe& stripe = OwnStripe();
   for (uint32_t attempt = 0; attempt <= kMaxOptimisticRetries; ++attempt) {
-    if (attempt > 0) {
-      optimistic_retries_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (attempt > 0) stripe.retries.fetch_add(1, std::memory_order_relaxed);
     const uint64_t table_version = page_table_.version();
     const uint32_t f = page_table_.Lookup(page);
     if (f == PageTable::kInvalidFrame) {
       if (page_table_.version() != table_version) {
         // The probe raced a mutation; "not found" can't be trusted.
-        version_conflicts_.fetch_add(1, std::memory_order_relaxed);
+        stripe.conflicts.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       return std::nullopt;  // genuine miss: the latched path loads it
@@ -935,7 +955,7 @@ std::optional<PageHandle> BufferManager::TryOptimisticFetch(
     const uint64_t version = sync.version.load(std::memory_order_acquire);
     if ((version & 1) != 0 ||
         sync.page.load(std::memory_order_acquire) != page) {
-      version_conflicts_.fetch_add(1, std::memory_order_relaxed);
+      stripe.conflicts.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     // Pin-then-validate: either the pin lands before an evictor samples the
@@ -944,7 +964,7 @@ std::optional<PageHandle> BufferManager::TryOptimisticFetch(
     const uint32_t prev = sync.pins.fetch_add(1, std::memory_order_acq_rel);
     if (sync.version.load(std::memory_order_acquire) != version) {
       sync.pins.fetch_sub(1, std::memory_order_acq_rel);
-      version_conflicts_.fetch_add(1, std::memory_order_relaxed);
+      stripe.conflicts.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     DeferredEvent event;
@@ -953,23 +973,46 @@ std::optional<PageHandle> BufferManager::TryOptimisticFetch(
     event.query = ctx.query_id;
     event.kind = DeferredEvent::Kind::kHit;
     event.edge = prev == 0;
-    if (!deferred_->TryPush(event)) {
-      // Ring full: undo and let the latched path do this hit eagerly (it
-      // drains the ring first, which is what makes room again).
+    if (!stripe.events.TryPush(event)) {
+      // Stripe full: undo and let the latched path do this hit eagerly (it
+      // drains the stripes first, which is what makes room again).
       sync.pins.fetch_sub(1, std::memory_order_acq_rel);
-      optimistic_retries_.fetch_add(1, std::memory_order_relaxed);
+      stripe.retries.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
-    optimistic_hits_.fetch_add(1, std::memory_order_relaxed);
     return PageHandle(this, f, page);
   }
   return std::nullopt;
 }
 
+BufferManager::EventStripe& BufferManager::OwnStripe() {
+  return stripes_[ThreadOrdinal() & stripe_mask_];
+}
+
+uint64_t BufferManager::SumStripes(
+    std::atomic<uint64_t> EventStripe::*counter) const {
+  uint64_t sum = 0;
+  if (concurrent_) {
+    for (size_t s = 0; s <= stripe_mask_; ++s) {
+      sum += (stripes_[s].*counter).load(std::memory_order_relaxed);
+    }
+  }
+  return sum;
+}
+
 void BufferManager::DrainDeferred() {
   if (!concurrent_) return;
   DeferredEvent event;
-  while (deferred_->TryPop(&event)) ApplyDeferred(event);
+  for (size_t s = 0; s <= stripe_mask_; ++s) {
+    while (stripes_[s].events.TryPop(&event)) ApplyDeferred(event);
+  }
+  // Stripes reorder events between threads, so a frame's hit edge may have
+  // drained after the unpin edge that ended its pin: the live pin count
+  // settles the flag (in serial runs it already agrees).
+  for (const FrameId f : edged_frames_) {
+    policy_->SetEvictable(f, PinCount(f) == 0);
+  }
+  edged_frames_.clear();
 }
 
 void BufferManager::ApplyDeferred(const DeferredEvent& event) {
@@ -977,26 +1020,25 @@ void BufferManager::ApplyDeferred(const DeferredEvent& event) {
   // drain time the pin may be gone and the frame evicted and reloaded; the
   // stats still count (the access happened and was served), while policy
   // callbacks only apply if the frame still holds the event's page. The
-  // eviction path's live-pin check is the safety net for any flag staleness
-  // this introduces under races; in serial execution the guard never fires
-  // and the replay is exactly the eager mutex-path sequence.
+  // drain's reconcile and the eviction path's live-pin check are the safety
+  // net for any flag staleness this introduces under races; in serial
+  // execution the guard never fires and the replay is exactly the eager
+  // mutex-path sequence.
   const bool current = event.frame < frames_.size() &&
                        frames_[event.frame].page == event.page;
-  switch (event.kind) {
-    case DeferredEvent::Kind::kHit:
-      ++stats_.requests;
-      ++stats_.hits;
-      if (obs_ != nullptr) {
-        obs_->OnBufferRequest(event.page, event.query, true);
-      }
-      if (current) {
-        if (event.edge) policy_->SetEvictable(event.frame, false);
-        policy_->OnPageAccessed(event.frame, AccessContext{event.query});
-      }
-      break;
-    case DeferredEvent::Kind::kUnpin:
-      if (current && event.edge) policy_->SetEvictable(event.frame, true);
-      break;
+  if (current && event.edge) {
+    policy_->SetEvictable(event.frame,
+                          event.kind == DeferredEvent::Kind::kUnpin);
+    edged_frames_.push_back(event.frame);
+  }
+  if (event.kind == DeferredEvent::Kind::kHit) {
+    ++stats_.requests;
+    ++stats_.hits;
+    ++optimistic_hits_;
+    if (obs_ != nullptr) obs_->OnBufferRequest(event.page, event.query, true);
+    if (current) {
+      policy_->OnPageAccessed(event.frame, AccessContext{event.query});
+    }
   }
 }
 

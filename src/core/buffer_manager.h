@@ -169,8 +169,9 @@ struct ResilienceOptions {
 /// Concurrency knobs of one BufferManager (EnableConcurrency). Off by
 /// default: single-threaded users never pay for any of it.
 struct ConcurrentOptions {
-  /// Capacity of the deferred-event ring (rounded up to a power of two). A
-  /// full ring falls back to the exclusive path, so this bounds deferral.
+  /// Deferred events the buffer may hold, split evenly over its thread
+  /// stripes (each stripe rounded up to a power of two). A full stripe falls
+  /// back to the exclusive path, so this bounds deferral.
   size_t event_ring_capacity = 1024;
   /// The AsyncPageDevice batched misses (FetchBatchLocked) go through: the
   /// batch's reads are submitted together and complete out of order.
@@ -343,30 +344,37 @@ class BufferManager : public FrameMetaSource, public PageSource {
 
   /// Switches this buffer into concurrent mode (call once, before traffic,
   /// with the external latch already attached): allocates the per-frame
-  /// version stamps, the deferred-event ring and the async read pipeline.
-  /// From then on TryOptimisticFetch may serve hits without the latch, and
-  /// exclusive sections (Fetch/Unpin/stats under the latch) drain the ring
-  /// first. A concurrent buffer is a read-only service shard: a WAL or
-  /// background write-back attached before or after aborts, and New, NewAt
-  /// and Evict are not for it.
+  /// version stamps, one deferred-event ring per thread stripe (the hardware
+  /// thread count rounded up to a power of two; a thread keeps its stripe
+  /// for life) and the async read pipeline. From then on TryOptimisticFetch
+  /// may serve hits without the latch, and exclusive sections
+  /// (Fetch/Unpin/stats under the latch) drain the stripes first. A
+  /// concurrent buffer is a read-only service shard: a WAL or background
+  /// write-back attached before or after aborts, and New, NewAt and Evict
+  /// are not for it.
   void EnableConcurrency(const ConcurrentOptions& options);
   bool concurrent() const { return concurrent_; }
 
   /// Latch-free hit path: probes the page table, pins through the frame's
-  /// version stamp, and defers the policy/stats bookkeeping into the event
-  /// ring. Returns nullopt — after bounded retries — on a miss, a version
-  /// conflict, or a full ring; the caller then takes the latch and calls
+  /// version stamp, and defers the policy/stats bookkeeping into the calling
+  /// thread's stripe — the only words it writes besides the pin count.
+  /// Returns nullopt — after bounded retries — on a miss, a version
+  /// conflict, or a full stripe; the caller then takes the latch and calls
   /// Fetch. Only valid in concurrent mode.
   std::optional<PageHandle> TryOptimisticFetch(storage::PageId page,
                                                const AccessContext& ctx);
 
   /// Replays the deferred optimistic hit/unpin events into the policy,
-  /// stats and collector, in ring (FIFO) order. Callers must hold the
-  /// external latch. Fetch/New/Unpin drain implicitly; explicit callers are
-  /// the service's stats/metrics paths, which must drain before reading.
+  /// stats and collector, stripe by stripe (each in FIFO order), then sets
+  /// every frame whose pin edge it applied to evictable iff it has no live
+  /// pin: stripes reorder events between threads, so a hit edge may drain
+  /// after the unpin edge that ended its pin (a no-op in serial runs).
+  /// Callers must hold the external latch. Fetch/New/Unpin drain implicitly;
+  /// explicit callers are the service's stats/metrics paths, which must
+  /// drain before reading.
   void DrainDeferred();
 
-  /// Batched miss pipeline body (latch held, ring drained by the caller or
+  /// Batched miss pipeline body (latch held, events drained by the caller or
   /// a prior exclusive section): semantically a sequential Fetch loop over
   /// `pages`, but with the misses' device reads submitted as one batch
   /// through the async device (concurrent mode) so they complete out of
@@ -376,17 +384,16 @@ class BufferManager : public FrameMetaSource, public PageSource {
                         const AccessContext& ctx,
                         std::vector<StatusOr<PageHandle>>* out);
 
-  /// Optimistic-path counters (concurrent mode; all zero otherwise).
-  /// Retries = optimistic attempts abandoned for any reason; conflicts =
+  /// Optimistic-path counters (concurrent mode; all zero otherwise; read
+  /// under the latch). Hits count when their deferred event drains;
+  /// retries = optimistic attempts abandoned for any reason; conflicts =
   /// version validations that failed against a concurrent writer.
-  uint64_t optimistic_hits() const {
-    return optimistic_hits_.load(std::memory_order_relaxed);
-  }
+  uint64_t optimistic_hits() const { return optimistic_hits_; }
   uint64_t optimistic_retries() const {
-    return optimistic_retries_.load(std::memory_order_relaxed);
+    return SumStripes(&EventStripe::retries);
   }
   uint64_t version_conflicts() const {
-    return version_conflicts_.load(std::memory_order_relaxed);
+    return SumStripes(&EventStripe::conflicts);
   }
 
   /// The async read pipeline (nullptr until EnableConcurrency).
@@ -598,7 +605,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   Status ReadStagedPage(FrameId frame, storage::PageId page,
                         const AccessContext& ctx, StagedReads& staged);
 
-  /// Fetch's body once the deferred ring is drained: bad-page fast-fail,
+  /// Fetch's body once the deferred events are drained: bad-page fast-fail,
   /// hit, or miss. FetchBatchLocked passes its `staged` reads so a miss
   /// consumes the async completion; Fetch passes nullptr.
   StatusOr<PageHandle> FetchDrained(storage::PageId page,
@@ -623,12 +630,14 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// Unpin body, latch already held (or no latch attached).
   UnpinStatus UnpinLocked(FrameId frame, bool dirty);
 
-  /// Handle-release fast path: in concurrent mode an atomic decrement plus
-  /// a deferred event (the handle owns the pin by construction, so no
-  /// status to report); otherwise the classic latched Unpin.
+  /// Handle-release fast path: in concurrent mode an atomic decrement plus,
+  /// on the 1 -> 0 edge, a deferred event (the handle owns the pin by
+  /// construction, so no status to report); otherwise the classic latched
+  /// Unpin.
   void ReleasePin(FrameId frame);
 
-  /// Applies one drained event to policy/stats/collector (latch held).
+  /// Applies one drained event to policy/stats/collector and notes an
+  /// applied pin edge for the drain's reconcile (latch held).
   void ApplyDeferred(const DeferredEvent& event);
 
   /// The concurrent-mode pin-count accessors: frames_[f].pin_count and
@@ -730,10 +739,22 @@ class BufferManager : public FrameMetaSource, public PageSource {
   bool concurrent_ = false;
   // One sync word per frame; sized with frames_ at EnableConcurrency.
   std::unique_ptr<FrameSync[]> sync_;
-  std::unique_ptr<AccessEventRing> deferred_;
-  std::atomic<uint64_t> optimistic_hits_{0};
-  std::atomic<uint64_t> optimistic_retries_{0};
-  std::atomic<uint64_t> version_conflicts_{0};
+  // One thread stripe: its share of the deferred events plus the counters
+  // its threads' latch-free attempts bump, so a hit or unpin writes nothing
+  // the whole shard shares.
+  struct EventStripe {
+    AccessEventRing events;
+    std::atomic<uint64_t> retries{0};
+    std::atomic<uint64_t> conflicts{0};
+  };
+  /// The calling thread's stripe.
+  EventStripe& OwnStripe();
+  uint64_t SumStripes(std::atomic<uint64_t> EventStripe::*counter) const;
+  std::unique_ptr<EventStripe[]> stripes_;
+  size_t stripe_mask_ = 0;
+  // Frames whose pin edge the running drain applied; reconciled at its end.
+  std::vector<FrameId> edged_frames_;
+  uint64_t optimistic_hits_ = 0;
   // Async batched-read pipeline (FetchBatchLocked misses) plus its staging
   // arena: queue_depth page-sized buffers the completions land in before
   // the in-order install phase copies them into frames.

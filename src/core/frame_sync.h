@@ -56,9 +56,9 @@ struct alignas(64) FrameSync {
 /// One deferred policy/stats event from the latch-free path. Optimistic
 /// hits and unpins cannot call into the (single-threaded) replacement
 /// policy, so they record what happened here and the next exclusive section
-/// replays the ring in FIFO order before reading or mutating policy state —
-/// in serial execution that makes the policy's view bit-identical to the
-/// eager mutex path.
+/// replays it before reading or mutating policy state. Each thread's events
+/// replay in its own FIFO order — in serial execution that makes the
+/// policy's view bit-identical to the eager mutex path.
 struct DeferredEvent {
   enum class Kind : uint8_t { kHit, kUnpin };
 
@@ -67,19 +67,24 @@ struct DeferredEvent {
   uint64_t query = 0;
   Kind kind = Kind::kHit;
   /// kHit: this pin took the frame 0 -> 1 (SetEvictable(false) edge).
-  /// kUnpin: this release took it 1 -> 0 (SetEvictable(true) edge).
+  /// kUnpin: always set — only the release that takes the frame 1 -> 0
+  /// (the SetEvictable(true) edge) queues an event.
   bool edge = false;
 };
 
-/// Bounded MPMC ring of DeferredEvents (Vyukov queue): producers are the
-/// latch-free hit/unpin paths on any thread, the consumer is whichever
-/// thread holds the shard latch. TryPush failing (ring full) is a signal to
-/// take the exclusive path instead, so the ring bounds deferral lag by
+/// Bounded MPMC ring of DeferredEvents (Vyukov queue), one per thread stripe
+/// of a shard: producers are the latch-free hit/unpin paths of the threads
+/// mapped to the stripe (normally one), the consumer is whichever thread
+/// holds the shard latch. TryPush failing (ring full) is a signal to take
+/// the exclusive path instead, so the ring bounds deferral lag by
 /// construction.
 class AccessEventRing {
  public:
-  explicit AccessEventRing(size_t capacity) {
-    size_t cap = 8;
+  /// Sizes the ring to `capacity` rounded up to a power of two, at least 2
+  /// (the smallest size at which a full ring and a free slot differ). Call
+  /// once, before the first push.
+  void Allocate(size_t capacity) {
+    size_t cap = 2;
     while (cap < capacity) cap <<= 1;
     cells_ = std::make_unique<Cell[]>(cap);
     for (size_t i = 0; i < cap; ++i) {

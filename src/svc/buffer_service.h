@@ -61,9 +61,9 @@ struct BufferServiceConfig {
   /// Per-shard fault handling (retry budget, checksum verification,
   /// quarantine cap), forwarded to every shard's BufferManager.
   core::ResilienceOptions resilience;
-  /// Per-shard deferred-event ring capacity of a read-only service (rounded
-  /// up to a power of two). Small rings just fall back to the latched path
-  /// more often.
+  /// Deferred events one shard of a read-only service may hold, split over
+  /// its thread stripes (core::ConcurrentOptions). Small capacities just
+  /// fall back to the latched path more often.
   size_t event_ring_capacity = 1024;
   /// When enabled, every shard reads through its own FaultInjectingDevice
   /// wrapping the shard view; the profile seed is mixed with the shard

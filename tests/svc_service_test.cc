@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <barrier>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -630,6 +632,65 @@ TEST_F(BufferServiceTest, TinyEventRingFallsBackWithoutLosingEvents) {
       << "ring-full fallbacks must not drop or double-count accesses";
   EXPECT_EQ(stats.buffer.hits + stats.buffer.misses, stats.buffer.requests);
   EXPECT_EQ(stats.buffer.misses, stats.io.reads);
+}
+
+// Deferred events queue per thread stripe, and a drain empties the stripes
+// one after another, so a frame's hit edge (0 -> 1) can drain after the
+// unpin edge (1 -> 0) that ended the pin it started. Thread A pins the
+// shard's only resident frame (the hit edge), B pins it too, A releases
+// (2 -> 1, nothing queued), B releases (the unpin edge). The two threads
+// keep their stripes and swap roles between rounds, so one round drains A's
+// hit edge last whichever stripe comes first. After the drain the unpinned
+// frame must be the policy's victim, not stuck unevictable.
+TEST_F(BufferServiceTest, HitEdgeDrainedAfterFinalUnpinLeavesFrameEvictable) {
+  BufferServiceConfig config;
+  config.total_frames = 8;
+  config.shard_count = 1;
+  config.policy_spec = "LRU";
+  BufferService service(disk(), config);
+  auto& buffer = const_cast<core::BufferManager&>(service.shard_buffer(0));
+  const PageId page = 1;
+  core::PageHandle loaded = service.FetchOrDie(page, core::AccessContext{1});
+  const core::FrameId frame = loaded.Detach();
+  ASSERT_EQ(buffer.Unpin(frame, /*dirty=*/false), core::UnpinStatus::kOk);
+
+  std::barrier step(2);
+  const auto run = [&](size_t me) {
+    for (size_t round = 0; round < 2; ++round) {
+      const uint64_t hits_before =
+          me == 0 ? service.StatsOfShard(0).optimistic_hits : 0;
+      step.arrive_and_wait();
+      const core::AccessContext ctx{100 * round + me + 10};
+      if (round == me) {  // A: the hit edge, then the non-final release
+        core::PageHandle handle = service.FetchOrDie(page, ctx);
+        step.arrive_and_wait();  // A pinned
+        step.arrive_and_wait();  // B pinned
+        handle.Release();
+        step.arrive_and_wait();  // A released
+      } else {  // B: a hit without an edge, then the final release
+        step.arrive_and_wait();  // A pinned
+        core::PageHandle handle = service.FetchOrDie(page, ctx);
+        step.arrive_and_wait();  // B pinned
+        step.arrive_and_wait();  // A released
+        handle.Release();
+      }
+      step.arrive_and_wait();  // both released
+      if (me == 0) {
+        const ShardStats after = service.StatsOfShard(0);  // drains
+        EXPECT_EQ(after.optimistic_hits - hits_before, 2u)
+            << "round " << round << ": both pins must be latch-free hits";
+        EXPECT_EQ(buffer.policy().ChooseVictim(core::AccessContext{99},
+                                               storage::kInvalidPageId),
+                  std::optional<core::FrameId>(frame))
+            << "round " << round;
+      }
+      step.arrive_and_wait();  // checked
+    }
+  };
+  std::thread first(run, 0);
+  std::thread second(run, 1);
+  first.join();
+  second.join();
 }
 
 TEST_F(BufferServiceTest, MetricsStayMonotonicAcrossMidRunQuarantine) {

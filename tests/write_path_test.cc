@@ -1058,6 +1058,12 @@ TEST(WritableServiceTest, ChurnCrashRecoverSurvivesWriteFaults) {
   svc::BufferServiceConfig config = WritableConfig(2, 128);
   config.fault_profile.seed = SoakSeed(20260807) ^ 0xD15EA5E;
   config.fault_profile.write_transient_prob = 0.02;
+  // The tree stays a handful of pages, so each shard writes back only a few
+  // times (at the checkpoints) and p = 0.02 alone often draws nothing. One
+  // scripted transient fault among every shard's first writes, placed by
+  // the seed, makes each seed's run take data-device fire.
+  config.fault_profile.write_schedule.emplace_back(
+      SoakSeed(20260807) % 4, storage::FaultKind::kWriteTransient);
   svc::BufferService service(&disk, &wal, config);
   const AccessContext ctx{4};
 
