@@ -6,8 +6,9 @@
 // (p50/p95/p99 from the executor's fixed-bucket histogram) as the worker
 // count (1..16) and shard count (1, 4, 16) grow. The service is read-only,
 // so its shards run the optimistic protocol (version-stamped latch-free
-// hits + batched async misses); micro_policy_overhead's latch_overhead row
-// compares it with the shard mutex a writable service takes.
+// hits; a batch's misses take each shard latch once); micro_policy_overhead's
+// latch_overhead row compares it with the shard mutex a writable service
+// takes.
 //
 // Accounting contracts verified on every cell: total logical page accesses
 // are identical for every (workers, shards) configuration — concurrency
@@ -279,11 +280,11 @@ void RunGrid(const sim::Scenario& scenario, const std::string& workload_name,
 /// uniform workload, shifts mid-run to browsing sessions, and a poller
 /// thread samples the merged service metrics into an obs::TelemetryHub on
 /// a logical clock (buffer requests). Products: BENCH_timeseries.json
-/// (per-window hit rate, latch contention, queue depth, ASB candidate
-/// size), a convergence-lag report of the candidate series around the
-/// shift (obs::AnalyzeAsbTimeline), and — with SDB_BENCH_TRACE set — a
-/// Perfetto span trace where sampled queries show their
-/// session -> shard-fetch -> async-submit/complete causality.
+/// (per-window hit rate, latch contention, disk reads, quarantined frames,
+/// ASB candidate size), a convergence-lag report of the candidate series
+/// around the shift (obs::AnalyzeAsbTimeline), and — with SDB_BENCH_TRACE
+/// set — a Perfetto span trace where sampled queries show their
+/// session -> query -> shard-fetch causality.
 void RunAdaptationTimeline(const sim::Scenario& scenario) {
   constexpr size_t kWorkers = 16;
   constexpr size_t kShards = 4;
@@ -386,26 +387,28 @@ void RunAdaptationTimeline(const sim::Scenario& scenario) {
   table.Print(title);
 
   // Span accounting: every sampled query trace should show the full
-  // session -> shard-fetch -> async causality chain at least once.
+  // session -> query -> shard-fetch chain at least once. The service is
+  // read-only, so no write-path span occurs.
   const std::vector<obs::Event> spans = tracer.Spans();
-  uint64_t sessions = 0, queries = 0, shard_fetches = 0, async_spans = 0;
+  uint64_t sessions = 0, queries = 0, shard_fetches = 0;
   for (const obs::Event& span : spans) {
     switch (obs::SpanKindOf(span)) {
       case obs::SpanKind::kSession: ++sessions; break;
       case obs::SpanKind::kQuery: ++queries; break;
       case obs::SpanKind::kShardFetch: ++shard_fetches; break;
-      case obs::SpanKind::kAsyncSubmit:
-      case obs::SpanKind::kAsyncComplete: ++async_spans; break;
+      case obs::SpanKind::kWalAppend:
+      case obs::SpanKind::kCheckpoint:
+      case obs::SpanKind::kRecovery:
+      case obs::SpanKind::kFlush: break;
     }
   }
   std::printf(
       "spans: %llu session, %llu query (1-in-%llu sampled), %llu "
-      "shard-fetch, %llu async (%llu emitted, %llu dropped)\n",
+      "shard-fetch (%llu emitted, %llu dropped)\n",
       static_cast<unsigned long long>(sessions),
       static_cast<unsigned long long>(queries),
       static_cast<unsigned long long>(tracer.sample_every()),
       static_cast<unsigned long long>(shard_fetches),
-      static_cast<unsigned long long>(async_spans),
       static_cast<unsigned long long>(tracer.total()),
       static_cast<unsigned long long>(tracer.dropped()));
   const std::string trace_path = bench::BenchTracePath();

@@ -3,26 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstring>
 #include <thread>
 #include <utility>
 
 #include "common/macros.h"
-#include "obs/trace.h"
 #include "storage/crc32c.h"
 
 namespace sdb::core {
 
 namespace {
-/// splitmix64 finalizer for the backoff jitter.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 /// Concurrent-mode bound on victimless policy scans before AcquireFrame
 /// concludes the pool is genuinely exhausted (each scan drains the deferred
 /// events and yields, so lagging unpin events get every chance to land).
@@ -110,9 +100,6 @@ BufferManager::BufferManager(storage::PageDevice* disk, size_t frames,
   SDB_CHECK(disk_ != nullptr);
   SDB_CHECK(policy_ != nullptr);
   SDB_CHECK_MSG(frames > 0, "buffer needs at least one frame");
-  quarantine_cap_ = resilience_.max_quarantined_frames != 0
-                        ? std::min(resilience_.max_quarantined_frames, frames)
-                        : frames / 2;
   obs_ = collector;
   frame_data_ = std::make_unique<std::byte[]>(frames * page_size_);
   frames_.assign(frames, Frame{});
@@ -133,12 +120,6 @@ BufferManager::~BufferManager() { FlushAll(); }
 StatusOr<PageHandle> BufferManager::Fetch(storage::PageId page,
                                           const AccessContext& ctx) {
   if (concurrent_) DrainDeferred();
-  return FetchDrained(page, ctx, nullptr);
-}
-
-StatusOr<PageHandle> BufferManager::FetchDrained(storage::PageId page,
-                                                 const AccessContext& ctx,
-                                                 StagedReads* staged) {
   // Fast-fail on a page that already failed terminally: no device traffic,
   // no frame churn, the caller gets the same terminal code every time.
   if (!bad_pages_.empty()) {
@@ -163,9 +144,7 @@ StatusOr<PageHandle> BufferManager::FetchDrained(storage::PageId page,
   StatusOr<FrameId> acquired = AcquireFrame(ctx, page);
   if (!acquired.ok()) return acquired.status();
   const FrameId f = *acquired;
-  const Status read = staged != nullptr
-                          ? ReadStagedPage(f, page, ctx, *staged)
-                          : ReadPageWithRecovery(f, page);
+  const Status read = ReadPageWithRecovery(f, page);
   if (!read.ok()) {
     if (concurrent_) sync_[f].Unlock();
     return read;
@@ -386,7 +365,7 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
     }
     SDB_CHECK(frame.page != storage::kInvalidPageId);
     if (prefer_clean && frame.dirty &&
-        dirty_skipped.size() < writeback_.max_clean_scan) {
+        dirty_skipped.size() < kMaxCleanScan) {
       policy_->SetEvictable(f, false);
       dirty_skipped.push_back(f);
       continue;
@@ -432,36 +411,7 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
 }
 
 Status BufferManager::ReadPageWithRecovery(FrameId f, storage::PageId page) {
-  return FinishReadWithRecovery(
-      f, page, disk_->Read(page, {FrameData(f), page_size_}));
-}
-
-Status BufferManager::ReadStagedPage(FrameId f, storage::PageId page,
-                                     const AccessContext& ctx,
-                                     StagedReads& staged) {
-  const auto slot = staged.slot.find(page);
-  if (slot == staged.slot.end()) return ReadPageWithRecovery(f, page);
-  // The complete span covers the harvest-until-this-page poll loop plus the
-  // staging copy and checksum verify — the whole wait for the device.
-  obs::ScopedSpan complete_span(ctx.span, obs::SpanKind::kAsyncComplete);
-  complete_span.set_page(page);
-  while (!staged.completed.contains(page) && async_device_->in_flight() > 0) {
-    staged.completions.clear();
-    async_device_->PollCompletions(&staged.completions, 1);
-    for (const auto& completion : staged.completions) {
-      staged.completed.emplace(completion.page, completion.status);
-    }
-  }
-  const auto done = staged.completed.find(page);
-  if (done == staged.completed.end()) return ReadPageWithRecovery(f, page);
-  complete_span.set_flag(true);
-  std::memcpy(FrameData(f), staging_.get() + slot->second * page_size_,
-              page_size_);
-  return FinishReadWithRecovery(f, page, done->second);
-}
-
-Status BufferManager::FinishReadWithRecovery(FrameId f, storage::PageId page,
-                                             Status status) {
+  Status status = disk_->Read(page, {FrameData(f), page_size_});
   uint32_t failures = 0;
   while (true) {
     if (status.ok() && resilience_.verify_checksums) {
@@ -506,7 +456,6 @@ Status BufferManager::FinishReadWithRecovery(FrameId f, storage::PageId page,
     }
     ++failures;
     ++stats_.io_read_retries;
-    BackoffBeforeRetry(failures, page);
     status = disk_->Read(page, {FrameData(f), page_size_});
   }
 }
@@ -515,7 +464,7 @@ void BufferManager::QuarantineFrame(FrameId f, storage::PageId page) {
   Frame& frame = frames_[f];
   SDB_DCHECK(frame.page == storage::kInvalidPageId);
   SDB_DCHECK(PinCount(f) == 0);
-  if (quarantined_count_ < quarantine_cap_) {
+  if (quarantined_count_ < quarantine_cap()) {
     // Out of service: not on the free list, page invalid, so the policies
     // (which only rank valid frames) never see it again and ASB's candidate
     // set adapts over the shrunken pool.
@@ -568,22 +517,6 @@ void BufferManager::QuarantineWriteFailure(FrameId f) {
   frame.page = storage::kInvalidPageId;
   ++stats_.io_write_quarantined;
   QuarantineFrame(f, page);
-}
-
-void BufferManager::BackoffBeforeRetry(uint32_t failures,
-                                       storage::PageId page) {
-  if (resilience_.backoff_base_us == 0) return;
-  // Exponential with full-range deterministic jitter: delay in
-  // [base * 2^(n-1) / 2, base * 2^(n-1)], capped at 64x base so a deep
-  // retry chain cannot stall a shard for long.
-  const uint32_t exp = std::min(failures - 1, 6u);
-  const uint64_t ceiling =
-      static_cast<uint64_t>(resilience_.backoff_base_us) << exp;
-  const uint64_t jitter =
-      Mix64(resilience_.backoff_seed ^ Mix64(page) ^ failures) %
-      (ceiling / 2 + 1);
-  std::this_thread::sleep_for(
-      std::chrono::microseconds(ceiling - jitter));
 }
 
 void BufferManager::ExportMetrics(obs::MetricsRegistry* registry) const {
@@ -713,7 +646,6 @@ Status BufferManager::WriteBackLocked(FrameId f, const AccessContext& ctx,
          failures < resilience_.max_write_retries) {
     ++failures;
     ++stats_.io_write_retries;
-    BackoffBeforeRetry(failures, frame.page);
     written = disk_->Write(frame.page, {FrameData(f), page_size_});
   }
   if (!written.ok()) {
@@ -839,7 +771,7 @@ void BufferManager::AttachWal(wal::WalManager* wal) {
 void BufferManager::ConfigureBackgroundWriteback(
     const WritebackOptions& options) {
   SDB_CHECK_MSG(
-      !options.enabled || options.low_watermark <= options.high_watermark,
+      !options.enabled || options.low_watermark <= kHighWatermark,
       "low watermark must not exceed the high watermark");
   SDB_CHECK_MSG(!options.enabled || !concurrent_, kReadOnlyShard);
   writeback_ = options;
@@ -928,10 +860,6 @@ void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
   }
   stripe_mask_ = stripes - 1;
   edged_frames_.reserve(options.event_ring_capacity);
-  storage::AsyncDeviceOptions async = options.async;
-  async.queue_depth = std::clamp<size_t>(async.queue_depth, 1, frames_.size());
-  async_device_ = std::make_unique<storage::AsyncPageDevice>(disk_, async);
-  staging_ = std::make_unique<std::byte[]>(async.queue_depth * page_size_);
   concurrent_ = true;
 }
 
@@ -1042,70 +970,11 @@ void BufferManager::ApplyDeferred(const DeferredEvent& event) {
   }
 }
 
-void BufferManager::FetchBatchLocked(
-    std::span<const storage::PageId> pages, const AccessContext& ctx,
-    std::vector<StatusOr<PageHandle>>* out) {
-  if (!concurrent_ || pages.size() < 2) {
-    for (const storage::PageId page : pages) out->push_back(Fetch(page, ctx));
-    return;
-  }
-  DrainDeferred();
-  const size_t depth = async_device_->queue_depth();
-  std::vector<storage::PageId> staged_pages;
-  StagedReads staged;
-  size_t begin = 0;
-  while (begin < pages.size()) {
-    // Segment the batch so its distinct predicted misses fit the queue.
-    // Prediction mutates nothing; an element whose residency shifts under
-    // our own installs/evictions mid-segment degrades to a sync read with
-    // identical accounting.
-    staged_pages.clear();
-    staged.slot.clear();
-    staged.completed.clear();
-    size_t end = begin;
-    while (end < pages.size()) {
-      const storage::PageId page = pages[end];
-      const bool predicted_miss = !bad_pages_.contains(page) &&
-                                  !page_table_.Contains(page) &&
-                                  !staged.slot.contains(page);
-      if (predicted_miss && staged_pages.size() == depth) break;
-      if (predicted_miss) {
-        staged.slot.emplace(page, staged_pages.size());
-        staged_pages.push_back(page);
-      }
-      ++end;
-    }
-    {
-      // The device itself carries no tracing; the submit span closes over
-      // the whole staging burst. A segment with nothing staged emits none.
-      obs::ScopedSpan submit_span(
-          staged_pages.empty() ? nullptr : ctx.span,
-          obs::SpanKind::kAsyncSubmit);
-      submit_span.set_payload(staged_pages.size());
-      for (size_t i = 0; i < staged_pages.size(); ++i) {
-        async_device_->SubmitRead(
-            staged_pages[i], {staging_.get() + i * page_size_, page_size_});
-      }
-      async_device_->EndBatch();
-    }
-    // In-order semantic phase: the exact sequential Fetch sequence, with
-    // completions harvested out of order as each miss comes due.
-    for (size_t i = begin; i < end; ++i) {
-      out->push_back(FetchDrained(pages[i], ctx, &staged));
-    }
-    // Whatever was staged but never consumed (its element turned resident,
-    // or failed before the read) is dropped unread — no device read, no
-    // fault draw, so counted reads match the sequential replay.
-    async_device_->CancelAll();
-    begin = end;
-  }
-}
-
 void PageSource::FetchBatch(std::span<const storage::PageId> pages,
                             const AccessContext& ctx,
                             std::vector<StatusOr<PageHandle>>* out) {
   // Default: a plain sequential loop, byte-identical to the caller issuing
-  // the fetches itself. Sources with an async pipeline override this.
+  // the fetches itself.
   out->reserve(out->size() + pages.size());
   for (const storage::PageId page : pages) out->push_back(Fetch(page, ctx));
 }

@@ -16,7 +16,6 @@
 #include "core/replacement_policy.h"
 #include "core/status.h"
 #include "obs/collector.h"
-#include "storage/async_device.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 #include "wal/wal.h"
@@ -138,9 +137,9 @@ enum class EvictStatus : uint8_t {
 
 /// Fault-handling knobs of one BufferManager. The defaults keep the fault
 /// machinery semantically invisible over a healthy device: verification only
-/// runs when the device maintains checksums, retries only trigger on failed
-/// reads, and the zero backoff keeps retry timing deterministic for tests
-/// and replays.
+/// runs when the device maintains checksums, and retries only trigger on
+/// failed reads. Retries follow at once: a simulated device fails
+/// deterministically, not because of load.
 struct ResilienceOptions {
   /// Verify the CRC-32C of every page read against the device sidecar
   /// (skipped when the device reports no checksum). Detects torn reads and
@@ -154,16 +153,6 @@ struct ResilienceOptions {
   /// background flusher: a frame whose write-back rounds keep failing past
   /// this count is write-quarantined instead of re-harvested forever.
   uint32_t max_write_retries = 3;
-  /// Base of the exponential backoff between retries, in microseconds;
-  /// 0 disables sleeping entirely (the default — simulated devices fail
-  /// deterministically, not because of load).
-  uint32_t backoff_base_us = 0;
-  /// Seed of the deterministic backoff jitter (+/-50%).
-  uint64_t backoff_seed = 0;
-  /// Most frames this buffer may quarantine before terminally-failing reads
-  /// start recycling frames instead (a shrinking pool must keep serving).
-  /// 0 = half the pool.
-  size_t max_quarantined_frames = 0;
 };
 
 /// Concurrency knobs of one BufferManager (EnableConcurrency). Off by
@@ -173,9 +162,6 @@ struct ConcurrentOptions {
   /// stripes (each stripe rounded up to a power of two). A full stripe falls
   /// back to the exclusive path, so this bounds deferral.
   size_t event_ring_capacity = 1024;
-  /// The AsyncPageDevice batched misses (FetchBatchLocked) go through: the
-  /// batch's reads are submitted together and complete out of order.
-  storage::AsyncDeviceOptions async;
 };
 
 /// Background write-back knobs (ConfigureBackgroundWriteback). Disabled by
@@ -183,20 +169,16 @@ struct ConcurrentOptions {
 /// the pin path, the pre-flusher behaviour.
 struct WritebackOptions {
   /// When on, eviction prefers clean victims while the dirty ratio is at or
-  /// below `high_watermark`, leaving dirty pages to the background flusher;
-  /// a synchronous foreground write-back only happens past the high
-  /// watermark or when no clean victim exists within `max_clean_scan`
-  /// skips, counted in BufferStats::sync_writeback_fallbacks.
+  /// below the buffer's high watermark (half the usable frames), leaving
+  /// dirty pages to the background flusher; a synchronous foreground
+  /// write-back only happens past the high watermark or when no clean
+  /// victim exists within 8 skips, counted in
+  /// BufferStats::sync_writeback_fallbacks.
   bool enabled = false;
   /// Dirty ratio (dirty frames / usable frames) at or below which the
   /// flusher leaves the pool alone — a small dirty set is free write
   /// combining for re-dirtied pages.
   double low_watermark = 0.10;
-  /// Dirty ratio above which eviction stops waiting for the flusher.
-  double high_watermark = 0.50;
-  /// Dirty victims one frame acquisition will set aside while hunting for
-  /// a clean victim before giving up and writing back synchronously.
-  size_t max_clean_scan = 8;
 };
 
 /// One dirty frame selected by HarvestFlushCandidates for background
@@ -228,11 +210,11 @@ class PageSource {
 
   /// Fetches a batch of pages, returning one pinned-handle-or-error per
   /// input in input order. The default is a sequential Fetch loop —
-  /// behaviorally identical to the caller looping itself — while sources
-  /// with an asynchronous read pipeline (svc::BufferService) overlap the
-  /// batch's misses. Every element counts as exactly one access either
-  /// way. All handles of a batch may be alive at once, so callers must
-  /// size batches against the source's pin headroom.
+  /// behaviorally identical to the caller looping itself — and overrides
+  /// must keep that behaviour (svc::BufferService only saves latch
+  /// acquisitions). Every element counts as exactly one access. All
+  /// handles of a batch may be alive at once, so callers must size batches
+  /// against the source's pin headroom.
   virtual void FetchBatch(std::span<const storage::PageId> pages,
                           const AccessContext& ctx,
                           std::vector<StatusOr<PageHandle>>* out);
@@ -240,8 +222,8 @@ class PageSource {
   /// Whether callers should group independent fetches into FetchBatch
   /// calls. False by default: batching holds every handle of a batch
   /// pinned at once, which perturbs victim choice in small buffers, so a
-  /// source only opts in when its batch pipeline buys something (the
-  /// sharded service). Callers honoring this keeps the single-threaded
+  /// source only opts in when its batch path buys something (the sharded
+  /// service). Callers honoring this keeps the single-threaded
   /// figure replications bit-identical to the sequential traversal.
   virtual bool PrefersBatchedReads() const { return false; }
 
@@ -295,8 +277,8 @@ class BufferManager : public FrameMetaSource, public PageSource {
 
   /// Returns a pinned handle on the page, reading it from disk on a miss.
   /// Transient read failures and checksum mismatches are retried up to
-  /// ResilienceOptions::max_read_retries times with exponential backoff;
-  /// a terminal failure quarantines the staging frame, remembers the page
+  /// ResilienceOptions::max_read_retries times; a terminal failure
+  /// quarantines the staging frame, remembers the page
   /// as bad (subsequent fetches fail fast without touching the device) and
   /// returns the error.
   StatusOr<PageHandle> Fetch(storage::PageId page,
@@ -344,9 +326,9 @@ class BufferManager : public FrameMetaSource, public PageSource {
 
   /// Switches this buffer into concurrent mode (call once, before traffic,
   /// with the external latch already attached): allocates the per-frame
-  /// version stamps, one deferred-event ring per thread stripe (the hardware
-  /// thread count rounded up to a power of two; a thread keeps its stripe
-  /// for life) and the async read pipeline. From then on TryOptimisticFetch
+  /// version stamps and one deferred-event ring per thread stripe (the
+  /// hardware thread count rounded up to a power of two; a thread keeps its
+  /// stripe for life). From then on TryOptimisticFetch
   /// may serve hits without the latch, and exclusive sections
   /// (Fetch/Unpin/stats under the latch) drain the stripes first. A
   /// concurrent buffer is a read-only service shard: a WAL or background
@@ -374,16 +356,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// drain before reading.
   void DrainDeferred();
 
-  /// Batched miss pipeline body (latch held, events drained by the caller or
-  /// a prior exclusive section): semantically a sequential Fetch loop over
-  /// `pages`, but with the misses' device reads submitted as one batch
-  /// through the async device (concurrent mode) so they complete out of
-  /// order ahead of the in-order install/policy phase. Appends one result
-  /// per page to `out`.
-  void FetchBatchLocked(std::span<const storage::PageId> pages,
-                        const AccessContext& ctx,
-                        std::vector<StatusOr<PageHandle>>* out);
-
   /// Optimistic-path counters (concurrent mode; all zero otherwise; read
   /// under the latch). Hits count when their deferred event drains;
   /// retries = optimistic attempts abandoned for any reason; conflicts =
@@ -394,11 +366,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   }
   uint64_t version_conflicts() const {
     return SumStripes(&EventStripe::conflicts);
-  }
-
-  /// The async read pipeline (nullptr until EnableConcurrency).
-  const storage::AsyncPageDevice* async_device() const {
-    return async_device_.get();
   }
 
   /// Attaches the write-ahead log (nullptr detaches). From then on the
@@ -498,11 +465,11 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// never on the free list and never become policy candidates, so the
   /// effective pool is frame_count() - quarantined_count().
   size_t quarantined_count() const { return quarantined_count_; }
-  /// The quarantine ceiling this buffer was configured with (resolved from
-  /// ResilienceOptions::max_quarantined_frames; 0 there = half the pool).
-  /// quarantined_count() == quarantine_cap() is the saturation signal the
-  /// service's degraded mode watches.
-  size_t quarantine_cap() const { return quarantine_cap_; }
+  /// Most frames this buffer quarantines before terminally failing reads
+  /// start recycling frames instead (a shrinking pool must keep serving):
+  /// half the pool. quarantined_count() == quarantine_cap() is the
+  /// saturation signal the service's degraded mode watches.
+  size_t quarantine_cap() const { return frames_.size() / 2; }
 
   /// True if `page` previously failed terminally; fetches of it fail fast.
   bool IsBadPage(storage::PageId page) const {
@@ -566,15 +533,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
     uint64_t version = 0;  ///< 0 = never filled (versions start at 1)
   };
 
-  /// The async reads one FetchBatchLocked segment submitted: each staged
-  /// page's slot in the staging arena, plus the completions harvested so
-  /// far.
-  struct StagedReads {
-    std::unordered_map<storage::PageId, size_t> slot;
-    std::unordered_map<storage::PageId, Status> completed;
-    std::vector<storage::AsyncPageDevice::Completion> completions;
-  };
-
   std::byte* FrameData(FrameId f);
   const std::byte* FrameData(FrameId f) const;
 
@@ -588,29 +546,9 @@ class BufferManager : public FrameMetaSource, public PageSource {
                                  storage::PageId incoming);
 
   /// One device read into `frame` plus checksum verification and the
-  /// bounded retry/backoff loop; on terminal failure quarantines the frame
-  /// and records the page as bad. `page` is not yet in the page table.
+  /// bounded retry loop; on terminal failure quarantines the frame and
+  /// records the page as bad. `page` is not yet in the page table.
   Status ReadPageWithRecovery(FrameId frame, storage::PageId page);
-
-  /// The verify/retry/quarantine tail of ReadPageWithRecovery, with the
-  /// first attempt's bytes already in the frame and its status in `status`
-  /// — shared by the sync path and the async batch path (whose first
-  /// attempt came through the staging arena).
-  Status FinishReadWithRecovery(FrameId frame, storage::PageId page,
-                                Status status);
-
-  /// ReadPageWithRecovery for a batch element: when `staged` holds an async
-  /// read of `page`, waits for its completion and uses it as the first
-  /// attempt instead of a device read.
-  Status ReadStagedPage(FrameId frame, storage::PageId page,
-                        const AccessContext& ctx, StagedReads& staged);
-
-  /// Fetch's body once the deferred events are drained: bad-page fast-fail,
-  /// hit, or miss. FetchBatchLocked passes its `staged` reads so a miss
-  /// consumes the async completion; Fetch passes nullptr.
-  StatusOr<PageHandle> FetchDrained(storage::PageId page,
-                                    const AccessContext& ctx,
-                                    StagedReads* staged);
 
   /// Takes `frame` out of service (or recycles it once the quarantine cap
   /// is hit) after a terminal read failure.
@@ -622,10 +560,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// frame to QuarantineFrame. Caller holds the latch; the frame has a zero
   /// pin count (and the buffer, having a WAL, is not concurrent).
   void QuarantineWriteFailure(FrameId frame);
-
-  /// Deterministic exponential backoff with jitter before retry number
-  /// `failures` (1-based); no-op when backoff_base_us is 0.
-  void BackoffBeforeRetry(uint32_t failures, storage::PageId page);
 
   /// Unpin body, latch already held (or no latch attached).
   UnpinStatus UnpinLocked(FrameId frame, bool dirty);
@@ -676,20 +610,26 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// Writes one dirty frame back to the data device, honoring the
   /// write-ahead rule when a WAL is attached (EnsureDurable for logged
   /// frames, a forced steal commit for unlogged ones). Retryable device
-  /// failures are retried up to max_write_retries times with backoff.
+  /// failures are retried up to max_write_retries times.
   /// No-op when clean. `device_write_failed`, when given, is set iff the
   /// returned error came from the data-device write (as opposed to the WAL
   /// half) — the distinction the flusher's quarantine escalation needs.
   Status WriteBackLocked(FrameId frame, const AccessContext& ctx,
                          bool* device_write_failed = nullptr);
 
-  /// True when the dirty ratio exceeds the configured high watermark (the
-  /// point where eviction stops deferring to the background flusher).
+  /// Dirty ratio above which eviction stops deferring to the background
+  /// flusher and writes dirty victims back itself.
+  static constexpr double kHighWatermark = 0.50;
+  /// Dirty victims one frame acquisition sets aside while hunting for a
+  /// clean victim before it gives up and writes back synchronously.
+  static constexpr size_t kMaxCleanScan = 8;
+
+  /// True when the dirty ratio exceeds kHighWatermark.
   bool PastHighWatermark() const {
     const size_t usable = frames_.size() - quarantined_count_;
     if (usable == 0) return true;
     return static_cast<double>(dirty_frames_) >
-           writeback_.high_watermark * static_cast<double>(usable);
+           kHighWatermark * static_cast<double>(usable);
   }
 
   /// Marks the frame's cached metadata stale (in-place page update); the
@@ -708,7 +648,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   std::unique_ptr<ReplacementPolicy> policy_;
   size_t page_size_;
   ResilienceOptions resilience_;
-  size_t quarantine_cap_ = 0;
   size_t quarantined_count_ = 0;
   // Pages that failed terminally, with the status code to fail fast with.
   std::unordered_map<storage::PageId, StatusCode> bad_pages_;
@@ -755,11 +694,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   // Frames whose pin edge the running drain applied; reconciled at its end.
   std::vector<FrameId> edged_frames_;
   uint64_t optimistic_hits_ = 0;
-  // Async batched-read pipeline (FetchBatchLocked misses) plus its staging
-  // arena: queue_depth page-sized buffers the completions land in before
-  // the in-order install phase copies them into frames.
-  std::unique_ptr<storage::AsyncPageDevice> async_device_;
-  std::unique_ptr<std::byte[]> staging_;
 };
 
 }  // namespace sdb::core

@@ -24,7 +24,6 @@ struct TelemetryWindow {
   uint64_t latch_waits = 0;
   uint64_t latch_acquires = 0;
   uint64_t disk_reads = 0;
-  uint64_t io_queue_depth = 0;       ///< gauge: depth at sample time
   uint64_t quarantined_frames = 0;   ///< gauge: total at sample time
   uint64_t asb_candidate = 0;        ///< gauge: candidate-set size
 

@@ -14,9 +14,8 @@
 namespace sdb::obs {
 
 /// What a span measures. The values nest: a kQuery span is the root of one
-/// trace, kShardFetch spans are its children (one per service fetch or
-/// per-shard batch group), and the kAsync* spans sit under the shard fetch
-/// that submitted/harvested them. kSession spans are one-per-session roots
+/// trace, and kShardFetch spans are its children (one per service fetch or
+/// per-shard batch group). kSession spans are one-per-session roots
 /// of their own trace (trace id = the session's query-id stride base), so a
 /// session's sampled queries nest inside it by time containment on the
 /// session's track.
@@ -24,8 +23,6 @@ enum class SpanKind : int8_t {
   kSession = 0,
   kQuery = 1,
   kShardFetch = 2,
-  kAsyncSubmit = 3,
-  kAsyncComplete = 4,
   /// One WAL commit group (payload = image count, flag = forced steal).
   kWalAppend = 5,
   /// Checkpoint: commit + force dirty pages + checkpoint record.

@@ -98,11 +98,6 @@ void BufferService::Init(const storage::DiskManager& disk,
     if (writable_disk_ == nullptr) {
       core::ConcurrentOptions concurrent;
       concurrent.event_ring_capacity = config.event_ring_capacity;
-      // Deterministic per-shard completion schedule: the whole service
-      // replays for a fixed shard layout, but shards do not mirror each
-      // other's reordering.
-      concurrent.async.completion_seed =
-          Mix64(0x5db0a51cull ^ (static_cast<uint64_t>(s) + 1));
       shard->buffer->EnableConcurrency(concurrent);
     }
     if (wal_ != nullptr) shard->buffer->AttachWal(wal_);
@@ -176,8 +171,7 @@ void BufferService::FetchBatch(
   // as the shard's policy sees them (the optimistic hit lands first, the
   // latched fetch after), diverging from the all-latched sequence of a
   // writable service. So the first probe failure blocks the rest of that
-  // shard into phase 2, where the batch pipeline replays them in order
-  // under one latch hold.
+  // shard into phase 2, which fetches them in order under one latch hold.
   std::vector<std::optional<core::StatusOr<core::PageHandle>>> slots(
       pages.size());
   if (shards_.front()->buffer->concurrent()) {
@@ -194,30 +188,29 @@ void BufferService::FetchBatch(
     }
   }
   // Phase 2: group the remainder by shard (input order preserved within a
-  // shard — different shards are independent buffers) and run each group
-  // through the shard's batched miss pipeline under one latch hold.
+  // shard — different shards are independent buffers) and fetch each group
+  // in order under one latch hold.
   std::vector<std::vector<size_t>> by_shard(shards_.size());
   for (size_t i = 0; i < pages.size(); ++i) {
     if (!slots[i].has_value()) by_shard[ShardOf(pages[i])].push_back(i);
   }
-  std::vector<storage::PageId> shard_pages;
-  std::vector<core::StatusOr<core::PageHandle>> shard_out;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (by_shard[s].empty()) continue;
-    shard_pages.clear();
-    shard_out.clear();
-    for (const size_t i : by_shard[s]) shard_pages.push_back(pages[i]);
     Shard& shard = *shards_[s];
-    // One span per shard group: the latch hold plus the shard's batched
-    // miss pipeline (any kAsyncSubmit/kAsyncComplete spans nest inside).
+    // One span per shard group over the latch hold and its fetches;
     // payload = the shard index, page = the group's lead page.
     obs::ScopedSpan span(ctx.span, obs::SpanKind::kShardFetch);
-    span.set_page(shard_pages.front());
+    span.set_page(pages[by_shard[s].front()]);
     span.set_payload(s);
     const std::unique_lock<std::mutex> lock = LockShard(shard);
-    shard.buffer->FetchBatchLocked(shard_pages, ctx, &shard_out);
-    for (size_t k = 0; k < by_shard[s].size(); ++k) {
-      slots[by_shard[s][k]] = std::move(shard_out[k]);
+    const uint64_t misses_before = shard.buffer->stats().misses;
+    for (const size_t i : by_shard[s]) {
+      slots[i] = shard.buffer->Fetch(pages[i], ctx);
+    }
+    const uint64_t misses = shard.buffer->stats().misses - misses_before;
+    if (misses > 0) {
+      ++shard.batch_submits;
+      shard.batch_misses += misses;
     }
   }
   out->reserve(out->size() + pages.size());
@@ -449,10 +442,8 @@ ShardStats BufferService::StatsOfShardLocked(Shard& shard) const {
   stats.optimistic_hits = shard.buffer->optimistic_hits();
   stats.optimistic_retries = shard.buffer->optimistic_retries();
   stats.version_conflicts = shard.buffer->version_conflicts();
-  if (const storage::AsyncPageDevice* async = shard.buffer->async_device()) {
-    stats.batch_submits = async->stats().batch_submits;
-    stats.async_reads = async->stats().completed;
-  }
+  stats.batch_submits = shard.batch_submits;
+  stats.async_reads = shard.batch_misses;
   stats.degraded = static_cast<uint64_t>(degraded_state());
   stats.degraded_entries = degraded_entries();
   return stats;
@@ -544,16 +535,6 @@ void BufferService::ExportShardLocked(Shard& shard,
   shard.buffer->ExportMetrics(registry);
   obs::AddStatsCounters(kShardStatsCounters, stats, registry);
   registry->GetCounter("svc.disk_reads")->Add(stats.io.reads);
-  // A writable shard has no async device: its histogram stays empty.
-  storage::AsyncDeviceStats async;
-  if (const storage::AsyncPageDevice* device = shard.buffer->async_device()) {
-    async = device->stats();
-  }
-  registry
-      ->GetHistogram("io.queue_depth",
-                     std::span<const double>(storage::kAsyncQueueDepthBounds))
-      ->MergeFrom(async.depth_buckets, static_cast<double>(async.depth_sum),
-                  async.submitted);
 }
 
 obs::MetricsSnapshot BufferService::MetricsSnapshot() const {

@@ -77,7 +77,7 @@ struct BufferServiceConfig {
   size_t flusher_threads = 0;
   /// Per-shard dirty ratio (dirty / usable frames) at or below which the
   /// flusher idles. Above it the flusher drains while eviction skips dirty
-  /// victims, up to core::WritebackOptions' high watermark; past that
+  /// victims, up to the buffer's high watermark (0.50); past that
   /// eviction stops waiting and writes back synchronously (counted as
   /// sync_writeback_fallbacks — the bench gate expects zero in steady
   /// state). Between commit nudges the flusher polls at
@@ -120,8 +120,9 @@ struct ShardStats {
   uint64_t optimistic_hits = 0;
   uint64_t optimistic_retries = 0;
   uint64_t version_conflicts = 0;
-  /// Async read pipeline: batches submitted and reads delivered through it
-  /// (zero on a writable service, which has no async device).
+  /// FetchBatch shard groups that missed at least once, and those groups'
+  /// misses, on read-only and writable services alike (async_reads keeps
+  /// the name the end-to-end benchmark reads).
   uint64_t batch_submits = 0;
   uint64_t async_reads = 0;
   /// Service-wide degraded-mode accounting, mirrored into every shard's
@@ -164,10 +165,10 @@ inline constexpr obs::StatsCounter<ShardStats> kShardStatsCounters[] = {
 /// shards into one atomic log group.
 ///
 /// The latch protocol follows writability. A read-only service's shards
-/// pin hits latch-free (core::BufferManager::EnableConcurrency) and batch
-/// their misses through an AsyncPageDevice; a writable service's shards
-/// take the plain shard mutex, so the write path never races a latch-free
-/// reader. Run serially, both give the same hits and misses.
+/// pin hits latch-free (core::BufferManager::EnableConcurrency); a writable
+/// service's shards take the plain shard mutex, so the write path never
+/// races a latch-free reader. Run serially, both give the same hits and
+/// misses.
 class BufferService final : public core::PageSource {
  public:
   BufferService(const storage::DiskManager& disk,
@@ -194,19 +195,19 @@ class BufferService final : public core::PageSource {
       override;
 
   /// Batched fetch: a read-only service serves optimistic hits latch-free
-  /// first; the remaining pages are grouped by shard and pushed through
-  /// each shard's batched miss pipeline under one latch acquisition per
-  /// shard. Results land in input order. All of a batch's handles may be
-  /// alive at once — callers must leave every shard (batch size + 1)
+  /// first; the remaining pages are grouped by shard, and each group runs
+  /// as a loop of core::BufferManager::Fetch under one latch acquisition,
+  /// so a batch is exactly the sequential fetch loop, fault draws
+  /// included. Results land in input order. All of a batch's handles may
+  /// be alive at once — callers must leave every shard (batch size + 1)
   /// frames of pin headroom.
   void FetchBatch(std::span<const storage::PageId> pages,
                   const core::AccessContext& ctx,
                   std::vector<core::StatusOr<core::PageHandle>>* out)
       override;
 
-  /// True for read-only and writable services alike: the batch path
-  /// amortizes latch acquisitions even without the async device a writable
-  /// service lacks.
+  /// True for read-only and writable services alike: the batch path takes
+  /// each shard latch once per group instead of once per page.
   bool PrefersBatchedReads() const override { return true; }
 
   /// Per-shard pin budget: the page-id hash can land a whole batch on one
@@ -334,8 +335,8 @@ class BufferService final : public core::PageSource {
 
   /// One view per shard: the shard collector's registry (histograms,
   /// gauges, policy counters; empty without collect_metrics), every
-  /// BufferStats counter, buffer.header_decodes, the kShardStatsCounters,
-  /// svc.disk_reads and the io.queue_depth histogram, all absolute.
+  /// BufferStats counter, buffer.header_decodes, the kShardStatsCounters
+  /// and svc.disk_reads, all absolute.
   std::vector<obs::MetricsSnapshot> ShardMetricsSnapshots() const;
 
   /// On-demand live stats dump: MetricsSnapshot() plus service-shape
@@ -359,6 +360,9 @@ class BufferService final : public core::PageSource {
     std::unique_ptr<core::BufferManager> buffer;
     std::atomic<uint64_t> latch_waits{0};
     std::atomic<uint64_t> latch_acquires{0};
+    // FetchBatch groups that missed and their misses (under the latch).
+    uint64_t batch_submits = 0;
+    uint64_t batch_misses = 0;
   };
 
   /// Shared construction body of both constructors.

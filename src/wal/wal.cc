@@ -10,16 +10,6 @@
 
 namespace sdb::wal {
 
-namespace {
-/// splitmix64 finalizer, for the deterministic retry-backoff jitter.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-}  // namespace
-
 std::string_view RecordTypeName(RecordType type) {
   switch (type) {
     case RecordType::kPageImage:
@@ -120,7 +110,6 @@ void WalManager::Flush() {
     if (status.ok()) break;
     if (!status.retryable() || attempt >= options_.max_flush_retries) break;
     ++retries;
-    BackoffBeforeRetry(attempt);
   }
 
   if (!status.ok()) {
@@ -182,17 +171,6 @@ core::Status WalManager::WriteBlockAndSync(storage::PageId first_page,
   return device_->Sync();
 }
 
-void WalManager::BackoffBeforeRetry(uint32_t failures) const {
-  if (options_.retry_backoff_us == 0) return;
-  const uint64_t exp = std::min<uint32_t>(failures, 6);
-  const uint64_t ceiling = static_cast<uint64_t>(options_.retry_backoff_us)
-                           << exp;
-  const uint64_t jitter =
-      Mix64(options_.retry_backoff_seed ^ Mix64(failures + 1)) %
-      (options_.retry_backoff_us / 2 + 1);
-  std::this_thread::sleep_for(std::chrono::microseconds(ceiling + jitter));
-}
-
 core::Status WalManager::TruncateBelow(Lsn lsn) {
   std::lock_guard<std::mutex> file_lock(file_mu_);
   Lsn durable = 0;
@@ -213,8 +191,8 @@ core::Status WalManager::TruncateBelow(Lsn lsn) {
   const auto first = static_cast<storage::PageId>(truncated_lsn_ / page_size_);
   const auto last = static_cast<storage::PageId>(target / page_size_);
   for (storage::PageId p = first; p < last; ++p) {
-    // Transient zeroing failures retry with the flush backoff policy; only
-    // a persistent failure turns sticky. (Losing a zeroing write in a crash
+    // Transient zeroing failures retry within the flush budget; only a
+    // persistent failure turns sticky. (Losing a zeroing write in a crash
     // is harmless — recovery just replays records the checkpoint already
     // covered — but a device that cannot be written at all is the same
     // terminal condition a failed flush is.)
@@ -223,11 +201,8 @@ core::Status WalManager::TruncateBelow(Lsn lsn) {
       status = device_->Write(p, zero);
       if (status.ok()) break;
       if (!status.retryable() || attempt >= options_.max_flush_retries) break;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.write_retries;
-      }
-      BackoffBeforeRetry(attempt);
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.write_retries;
     }
     if (!status.ok()) {
       {

@@ -40,13 +40,9 @@ struct WalOptions {
   /// write, failed sync) re-runs the whole write+sync attempt up to this
   /// many extra times before the error turns sticky. Each attempt rewrites
   /// every page of the block — the fsyncgate rule: a failed sync may have
-  /// dropped anything written since the last successful one.
+  /// dropped anything written since the last successful one. Retries
+  /// follow at once, so tests stay exact.
   uint32_t max_flush_retries = 3;
-  /// Backoff before the k-th flush retry: retry_backoff_us << min(k, 6)
-  /// plus a small deterministic jitter drawn from retry_backoff_seed.
-  /// 0 (the default) disables the sleep entirely — tests stay exact.
-  uint32_t retry_backoff_us = 0;
-  uint64_t retry_backoff_seed = 0;
 };
 
 /// Counters of one WalManager, all maintained under its mutex.
@@ -201,9 +197,6 @@ class WalManager {
   /// non-OK return means nothing in the block may be assumed on the device.
   core::Status WriteBlockAndSync(storage::PageId first_page, size_t page_count,
                                  std::span<const std::byte> block);
-  /// Deterministic sleep before the `failures`-th retry; no-op when
-  /// retry_backoff_us is 0.
-  void BackoffBeforeRetry(uint32_t failures) const;
   /// Group-commit writer thread body.
   void WriterLoop();
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -11,6 +12,48 @@
 
 namespace sdb::svc {
 namespace {
+
+/// Forwards every call to the wrapped source, but holds each fetch until
+/// `open` is set: a worker inside its first fetch cannot claim another
+/// session.
+class GatedSource final : public core::PageSource {
+ public:
+  GatedSource(core::PageSource* inner, const std::atomic<bool>* open)
+      : inner_(inner), open_(open) {}
+
+  core::StatusOr<core::PageHandle> Fetch(storage::PageId page,
+                                         const core::AccessContext& ctx)
+      override {
+    WaitOpen();
+    return inner_->Fetch(page, ctx);
+  }
+  void FetchBatch(std::span<const storage::PageId> pages,
+                  const core::AccessContext& ctx,
+                  std::vector<core::StatusOr<core::PageHandle>>* out)
+      override {
+    WaitOpen();
+    inner_->FetchBatch(pages, ctx, out);
+  }
+  core::StatusOr<core::PageHandle> New(const core::AccessContext& ctx)
+      override {
+    return inner_->New(ctx);
+  }
+  std::span<const std::byte> Peek(storage::PageId page) const override {
+    return inner_->Peek(page);
+  }
+  bool PrefersBatchedReads() const override {
+    return inner_->PrefersBatchedReads();
+  }
+  size_t BatchPinBudget() const override { return inner_->BatchPinBudget(); }
+
+ private:
+  void WaitOpen() const {
+    while (!open_->load(std::memory_order_acquire)) std::this_thread::yield();
+  }
+
+  core::PageSource* inner_;
+  const std::atomic<bool>* open_;
+};
 
 class SessionExecutorTest : public ::testing::Test {
  protected:
@@ -121,15 +164,26 @@ TEST_F(SessionExecutorTest, BackpressureBoundsTheQueue) {
   service_config.total_frames = 32;
   service_config.shard_count = 2;
   BufferService service(*scenario_->disk, service_config);
+  // The worker's first fetch waits until a Submit has blocked, so the queue
+  // fills however the threads are scheduled.
+  std::atomic<bool> open{false};
+  GatedSource gated(&service, &open);
   SessionExecutorConfig executor_config;
   executor_config.workers = 1;  // one slow consumer
   executor_config.queue_capacity = 2;
-  SessionExecutor executor(scenario_->disk.get(), &service,
+  SessionExecutor executor(scenario_->disk.get(), &gated,
                            scenario_->tree_meta, executor_config);
+  std::thread opener([&] {
+    while (executor.stats().backpressure_waits == 0) {
+      std::this_thread::yield();
+    }
+    open.store(true, std::memory_order_release);
+  });
   for (const workload::QuerySet& session : sessions) {
     executor.Submit(session);
   }
   const std::vector<SessionResult> results = executor.Finish();
+  opener.join();
   EXPECT_EQ(results.size(), sessions.size());
   const SessionExecutorStats stats = executor.stats();
   EXPECT_EQ(stats.sessions, sessions.size());

@@ -439,19 +439,20 @@ TEST_F(BufferServiceTest, OptimisticSerialRunIsBitIdenticalToMutex) {
   EXPECT_EQ(optimistic_stats.io.reads, mutex_stats.io.reads);
   EXPECT_GT(optimistic_stats.optimistic_hits, 0u);
   EXPECT_EQ(mutex_stats.optimistic_hits, 0u);
-  EXPECT_EQ(mutex_stats.async_reads, 0u);
+  EXPECT_EQ(optimistic_stats.batch_submits, mutex_stats.batch_submits);
+  EXPECT_EQ(optimistic_stats.async_reads, mutex_stats.async_reads);
 }
 
 TEST_F(BufferServiceTest, SerialOneShardAsbServiceMatchesPlainBuffer) {
   // One shard: the shared ASB tuning has a single participant, so it
   // adapts exactly like a private policy. The 3-page batches all land on
-  // that shard and run through the async batch pipeline.
+  // that shard, one shard group each.
   BufferServiceConfig config;
   config.total_frames = 24;
   config.shard_count = 1;
   config.policy_spec = "ASB";
   const ShardStats stats = ExpectSerialServiceMatchesPlainBuffers(config);
-  EXPECT_GT(stats.async_reads, 0u) << "batch misses must take the async path";
+  EXPECT_GT(stats.async_reads, 0u) << "batch groups must count their misses";
   EXPECT_GT(stats.optimistic_hits, 0u);
 }
 
@@ -461,6 +462,58 @@ TEST_F(BufferServiceTest, SerialFourShardLruServiceMatchesPlainBuffers) {
   config.shard_count = 4;
   config.policy_spec = "LRU";
   ExpectSerialServiceMatchesPlainBuffers(config);
+}
+
+// A batch is the sequential fetch loop, fault draws included. Two services
+// under one fault profile: one fetches 3-page groups with FetchBatch, the
+// other fetches the same pages one Fetch at a time and holds the handles
+// until the group ends, as the batch does. Consecutive groups share a page,
+// so groups also start with hits. Every element's status and every hit,
+// miss, device read and fault outcome must agree.
+TEST_F(BufferServiceTest, FaultedBatchEqualsSequentialFetches) {
+  BufferServiceConfig config;
+  config.total_frames = 24;
+  config.shard_count = 1;
+  config.policy_spec = "ASB";
+  config.fault_profile.seed = 77;
+  config.fault_profile.transient_prob = 0.08;
+  config.fault_profile.bit_flip_prob = 0.04;
+  BufferService batched(disk(), config);
+  BufferService sequential(disk(), config);
+
+  const std::vector<PageId> pages = AllPages();
+  uint64_t query = 0;
+  std::vector<core::StatusOr<core::PageHandle>> from_batch;
+  std::vector<core::StatusOr<core::PageHandle>> from_loop;
+  for (size_t round = 0; round < 3; ++round) {
+    for (size_t i = 0; i + 3 <= pages.size(); i += 2) {
+      const std::span<const PageId> group(&pages[i], 3);
+      const core::AccessContext ctx{++query};
+      batched.FetchBatch(group, ctx, &from_batch);
+      for (const PageId page : group) {
+        from_loop.push_back(sequential.Fetch(page, ctx));
+      }
+      ASSERT_EQ(from_batch.size(), group.size());
+      for (size_t k = 0; k < group.size(); ++k) {
+        EXPECT_EQ(from_batch[k].status().code(), from_loop[k].status().code())
+            << "round " << round << ", page " << group[k];
+      }
+      from_batch.clear();
+      from_loop.clear();
+    }
+  }
+  const ShardStats batch = batched.AggregateStats();
+  const ShardStats loop = sequential.AggregateStats();
+  EXPECT_GT(loop.buffer.io_read_retries, 0u)
+      << "the profile must inject faults";
+  EXPECT_EQ(batch.buffer.hits, loop.buffer.hits);
+  EXPECT_EQ(batch.buffer.misses, loop.buffer.misses);
+  EXPECT_EQ(batch.io.reads, loop.io.reads);
+  EXPECT_EQ(batch.buffer.io_read_retries, loop.buffer.io_read_retries);
+  EXPECT_EQ(batch.buffer.io_checksum_mismatches,
+            loop.buffer.io_checksum_mismatches);
+  EXPECT_EQ(batch.buffer.io_permanent_failures,
+            loop.buffer.io_permanent_failures);
 }
 
 TEST_F(BufferServiceTest, FetchBatchDeliversInputOrderAndCountsEachAccess) {

@@ -880,7 +880,8 @@ TEST(WritableServiceTest, OptimisticBatchMatchesMutexHitForHitSerially) {
       << "identical serial batch streams must hit identically";
   EXPECT_EQ(optimistic_stats.buffer.misses, mutex_stats.buffer.misses);
   EXPECT_EQ(mutex_stats.optimistic_hits, 0u);
-  EXPECT_EQ(mutex_stats.async_reads, 0u);
+  EXPECT_EQ(optimistic_stats.batch_submits, mutex_stats.batch_submits);
+  EXPECT_EQ(optimistic_stats.async_reads, mutex_stats.async_reads);
 }
 
 // ---------------------------------------------------------------------------
