@@ -6,7 +6,7 @@
 // (p50/p95/p99 from the executor's fixed-bucket histogram) as the worker
 // count (1..16) and shard count (1, 4, 16) grow. The service is read-only,
 // so its shards run the optimistic protocol (version-stamped latch-free
-// hits; a batch's misses take each shard latch once); micro_policy_overhead's
+// hits; a miss takes its shard latch); micro_policy_overhead's
 // latch_overhead row compares it with the shard mutex a writable service
 // takes.
 //
@@ -44,6 +44,12 @@
 namespace {
 
 using namespace sdb;
+
+/// The buffer floor's frames per worker in every shard. It is the width of
+/// the leaf batches the R-tree traversal used to pin at once; a traversal
+/// now pins one page at a time, so the floor keeps that width only so that
+/// cells stay comparable with earlier runs (EXPERIMENTS.md).
+constexpr size_t kFloorFramesPerWorker = 8;
 
 struct CellResult {
   size_t workers = 0;
@@ -135,8 +141,7 @@ std::string CellJson(const std::string& workload_name, size_t total_frames,
       "\"hits\":%llu,\"hit_rate\":%.6f,\"disk_reads\":%llu,"
       "\"latch_waits\":%llu,\"latch_acquires\":%llu,"
       "\"optimistic_hits\":%llu,\"optimistic_retries\":%llu,"
-      "\"version_conflicts\":%llu,\"batch_submits\":%llu,"
-      "\"async_reads\":%llu,\"pin_p50_ns\":%.0f,\"pin_p95_ns\":%.0f,"
+      "\"version_conflicts\":%llu,\"pin_p50_ns\":%.0f,\"pin_p95_ns\":%.0f,"
       "\"pin_p99_ns\":%.0f,\"backpressure_waits\":%llu",
       obs::kBenchJsonSchemaVersion, workload_name.c_str(), total_frames,
       cell.workers, cell.shards, cell.seconds, cell.PagesPerSecond(),
@@ -149,8 +154,6 @@ std::string CellJson(const std::string& workload_name, size_t total_frames,
       static_cast<unsigned long long>(cell.stats.optimistic_hits),
       static_cast<unsigned long long>(cell.stats.optimistic_retries),
       static_cast<unsigned long long>(cell.stats.version_conflicts),
-      static_cast<unsigned long long>(cell.stats.batch_submits),
-      static_cast<unsigned long long>(cell.stats.async_reads),
       cell.PinQuantileNs(0.50), cell.PinQuantileNs(0.95),
       cell.PinQuantileNs(0.99),
       static_cast<unsigned long long>(cell.backpressure_waits));
@@ -199,14 +202,12 @@ void RunGrid(const sim::Scenario& scenario, const std::string& workload_name,
       MakeSessions(scenario, uniform, session_count, steps);
   const std::vector<size_t> worker_counts{1, 2, 4, 8, 16};
   const std::vector<size_t> shard_counts{1, 4, 16};
-  // One buffer size for the whole grid (cells stay comparable), floored so
-  // every shard keeps an evictable frame even when every worker has a full
-  // leaf batch (up to 8 handles) pinned in that one shard at once.
-  constexpr size_t kMaxBatchPins = 8;
+  // One buffer size for the whole grid (cells stay comparable), floored at
+  // kFloorFramesPerWorker frames per worker plus one in every shard.
   const size_t total_frames =
       std::max(scenario.BufferFrames(0.047),
                shard_counts.back() *
-                   (worker_counts.back() * kMaxBatchPins + 1));
+                   (worker_counts.back() * kFloorFramesPerWorker + 1));
 
   sim::Table table({"workers", "shards", "pages/s", "hit rate",
                     "latch waits", "p50 ns", "p99 ns", "speedup vs 1w/1s"});
@@ -288,12 +289,11 @@ void RunGrid(const sim::Scenario& scenario, const std::string& workload_name,
 void RunAdaptationTimeline(const sim::Scenario& scenario) {
   constexpr size_t kWorkers = 16;
   constexpr size_t kShards = 4;
-  constexpr size_t kMaxBatchPins = 8;
   const size_t session_count = bench::EnvSizeT("SDB_BENCH_SESSIONS", 16);
   const size_t steps = bench::EnvSizeT("SDB_BENCH_SESSION_STEPS", 1000);
   const size_t total_frames =
       std::max(scenario.BufferFrames(0.047),
-               kShards * (kWorkers * kMaxBatchPins + 1));
+               kShards * (kWorkers * kFloorFramesPerWorker + 1));
 
   svc::BufferServiceConfig service_config;
   service_config.total_frames = total_frames;

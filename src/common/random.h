@@ -9,6 +9,16 @@
 
 namespace sdb {
 
+/// splitmix64 finalizer: the output of one SplitMix64 step from state `x`.
+/// The project's one integer mixer — Rng's generator, page-id hashing
+/// (shards, the page table, redo partitions) and fault draws all use it.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic 64-bit PRNG (SplitMix64). Small, fast, and fully
 /// reproducible across platforms — every generator in this project takes an
 /// explicit seed so experiments can be replayed bit-for-bit.
@@ -18,10 +28,9 @@ class Rng {
 
   /// Next raw 64-bit value.
   uint64_t NextU64() {
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    const uint64_t out = Mix64(state_);
+    state_ += 0x9e3779b97f4a7c15ULL;
+    return out;
   }
 
   /// Uniform double in [0, 1).

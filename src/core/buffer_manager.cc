@@ -973,8 +973,6 @@ void BufferManager::ApplyDeferred(const DeferredEvent& event) {
 void PageSource::FetchBatch(std::span<const storage::PageId> pages,
                             const AccessContext& ctx,
                             std::vector<StatusOr<PageHandle>>* out) {
-  // Default: a plain sequential loop, byte-identical to the caller issuing
-  // the fetches itself.
   out->reserve(out->size() + pages.size());
   for (const storage::PageId page : pages) out->push_back(Fetch(page, ctx));
 }

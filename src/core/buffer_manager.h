@@ -208,31 +208,13 @@ class PageSource {
   virtual StatusOr<PageHandle> Fetch(storage::PageId page,
                                      const AccessContext& ctx) = 0;
 
-  /// Fetches a batch of pages, returning one pinned-handle-or-error per
-  /// input in input order. The default is a sequential Fetch loop —
-  /// behaviorally identical to the caller looping itself — and overrides
-  /// must keep that behaviour (svc::BufferService only saves latch
-  /// acquisitions). Every element counts as exactly one access. All
-  /// handles of a batch may be alive at once, so callers must size batches
-  /// against the source's pin headroom.
+  /// Kept only for perfbench's TimedSource: a sequential Fetch loop.
   virtual void FetchBatch(std::span<const storage::PageId> pages,
                           const AccessContext& ctx,
                           std::vector<StatusOr<PageHandle>>* out);
-
-  /// Whether callers should group independent fetches into FetchBatch
-  /// calls. False by default: batching holds every handle of a batch
-  /// pinned at once, which perturbs victim choice in small buffers, so a
-  /// source only opts in when its batch path buys something (the sharded
-  /// service). Callers honoring this keeps the single-threaded
-  /// figure replications bit-identical to the sequential traversal.
+  /// Kept only for perfbench's TimedSource: always false.
   virtual bool PrefersBatchedReads() const { return false; }
-
-  /// Most handles a caller should keep alive out of one FetchBatch call.
-  /// 0 (the default) means unbounded; a sharded source answers its
-  /// per-shard frame count minus headroom, because a batch can land
-  /// entirely on one shard and a batch wider than the shard genuinely
-  /// exhausts it (every frame pinned, no victim possible). Callers chunk
-  /// their batches to this budget.
+  /// Kept only for perfbench's TimedSource: always 0.
   virtual size_t BatchPinBudget() const { return 0; }
 
   /// Allocates a fresh zeroed page and pins it. Sources serving read-only

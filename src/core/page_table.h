@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/random.h"
 #include "storage/page.h"
 
 namespace sdb::core {
@@ -107,10 +108,7 @@ class PageTable {
 
   /// The slot a probe for `page` starts at.
   size_t Home(storage::PageId page) const {
-    uint64_t x = static_cast<uint64_t>(page) + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>(x ^ (x >> 31)) & mask_;
+    return static_cast<size_t>(Mix64(static_cast<uint64_t>(page))) & mask_;
   }
 
  private:

@@ -20,7 +20,10 @@ namespace sdb::obs {
 ///      writer (additive only — version-2 fields are unchanged)
 ///   4: fixed counter set; every stats-struct counter is exported, zero or
 ///      not
-inline constexpr int kBenchJsonSchemaVersion = 4;
+///   5: no batched fetch path: the two io.* batch counters and the
+///      batch_submits / async_reads fields of BENCH_concurrent.json rows are
+///      gone
+inline constexpr int kBenchJsonSchemaVersion = 5;
 
 /// Compact single-line JSON object of a snapshot: counters and gauges as
 /// numbers, histograms as {"bounds":[...],"counts":[...],"sum":s,"n":n}.

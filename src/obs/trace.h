@@ -14,11 +14,10 @@
 namespace sdb::obs {
 
 /// What a span measures. The values nest: a kQuery span is the root of one
-/// trace, and kShardFetch spans are its children (one per service fetch or
-/// per-shard batch group). kSession spans are one-per-session roots
-/// of their own trace (trace id = the session's query-id stride base), so a
-/// session's sampled queries nest inside it by time containment on the
-/// session's track.
+/// trace, and kShardFetch spans are its children (one per service fetch).
+/// kSession spans are one-per-session roots of their own trace (trace id =
+/// the session's query-id stride base), so a session's sampled queries nest
+/// inside it by time containment on the session's track.
 enum class SpanKind : int8_t {
   kSession = 0,
   kQuery = 1,

@@ -742,11 +742,6 @@ bool RTree::Delete(uint64_t id, const Rect& rect, const AccessContext& ctx) {
 // Queries
 // ---------------------------------------------------------------------------
 
-// Leaves fetched per FetchBatch call under a level-1 node. Bounds the
-// number of simultaneously pinned handles, so callers running over a shared
-// buffer service need (kLeafBatchPins + 1) frames of per-shard headroom.
-constexpr size_t kLeafBatchPins = 8;
-
 void RTree::WindowQueryVisit(
     const Rect& window, const AccessContext& ctx,
     const std::function<void(const Entry&)>& visit) const {
@@ -754,8 +749,6 @@ void RTree::WindowQueryVisit(
   // Mask scratch reused by every node scan: the intersect kernel reads each
   // node's coordinate columns in place, so nothing else is copied per node.
   std::vector<uint8_t> mask;
-  std::vector<PageId> leaf_batch;
-  std::vector<core::StatusOr<core::PageHandle>> leaves;
   while (!stack.empty()) {
     const PageId id = stack.back();
     stack.pop_back();
@@ -770,43 +763,6 @@ void RTree::WindowQueryVisit(
     core::PageHandle page = std::move(fetched).value();
     const NodeView node(page.bytes());
     if (node.ScanEntries(window, &mask) == 0) continue;
-    if (node.level() == 1 && buffer_->PrefersBatchedReads()) {
-      // Every matching child is a leaf: fetch them through the source's
-      // batched path instead of one stack round-trip each, in reverse entry
-      // order — exactly the LIFO pop order of the stack they replace, so
-      // visit order and the page-access sequence are unchanged. The parent
-      // is released first to keep peak pins at (chunk + 1).
-      leaf_batch.clear();
-      ForEachHit(mask,
-                 [&](uint16_t i) { leaf_batch.push_back(node.child(i)); });
-      std::reverse(leaf_batch.begin(), leaf_batch.end());
-      page.Release();
-      // Chunk to the source's pin budget when it advertises one: a sharded
-      // source can land a whole chunk on one shard, and a chunk wider than
-      // the shard pins it wall-to-wall.
-      const size_t budget = buffer_->BatchPinBudget();
-      const size_t chunk =
-          budget == 0 ? kLeafBatchPins : std::min(kLeafBatchPins, budget);
-      for (size_t begin = 0; begin < leaf_batch.size(); begin += chunk) {
-        const size_t count = std::min(leaf_batch.size() - begin, chunk);
-        leaves.clear();
-        buffer_->FetchBatch(
-            std::span<const PageId>(leaf_batch.data() + begin, count), ctx,
-            &leaves);
-        for (core::StatusOr<core::PageHandle>& fetched_leaf : leaves) {
-          if (!fetched_leaf.ok()) {
-            RecordIoError(fetched_leaf.status());
-            continue;
-          }
-          core::PageHandle leaf_page = std::move(fetched_leaf).value();
-          const NodeView leaf_node(leaf_page.bytes());
-          if (leaf_node.ScanEntries(window, &mask) == 0) continue;
-          ForEachHit(mask,
-                     [&](uint16_t i) { visit(leaf_node.GetEntry(i)); });
-        }
-      }
-      continue;
-    }
     // Only a leaf hit is decoded into an Entry; a directory hit reads just
     // the child id.
     if (node.is_leaf()) {

@@ -4,25 +4,10 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/random.h"
 #include "rtree/node_view.h"
 
 namespace sdb::sim {
-
-namespace {
-
-/// splitmix64: the repo's stock deterministic PRNG.
-uint64_t NextRandom(uint64_t* state) {
-  uint64_t x = (*state += 0x9E3779B97F4A7C15ull);
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-double NextUnit(uint64_t* state) {
-  return static_cast<double>(NextRandom(state) >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 core::StatusOr<ChurnResult> RunChurn(rtree::RTree& tree,
                                      const geom::Rect& space,
@@ -30,16 +15,18 @@ core::StatusOr<ChurnResult> RunChurn(rtree::RTree& tree,
                                      const ChurnHooks& hooks,
                                      const core::AccessContext& ctx) {
   SDB_CHECK_MSG(!space.IsEmpty(), "churn needs a non-empty data space");
-  uint64_t state = options.seed;
+  Rng rng(options.seed);
   const double w = space.width() * options.extent_fraction;
   const double h = space.height() * options.extent_fraction;
   std::vector<rtree::Entry> live;
   ChurnResult result;
   for (size_t op = 1; op <= options.operations; ++op) {
     const bool do_delete =
-        !live.empty() && NextUnit(&state) < options.delete_fraction;
+        !live.empty() && rng.NextDouble() < options.delete_fraction;
     if (do_delete) {
-      const size_t pick = NextRandom(&state) % live.size();
+      // A plain modulo, not NextBelow: the operation stream stays the one
+      // every recorded churn run drew.
+      const size_t pick = rng.NextU64() % live.size();
       const rtree::Entry victim = live[pick];
       live[pick] = live.back();
       live.pop_back();
@@ -48,8 +35,8 @@ core::StatusOr<ChurnResult> RunChurn(rtree::RTree& tree,
       ++result.deletes;
     } else {
       rtree::Entry entry;
-      const double cx = space.xmin + NextUnit(&state) * space.width();
-      const double cy = space.ymin + NextUnit(&state) * space.height();
+      const double cx = space.xmin + rng.NextDouble() * space.width();
+      const double cy = space.ymin + rng.NextDouble() * space.height();
       entry.rect = geom::Rect::Centered({cx, cy}, w, h);
       entry.id = options.first_id + result.inserts;
       tree.Insert(entry, ctx);

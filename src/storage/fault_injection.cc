@@ -6,21 +6,14 @@
 #include <thread>
 
 #include "common/macros.h"
+#include "common/random.h"
 
 namespace sdb::storage {
 
 namespace {
 
-/// splitmix64 finalizer — the same mixer the service shards use for page-id
-/// hashing. Every fault decision is a pure function of its output.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-/// Uniform double in [0, 1) from the top 53 bits of a mixed draw. `salt`
+/// Uniform double in [0, 1) from the top 53 bits of a mixed draw (every
+/// fault decision is a pure function of Mix64 outputs). `salt`
 /// decorrelates the per-kind draws of one read.
 double Draw(uint64_t seed, uint64_t read_index, PageId page, uint64_t salt) {
   const uint64_t h =

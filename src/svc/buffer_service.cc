@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "common/random.h"
 #include "core/policy_asb.h"
 #include "core/policy_factory.h"
 #include "obs/export.h"
@@ -14,17 +15,6 @@
 namespace sdb::svc {
 
 namespace {
-
-/// splitmix64 finalizer: page ids are sequential on disk, so a plain modulo
-/// would put whole subtrees on one shard; the mix spreads them evenly.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t MixPageId(uint64_t x) { return Mix64(x); }
 
 /// Capacity split: total/count per shard, remainder to the lowest-numbered
 /// shards one frame each.
@@ -122,7 +112,9 @@ void BufferService::Init(const storage::DiskManager& disk,
 BufferService::~BufferService() = default;
 
 size_t BufferService::ShardOf(storage::PageId page) const {
-  return static_cast<size_t>(MixPageId(static_cast<uint64_t>(page)) %
+  // Page ids are sequential on disk, so a plain modulo would put whole
+  // subtrees on one shard; the mix spreads them evenly.
+  return static_cast<size_t>(Mix64(static_cast<uint64_t>(page)) %
                              shards_.size());
 }
 
@@ -159,62 +151,6 @@ core::StatusOr<core::PageHandle> BufferService::Fetch(
   }
   const std::unique_lock<std::mutex> lock = LockShard(shard);
   return shard.buffer->Fetch(page, ctx);
-}
-
-void BufferService::FetchBatch(
-    std::span<const storage::PageId> pages, const core::AccessContext& ctx,
-    std::vector<core::StatusOr<core::PageHandle>>* out) {
-  // Phase 1 (latch-free, read-only service): serve what the optimistic
-  // path can — but keep each shard's access sequence in input order. Once
-  // one page of a shard has to take the latched path, serving a LATER page
-  // of that same shard optimistically here would reorder the two accesses
-  // as the shard's policy sees them (the optimistic hit lands first, the
-  // latched fetch after), diverging from the all-latched sequence of a
-  // writable service. So the first probe failure blocks the rest of that
-  // shard into phase 2, which fetches them in order under one latch hold.
-  std::vector<std::optional<core::StatusOr<core::PageHandle>>> slots(
-      pages.size());
-  if (shards_.front()->buffer->concurrent()) {
-    std::vector<bool> shard_blocked(shards_.size(), false);
-    for (size_t i = 0; i < pages.size(); ++i) {
-      const size_t s = ShardOf(pages[i]);
-      if (shard_blocked[s]) continue;
-      if (std::optional<core::PageHandle> hit =
-              shards_[s]->buffer->TryOptimisticFetch(pages[i], ctx)) {
-        slots[i] = std::move(*hit);
-      } else {
-        shard_blocked[s] = true;
-      }
-    }
-  }
-  // Phase 2: group the remainder by shard (input order preserved within a
-  // shard — different shards are independent buffers) and fetch each group
-  // in order under one latch hold.
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < pages.size(); ++i) {
-    if (!slots[i].has_value()) by_shard[ShardOf(pages[i])].push_back(i);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    // One span per shard group over the latch hold and its fetches;
-    // payload = the shard index, page = the group's lead page.
-    obs::ScopedSpan span(ctx.span, obs::SpanKind::kShardFetch);
-    span.set_page(pages[by_shard[s].front()]);
-    span.set_payload(s);
-    const std::unique_lock<std::mutex> lock = LockShard(shard);
-    const uint64_t misses_before = shard.buffer->stats().misses;
-    for (const size_t i : by_shard[s]) {
-      slots[i] = shard.buffer->Fetch(pages[i], ctx);
-    }
-    const uint64_t misses = shard.buffer->stats().misses - misses_before;
-    if (misses > 0) {
-      ++shard.batch_submits;
-      shard.batch_misses += misses;
-    }
-  }
-  out->reserve(out->size() + pages.size());
-  for (auto& slot : slots) out->push_back(std::move(*slot));
 }
 
 core::StatusOr<core::PageHandle> BufferService::New(
@@ -442,8 +378,6 @@ ShardStats BufferService::StatsOfShardLocked(Shard& shard) const {
   stats.optimistic_hits = shard.buffer->optimistic_hits();
   stats.optimistic_retries = shard.buffer->optimistic_retries();
   stats.version_conflicts = shard.buffer->version_conflicts();
-  stats.batch_submits = shard.batch_submits;
-  stats.async_reads = shard.batch_misses;
   stats.degraded = static_cast<uint64_t>(degraded_state());
   stats.degraded_entries = degraded_entries();
   return stats;

@@ -120,9 +120,7 @@ struct ShardStats {
   uint64_t optimistic_hits = 0;
   uint64_t optimistic_retries = 0;
   uint64_t version_conflicts = 0;
-  /// FetchBatch shard groups that missed at least once, and those groups'
-  /// misses, on read-only and writable services alike (async_reads keeps
-  /// the name the end-to-end benchmark reads).
+  /// Always 0: kept only because perfbench/src/common.cc reads them.
   uint64_t batch_submits = 0;
   uint64_t async_reads = 0;
   /// Service-wide degraded-mode accounting, mirrored into every shard's
@@ -143,8 +141,6 @@ inline constexpr obs::StatsCounter<ShardStats> kShardStatsCounters[] = {
     {"svc.optimistic_hits", &ShardStats::optimistic_hits},
     {"svc.optimistic_retries", &ShardStats::optimistic_retries},
     {"svc.version_conflicts", &ShardStats::version_conflicts},
-    {"io.batch_submits", &ShardStats::batch_submits},
-    {"io.async_reads", &ShardStats::async_reads},
 };
 
 /// Thread-safe shared buffer: one logical pool sharded across N
@@ -152,8 +148,9 @@ inline constexpr obs::StatsCounter<ShardStats> kShardStatsCounters[] = {
 /// per-shard latch serializes that shard's buffer and policy, and policy
 /// work (victim scans, ASB adaptation) stays confined per shard so the
 /// lookup path of other shards never waits on it. Handles returned by
-/// Fetch release their pin through the owning shard's latch, so they may be
-/// dropped from any thread at any time.
+/// Fetch may be dropped from any thread at any time: a writable shard
+/// releases the pin under its latch, a read-only shard without it (it takes
+/// the latch only to drain a full event stripe).
 ///
 /// Read-only construction serves query traffic over a shared DiskManager
 /// image: each shard reads through its own ReadOnlyDiskView (per-shard I/O
@@ -193,31 +190,6 @@ class BufferService final : public core::PageSource {
   core::StatusOr<core::PageHandle> Fetch(storage::PageId page,
                                          const core::AccessContext& ctx)
       override;
-
-  /// Batched fetch: a read-only service serves optimistic hits latch-free
-  /// first; the remaining pages are grouped by shard, and each group runs
-  /// as a loop of core::BufferManager::Fetch under one latch acquisition,
-  /// so a batch is exactly the sequential fetch loop, fault draws
-  /// included. Results land in input order. All of a batch's handles may
-  /// be alive at once — callers must leave every shard (batch size + 1)
-  /// frames of pin headroom.
-  void FetchBatch(std::span<const storage::PageId> pages,
-                  const core::AccessContext& ctx,
-                  std::vector<core::StatusOr<core::PageHandle>>* out)
-      override;
-
-  /// True for read-only and writable services alike: the batch path takes
-  /// each shard latch once per group instead of once per page.
-  bool PrefersBatchedReads() const override { return true; }
-
-  /// Per-shard pin budget: the page-id hash can land a whole batch on one
-  /// shard, so the safe chunk is the smallest shard's frame count minus
-  /// headroom for the caller's own enclosing pins. A batch wider than this
-  /// can pin a shard wall-to-wall and fail with kResourceExhausted.
-  size_t BatchPinBudget() const override {
-    const size_t per_shard = total_frames_ / shards_.size();
-    return per_shard > 3 ? per_shard - 2 : 1;
-  }
 
   /// Writable service: allocates a fresh page on the shared device and
   /// installs it zero-filled and dirty in its shard. Read-only service:
@@ -360,9 +332,6 @@ class BufferService final : public core::PageSource {
     std::unique_ptr<core::BufferManager> buffer;
     std::atomic<uint64_t> latch_waits{0};
     std::atomic<uint64_t> latch_acquires{0};
-    // FetchBatch groups that missed and their misses (under the latch).
-    uint64_t batch_submits = 0;
-    uint64_t batch_misses = 0;
   };
 
   /// Shared construction body of both constructors.

@@ -9,31 +9,20 @@
 
 namespace sdb::svc {
 
-void PinLatencyHistogram::Record(double ns, uint64_t weight) {
+void PinLatencyHistogram::Record(double ns) {
   size_t b = 0;
   while (b < std::size(kPinLatencyBoundsNs) && ns > kPinLatencyBoundsNs[b]) {
     ++b;
   }
-  counts[b] += weight;
-  sum_ns += ns * static_cast<double>(weight);
-  observations += weight;
+  ++counts[b];
+  sum_ns += ns;
+  ++observations;
 }
 
 void PinLatencyHistogram::MergeFrom(const PinLatencyHistogram& other) {
   for (size_t b = 0; b < kBuckets; ++b) counts[b] += other.counts[b];
   sum_ns += other.sum_ns;
   observations += other.observations;
-}
-
-void CountingSource::RecordElapsed(std::chrono::steady_clock::time_point start,
-                                   uint64_t pages) {
-  const double elapsed_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  // A batch's pages share one wall interval; record each at the mean so
-  // observation count stays equal to page-access count.
-  pin_latency_.Record(elapsed_ns / static_cast<double>(pages), pages);
 }
 
 SessionExecutor::SessionExecutor(const storage::DiskManager* disk,
@@ -162,7 +151,7 @@ SessionResult SessionExecutor::RunSession(size_t index,
     });
   }
   result.page_accesses = counting.fetches();
-  result.io_errors = counting.io_errors();
+  result.io_errors = tree.io_errors();
   if (config_.record_pin_latency) {
     const std::lock_guard<std::mutex> lock(mu_);
     pin_latency_.MergeFrom(counting.pin_latency());

@@ -38,17 +38,15 @@ struct PinLatencyHistogram {
   double sum_ns = 0.0;
   uint64_t observations = 0;
 
-  void Record(double ns, uint64_t weight = 1);
+  void Record(double ns);
   void MergeFrom(const PinLatencyHistogram& other);
 };
 
-/// PageSource decorator counting the fetches routed through it (and,
-/// separately, the fetches that came back as errors). The executor gives
-/// every session its own counter, so per-session access totals are exact
-/// regardless of how sessions interleave on the shared service underneath.
-/// With `time_pins`, every fetch's wall latency also lands in a per-session
-/// histogram (a batch records one observation per page at the batch's mean,
-/// keeping observation count == page-access count).
+/// PageSource decorator counting the fetches routed through it. The
+/// executor gives every session its own counter, so per-session access
+/// totals are exact regardless of how sessions interleave on the shared
+/// service underneath. With `time_pins`, every fetch's wall latency also
+/// lands in a per-session histogram.
 class CountingSource final : public core::PageSource {
  public:
   explicit CountingSource(core::PageSource* inner, bool time_pins = false)
@@ -58,29 +56,14 @@ class CountingSource final : public core::PageSource {
                                          const core::AccessContext& ctx)
       override {
     ++fetches_;
-    const auto start = time_pins_ ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
+    if (!time_pins_) return inner_->Fetch(page, ctx);
+    const auto start = std::chrono::steady_clock::now();
     core::StatusOr<core::PageHandle> fetched = inner_->Fetch(page, ctx);
-    if (time_pins_) RecordElapsed(start, 1);
-    if (!fetched.ok()) ++io_errors_;
+    pin_latency_.Record(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
     return fetched;
-  }
-  // Forwarding override: without it the decorator would degrade every batch
-  // to the base class's sequential-Fetch fallback and quietly disable the
-  // service's batched miss pipeline.
-  void FetchBatch(std::span<const storage::PageId> pages,
-                  const core::AccessContext& ctx,
-                  std::vector<core::StatusOr<core::PageHandle>>* out)
-      override {
-    fetches_ += pages.size();
-    const auto start = time_pins_ ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-    const size_t first = out->size();
-    inner_->FetchBatch(pages, ctx, out);
-    if (time_pins_ && !pages.empty()) RecordElapsed(start, pages.size());
-    for (size_t i = first; i < out->size(); ++i) {
-      if (!(*out)[i].ok()) ++io_errors_;
-    }
   }
   core::StatusOr<core::PageHandle> New(const core::AccessContext& ctx)
       override {
@@ -89,25 +72,14 @@ class CountingSource final : public core::PageSource {
   std::span<const std::byte> Peek(storage::PageId page) const override {
     return inner_->Peek(page);
   }
-  bool PrefersBatchedReads() const override {
-    return inner_->PrefersBatchedReads();
-  }
-  // Same reasoning: swallowing the budget would let batch callers pin a
-  // shard of the decorated service wall-to-wall.
-  size_t BatchPinBudget() const override { return inner_->BatchPinBudget(); }
 
   uint64_t fetches() const { return fetches_; }
-  uint64_t io_errors() const { return io_errors_; }
   const PinLatencyHistogram& pin_latency() const { return pin_latency_; }
 
  private:
-  void RecordElapsed(std::chrono::steady_clock::time_point start,
-                     uint64_t pages);
-
   core::PageSource* inner_;
   bool time_pins_ = false;
   uint64_t fetches_ = 0;
-  uint64_t io_errors_ = 0;
   PinLatencyHistogram pin_latency_;
 };
 
@@ -121,7 +93,7 @@ struct SessionExecutorConfig {
   /// per session, and each id names the same query in every run regardless
   /// of which worker executes it. Must exceed every session's query count.
   uint64_t query_id_stride = uint64_t{1} << 20;
-  /// Time every pin (Fetch/FetchBatch wall latency) into the executor-wide
+  /// Time every pin (Fetch wall latency) into the executor-wide
   /// histogram returned by pin_latency(). Off by default: the two clock
   /// reads per fetch are measurable on the latch-free hit path.
   bool record_pin_latency = false;

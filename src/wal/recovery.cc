@@ -6,21 +6,12 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/random.h"
 #include "obs/trace.h"
 
 namespace sdb::wal {
 
 namespace {
-
-/// splitmix64 finalizer — the same mix the buffer service uses to shard
-/// page ids, so the redo partition spreads adjacent page ids instead of
-/// striping hot ranges onto one worker.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 size_t ResolveRedoWorkers(size_t requested) {
   if (requested > 0) return requested;
@@ -191,6 +182,8 @@ core::StatusOr<RecoveryResult> Recover(storage::PageDevice& log,
       for (size_t w = 0; w < workers; ++w) {
         pool.emplace_back([&, w] {
           for (const ReplayImage& image : images) {
+            // Mixed, so adjacent page ids spread over the workers instead
+            // of striping hot ranges onto one.
             if (Mix64(image.page) % workers != w) continue;
             const core::Status status =
                 data.WriteConcurrent(image.page, image.bytes);

@@ -1,7 +1,9 @@
 // The buffer's open-addressing page table (core/page_table.h): probe
 // chains survive erases, the version counter moves once per mutation, a
 // seeded operation stream agrees with std::unordered_map, and lock-free
-// readers beside a churning writer only ever see correct mappings.
+// readers beside a churning writer only ever see correct mappings. Also
+// pins the splitmix64 mixer its home slots (and every other page-id hash)
+// come from.
 
 #include "core/page_table.h"
 
@@ -31,6 +33,15 @@ std::vector<PageId> CollidingPages(const PageTable& table, size_t count) {
     group.push_back(page);
     if (group.size() == count) return group;
   }
+}
+
+// Mix64 is SplitMix64's output function: its value at 0 is the
+// generator's published first output for seed 0, and an Rng seeded with 0
+// draws exactly that value first.
+TEST(Mix64Test, MatchesTheFirstSplitMix64OutputOfSeedZero) {
+  EXPECT_EQ(Mix64(0), 0xe220a8397b1dcdafULL);
+  Rng rng(0);
+  EXPECT_EQ(rng.NextU64(), Mix64(0));
 }
 
 TEST(PageTableTest, ErasingTheMiddleOfAProbeChainKeepsLaterKeysFindable) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/scenario.h"
+#include "storage/page.h"
 #include "svc/buffer_service.h"
 #include "svc/session_executor.h"
 #include "workload/session_generator.h"
@@ -27,13 +28,6 @@ class GatedSource final : public core::PageSource {
     WaitOpen();
     return inner_->Fetch(page, ctx);
   }
-  void FetchBatch(std::span<const storage::PageId> pages,
-                  const core::AccessContext& ctx,
-                  std::vector<core::StatusOr<core::PageHandle>>* out)
-      override {
-    WaitOpen();
-    inner_->FetchBatch(pages, ctx, out);
-  }
   core::StatusOr<core::PageHandle> New(const core::AccessContext& ctx)
       override {
     return inner_->New(ctx);
@@ -41,10 +35,6 @@ class GatedSource final : public core::PageSource {
   std::span<const std::byte> Peek(storage::PageId page) const override {
     return inner_->Peek(page);
   }
-  bool PrefersBatchedReads() const override {
-    return inner_->PrefersBatchedReads();
-  }
-  size_t BatchPinBudget() const override { return inner_->BatchPinBudget(); }
 
  private:
   void WaitOpen() const {
@@ -53,6 +43,36 @@ class GatedSource final : public core::PageSource {
 
   core::PageSource* inner_;
   const std::atomic<bool>* open_;
+};
+
+/// Forwards every call to the wrapped source and counts, across all
+/// threads, the fetches that came back as errors.
+class FailureCountingSource final : public core::PageSource {
+ public:
+  explicit FailureCountingSource(core::PageSource* inner) : inner_(inner) {}
+
+  core::StatusOr<core::PageHandle> Fetch(storage::PageId page,
+                                         const core::AccessContext& ctx)
+      override {
+    core::StatusOr<core::PageHandle> fetched = inner_->Fetch(page, ctx);
+    if (!fetched.ok()) failures_.fetch_add(1, std::memory_order_relaxed);
+    return fetched;
+  }
+  core::StatusOr<core::PageHandle> New(const core::AccessContext& ctx)
+      override {
+    return inner_->New(ctx);
+  }
+  std::span<const std::byte> Peek(storage::PageId page) const override {
+    return inner_->Peek(page);
+  }
+
+  uint64_t failures() const {
+    return failures_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  core::PageSource* inner_;
+  std::atomic<uint64_t> failures_{0};
 };
 
 class SessionExecutorTest : public ::testing::Test {
@@ -156,6 +176,63 @@ TEST_F(SessionExecutorTest, ShardCountDoesNotChangeSessionResults) {
     EXPECT_EQ(one_shard[i].result_objects, many_shards[i].result_objects);
     EXPECT_EQ(one_shard[i].page_accesses, many_shards[i].page_accesses);
   }
+}
+
+// A session's io_errors counts each fetch its traversals absorbed, once.
+// Over a read-only service with a bad-sector range under some leaves, every
+// session still completes, the summed count equals the failed fetches seen
+// at the PageSource boundary, and no session returns more objects than
+// over a fault-free service.
+TEST_F(SessionExecutorTest, IoErrorsCountEachFailedFetchOnce) {
+  const std::vector<workload::QuerySet> sessions = Sessions(8);
+  const storage::DiskManager& disk = *scenario_->disk;
+  const auto header = [&disk](storage::PageId id) {
+    return storage::ConstPageHeaderView(disk.PeekPage(id).data());
+  };
+  // The range starts at the first leaf (in page order) under the first
+  // window of the first session, so that query must fetch it.
+  const geom::Rect& first_window = sessions.front().queries.front();
+  storage::PageId first_leaf = storage::kInvalidPageId;
+  for (storage::PageId id = 0; id < disk.page_count(); ++id) {
+    if (header(id).type() == storage::PageType::kData &&
+        header(id).mbr().Intersects(first_window)) {
+      first_leaf = id;
+      break;
+    }
+  }
+  ASSERT_NE(first_leaf, storage::kInvalidPageId);
+  BufferServiceConfig service_config;
+  service_config.total_frames = 64;
+  service_config.shard_count = 4;
+  service_config.policy_spec = "ASB";
+  storage::FaultProfile& profile = service_config.fault_profile;
+  profile.bad_begin = first_leaf;
+  profile.bad_end = first_leaf + 2;
+  for (storage::PageId id = profile.bad_begin; id < profile.bad_end; ++id) {
+    ASSERT_EQ(header(id).type(), storage::PageType::kData) << "page " << id;
+  }
+  BufferService service(disk, service_config);
+  FailureCountingSource counted(&service);
+  SessionExecutorConfig executor_config;
+  executor_config.workers = 4;
+  SessionExecutor executor(&disk, &counted, scenario_->tree_meta,
+                           executor_config);
+  for (const workload::QuerySet& session : sessions) {
+    executor.Submit(session);
+  }
+  const std::vector<SessionResult> faulted = executor.Finish();
+  const auto [clean, unused] = Run(sessions, /*workers=*/4, /*shards=*/4);
+
+  ASSERT_EQ(faulted.size(), sessions.size());
+  uint64_t io_errors = 0;
+  for (size_t i = 0; i < sessions.size(); ++i) {
+    EXPECT_EQ(faulted[i].queries, sessions[i].queries.size());
+    EXPECT_LE(faulted[i].result_objects, clean[i].result_objects)
+        << "session " << i;
+    io_errors += faulted[i].io_errors;
+  }
+  EXPECT_GT(io_errors, 0u) << "the bad range must sit under queried leaves";
+  EXPECT_EQ(io_errors, counted.failures());
 }
 
 TEST_F(SessionExecutorTest, BackpressureBoundsTheQueue) {

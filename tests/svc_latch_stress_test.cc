@@ -1,6 +1,6 @@
 // Soak test of the optimistic latching protocol: 16 worker threads over a
-// 16-shard service, mixing single fetches, batched fetches, handle moves
-// and detach/manual-unpin — the full pin/unpin surface — over a buffer
+// 16-shard service, mixing single fetches, held groups of pins, handle
+// moves and detach/manual-unpin — the full pin/unpin surface — over a buffer
 // small enough that eviction (the writer side of the version-stamp
 // protocol) runs constantly. The suite carries the "tsan" label; under
 // ThreadSanitizer it is the latch-stress CI job's main payload.
@@ -26,7 +26,7 @@ class LatchStressTest : public ::testing::Test {
  protected:
   // Synthetic page universe, sized well above the service's frame floor so
   // the soak constantly evicts (the scenario databases are too small for a
-  // 16-shard pool with full batch headroom).
+  // 16-shard pool with full group headroom).
   static constexpr size_t kPages = 4096;
 
   static void SetUpTestSuite() {
@@ -59,9 +59,9 @@ TEST_F(LatchStressTest, SixteenWorkersSixteenShardsSoak) {
 
   BufferServiceConfig config;
   config.shard_count = kShards;
-  // Tight: enough headroom for every worker's batch to land in one shard
-  // (the unevictable-buffer contract), but small against the page universe
-  // so the soak constantly evicts.
+  // Tight: enough headroom for every worker's held group to land in one
+  // shard (the unevictable-buffer contract), but small against the page
+  // universe so the soak constantly evicts.
   config.total_frames = kShards * (kWorkers * (kBatch + 1) + 1);
   config.policy_spec = "ASB";
   config.event_ring_capacity = 64;  // small ring: force frequent drains
@@ -94,18 +94,13 @@ TEST_F(LatchStressTest, SixteenWorkersSixteenShardsSoak) {
             ++fetches;
             break;
           }
-          case 2: {  // batched fetch, pages possibly duplicated
-            PageId batch[kBatch];
+          case 2: {  // kBatch pins held at once, pages possibly duplicated
+            std::vector<core::PageHandle> handles;
             for (size_t i = 0; i < kBatch; ++i) {
-              batch[i] = static_cast<PageId>(
+              const PageId member = static_cast<PageId>(
                   (page + i * (i == kBatch - 1 ? 0 : 17)) % page_count);
-            }
-            std::vector<core::StatusOr<core::PageHandle>> handles;
-            service.FetchBatch(batch, ctx, &handles);
-            ASSERT_EQ(handles.size(), kBatch);
-            for (size_t i = 0; i < kBatch; ++i) {
-              ASSERT_TRUE(handles[i].ok());
-              EXPECT_EQ(handles[i].value().page_id(), batch[i]);
+              handles.push_back(service.FetchOrDie(member, ctx));
+              EXPECT_EQ(handles.back().page_id(), member);
             }
             fetches += kBatch;
             break;

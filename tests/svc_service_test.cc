@@ -16,6 +16,7 @@
 
 #include "core/policy_asb.h"
 #include "core/policy_factory.h"
+#include "rtree/rtree.h"
 #include "sim/scenario.h"
 #include "svc/buffer_service.h"
 #include "workload/query_generator.h"
@@ -61,7 +62,7 @@ class BufferServiceTest : public ::testing::Test {
   }
 
   /// Runs one serial op sequence — single fetches, immediate re-touches
-  /// and 3-page FetchBatch calls whose handles live until the batch ends —
+  /// and 3-page groups whose handles all live until the group ends —
   /// against a service built from `config` and against plain
   /// BufferManagers, one per shard (routed by ShardOf, sized by
   /// ShardFrames). Every shard must match its reference counter for
@@ -82,20 +83,19 @@ class BufferServiceTest : public ::testing::Test {
     };
     const std::vector<PageId> pages = AllPages();
     uint64_t query = 0;
-    std::vector<core::StatusOr<core::PageHandle>> batch;
-    std::vector<core::PageHandle> reference_batch;
+    std::vector<core::PageHandle> group;
+    std::vector<core::PageHandle> reference_group;
     for (size_t round = 0; round < 3; ++round) {
       for (size_t i = 0; i < pages.size(); ++i) {
         const core::AccessContext ctx{++query};
         if (i % 7 == 0 && i + 3 <= pages.size()) {
-          const std::span<const PageId> ids(&pages[i], 3);
-          service.FetchBatch(ids, ctx, &batch);
-          for (const auto& handle : batch) EXPECT_TRUE(handle.ok());
-          for (const PageId id : ids) {
-            reference_batch.push_back(reference(id).FetchOrDie(id, ctx));
+          for (size_t k = i; k < i + 3; ++k) {
+            group.push_back(service.FetchOrDie(pages[k], ctx));
+            reference_group.push_back(
+                reference(pages[k]).FetchOrDie(pages[k], ctx));
           }
-          batch.clear();
-          reference_batch.clear();
+          group.clear();
+          reference_group.clear();
           i += 2;
         } else {
           service.FetchOrDie(pages[i], ctx).Release();
@@ -405,17 +405,18 @@ TEST_F(BufferServiceTest, OptimisticSerialRunIsBitIdenticalToMutex) {
   BufferService optimistic_service(disk(), config);
 
   uint64_t query = 0;
-  std::vector<core::StatusOr<core::PageHandle>> scratch;
+  std::vector<core::PageHandle> group;
   for (size_t round = 0; round < 3; ++round) {
     for (size_t i = 0; i < pages.size(); ++i) {
       const core::AccessContext ctx{++query};
-      // Mix single fetches with small batches (same calls on both sides).
+      // Mix single fetches with 3-page groups held until the group ends
+      // (same calls on both sides).
       if (i % 7 == 0 && i + 3 <= pages.size()) {
-        const std::span<const PageId> batch(&pages[i], 3);
         for (BufferService* service : {&mutex_service, &optimistic_service}) {
-          scratch.clear();
-          service->FetchBatch(batch, ctx, &scratch);
-          for (const auto& handle : scratch) ASSERT_TRUE(handle.ok());
+          for (size_t k = i; k < i + 3; ++k) {
+            group.push_back(service->FetchOrDie(pages[k], ctx));
+          }
+          group.clear();
         }
         i += 2;
       } else {
@@ -429,7 +430,6 @@ TEST_F(BufferServiceTest, OptimisticSerialRunIsBitIdenticalToMutex) {
       }
     }
   }
-  scratch.clear();
   const ShardStats mutex_stats = mutex_service.AggregateStats();
   const ShardStats optimistic_stats = optimistic_service.AggregateStats();
   EXPECT_EQ(optimistic_stats.buffer.requests, mutex_stats.buffer.requests);
@@ -439,20 +439,17 @@ TEST_F(BufferServiceTest, OptimisticSerialRunIsBitIdenticalToMutex) {
   EXPECT_EQ(optimistic_stats.io.reads, mutex_stats.io.reads);
   EXPECT_GT(optimistic_stats.optimistic_hits, 0u);
   EXPECT_EQ(mutex_stats.optimistic_hits, 0u);
-  EXPECT_EQ(optimistic_stats.batch_submits, mutex_stats.batch_submits);
-  EXPECT_EQ(optimistic_stats.async_reads, mutex_stats.async_reads);
 }
 
 TEST_F(BufferServiceTest, SerialOneShardAsbServiceMatchesPlainBuffer) {
   // One shard: the shared ASB tuning has a single participant, so it
-  // adapts exactly like a private policy. The 3-page batches all land on
-  // that shard, one shard group each.
+  // adapts exactly like a private policy. The 3-page groups all land on
+  // that shard.
   BufferServiceConfig config;
   config.total_frames = 24;
   config.shard_count = 1;
   config.policy_spec = "ASB";
   const ShardStats stats = ExpectSerialServiceMatchesPlainBuffers(config);
-  EXPECT_GT(stats.async_reads, 0u) << "batch groups must count their misses";
   EXPECT_GT(stats.optimistic_hits, 0u);
 }
 
@@ -464,94 +461,96 @@ TEST_F(BufferServiceTest, SerialFourShardLruServiceMatchesPlainBuffers) {
   ExpectSerialServiceMatchesPlainBuffers(config);
 }
 
-// A batch is the sequential fetch loop, fault draws included. Two services
-// under one fault profile: one fetches 3-page groups with FetchBatch, the
-// other fetches the same pages one Fetch at a time and holds the handles
-// until the group ends, as the batch does. Consecutive groups share a page,
-// so groups also start with hits. Every element's status and every hit,
-// miss, device read and fault outcome must agree.
-TEST_F(BufferServiceTest, FaultedBatchEqualsSequentialFetches) {
-  BufferServiceConfig config;
-  config.total_frames = 24;
-  config.shard_count = 1;
-  config.policy_spec = "ASB";
-  config.fault_profile.seed = 77;
-  config.fault_profile.transient_prob = 0.08;
-  config.fault_profile.bit_flip_prob = 0.04;
-  BufferService batched(disk(), config);
-  BufferService sequential(disk(), config);
+/// The single-threaded reference of a sharded service: routes each fetch
+/// to the plain BufferManager of the page's service shard.
+class ShardRoutedSource final : public core::PageSource {
+ public:
+  ShardRoutedSource(const BufferService* service,
+                    const std::vector<std::unique_ptr<core::BufferManager>>*
+                        plain)
+      : service_(service), plain_(plain) {}
 
-  const std::vector<PageId> pages = AllPages();
-  uint64_t query = 0;
-  std::vector<core::StatusOr<core::PageHandle>> from_batch;
-  std::vector<core::StatusOr<core::PageHandle>> from_loop;
-  for (size_t round = 0; round < 3; ++round) {
-    for (size_t i = 0; i + 3 <= pages.size(); i += 2) {
-      const std::span<const PageId> group(&pages[i], 3);
-      const core::AccessContext ctx{++query};
-      batched.FetchBatch(group, ctx, &from_batch);
-      for (const PageId page : group) {
-        from_loop.push_back(sequential.Fetch(page, ctx));
-      }
-      ASSERT_EQ(from_batch.size(), group.size());
-      for (size_t k = 0; k < group.size(); ++k) {
-        EXPECT_EQ(from_batch[k].status().code(), from_loop[k].status().code())
-            << "round " << round << ", page " << group[k];
-      }
-      from_batch.clear();
-      from_loop.clear();
+  core::StatusOr<core::PageHandle> Fetch(PageId page,
+                                         const core::AccessContext& ctx)
+      override {
+    return (*plain_)[service_->ShardOf(page)]->Fetch(page, ctx);
+  }
+  core::StatusOr<core::PageHandle> New(const core::AccessContext&) override {
+    return core::Status::Unimplemented("the reference is read-only");
+  }
+  std::span<const std::byte> Peek(PageId page) const override {
+    return (*plain_)[service_->ShardOf(page)]->Peek(page);
+  }
+
+ private:
+  const BufferService* service_;
+  const std::vector<std::unique_ptr<core::BufferManager>>* plain_;
+};
+
+// The paper charges one read per miss of a page-at-a-time traversal, and a
+// window query through the service must be exactly that traversal. Run
+// serially, every query returns as many entries as through plain buffers
+// of the same frames and policy (one per shard, routed by ShardOf), and
+// every shard sees its plain buffer's requests, hits, evictions and device
+// reads. A traversal holding several pins at once would change ASB's
+// victims in a 12-frame shard.
+TEST_F(BufferServiceTest, WindowQueriesThroughServiceMatchPlainBuffers) {
+  const workload::QuerySet set =
+      sim::StandardQuerySet(*scenario_, workload::QueryFamily::kSimilar, 33);
+  ASSERT_FALSE(set.queries.empty());
+  const auto expect_plain_traversal = [&](BufferService& service,
+                                          const storage::DiskManager& disk_of,
+                                          const char* label) {
+    SCOPED_TRACE(label);
+    std::vector<std::unique_ptr<storage::ReadOnlyDiskView>> views;
+    std::vector<std::unique_ptr<core::BufferManager>> plain;
+    for (size_t s = 0; s < service.shard_count(); ++s) {
+      views.push_back(std::make_unique<storage::ReadOnlyDiskView>(disk()));
+      plain.push_back(std::make_unique<core::BufferManager>(
+          views.back().get(), service.ShardFrames(s),
+          core::CreatePolicy(service.policy_spec())));
     }
-  }
-  const ShardStats batch = batched.AggregateStats();
-  const ShardStats loop = sequential.AggregateStats();
-  EXPECT_GT(loop.buffer.io_read_retries, 0u)
-      << "the profile must inject faults";
-  EXPECT_EQ(batch.buffer.hits, loop.buffer.hits);
-  EXPECT_EQ(batch.buffer.misses, loop.buffer.misses);
-  EXPECT_EQ(batch.io.reads, loop.io.reads);
-  EXPECT_EQ(batch.buffer.io_read_retries, loop.buffer.io_read_retries);
-  EXPECT_EQ(batch.buffer.io_checksum_mismatches,
-            loop.buffer.io_checksum_mismatches);
-  EXPECT_EQ(batch.buffer.io_permanent_failures,
-            loop.buffer.io_permanent_failures);
-}
+    ShardRoutedSource routed(&service, &plain);
+    const rtree::RTree via_service =
+        rtree::RTree::Open(&disk_of, &service, scenario_->tree_meta);
+    const rtree::RTree via_plain =
+        rtree::RTree::Open(&disk(), &routed, scenario_->tree_meta);
+    for (size_t q = 0; q < set.queries.size(); ++q) {
+      const core::AccessContext ctx{q + 1};
+      EXPECT_EQ(via_service.WindowQuery(set.queries[q], ctx).size(),
+                via_plain.WindowQuery(set.queries[q], ctx).size())
+          << "query " << q;
+    }
+    for (size_t s = 0; s < service.shard_count(); ++s) {
+      const ShardStats stats = service.StatsOfShard(s);
+      const core::BufferStats& want = plain[s]->stats();
+      EXPECT_GT(want.evictions, 0u) << "shard " << s << " never evicted";
+      EXPECT_EQ(stats.buffer.requests, want.requests) << "shard " << s;
+      EXPECT_EQ(stats.buffer.hits, want.hits) << "shard " << s;
+      EXPECT_EQ(stats.buffer.evictions, want.evictions) << "shard " << s;
+      EXPECT_EQ(stats.io.reads, views[s]->stats().reads) << "shard " << s;
+    }
+  };
 
-TEST_F(BufferServiceTest, FetchBatchDeliversInputOrderAndCountsEachAccess) {
-  BufferServiceConfig config;
-  config.total_frames = 64;
-  config.shard_count = 4;
-  BufferService service(disk(), config);
-  EXPECT_TRUE(service.PrefersBatchedReads());
-  // Batch spanning all shards, with a duplicate (second occurrence must be
-  // a hit within the same batch).
-  const std::vector<PageId> batch{0, 5, 9, 5, 2, 7};
-  std::vector<core::StatusOr<core::PageHandle>> handles;
-  service.FetchBatch(batch, core::AccessContext{1}, &handles);
-  ASSERT_EQ(handles.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE(handles[i].ok()) << "slot " << i;
-    EXPECT_EQ(handles[i].value().page_id(), batch[i]);
-    const std::span<const std::byte> expected = disk().PeekPage(batch[i]);
-    EXPECT_EQ(std::memcmp(handles[i].value().bytes().data(), expected.data(),
-                          expected.size()),
-              0);
-  }
-  handles.clear();  // release every pin
-  const ShardStats stats = service.AggregateStats();
-  EXPECT_EQ(stats.buffer.requests, batch.size());
-  EXPECT_EQ(stats.buffer.misses, 5u) << "5 distinct pages";
-  EXPECT_EQ(stats.buffer.hits, 1u) << "the duplicate hits in-batch";
-  EXPECT_EQ(stats.io.reads, 5u);
+  BufferServiceConfig asb;
+  asb.total_frames = 12;
+  asb.shard_count = 1;
+  asb.policy_spec = "ASB";
+  BufferService read_only(disk(), asb);
+  expect_plain_traversal(read_only, disk(), "1-shard ASB, read-only");
 
-  // A second identical batch is all hits (served optimistically) and costs
-  // no reads.
-  service.FetchBatch(batch, core::AccessContext{2}, &handles);
-  for (const auto& handle : handles) ASSERT_TRUE(handle.ok());
-  handles.clear();
-  const ShardStats after = service.AggregateStats();
-  EXPECT_EQ(after.buffer.hits, 1u + batch.size());
-  EXPECT_EQ(after.io.reads, 5u);
-  EXPECT_GT(after.optimistic_hits, 0u);
+  storage::DiskManager copy = CopyDisk();
+  storage::DiskManager log;
+  wal::WalManager wal(&log);
+  BufferService writable(&copy, &wal, asb);
+  expect_plain_traversal(writable, copy, "1-shard ASB, writable");
+
+  BufferServiceConfig lru;
+  lru.total_frames = 40;
+  lru.shard_count = 4;
+  lru.policy_spec = "LRU";
+  BufferService sharded(disk(), lru);
+  expect_plain_traversal(sharded, disk(), "4-shard LRU, read-only");
 }
 
 TEST_F(BufferServiceTest, DetachTransfersPinAndManualUnpinReportsErrors) {

@@ -4,7 +4,7 @@
 // lifecycle edges around quarantine, the writable sharded BufferService
 // (New / Commit / Checkpoint across shards), a churn-then-crash-then-
 // recover round trip through the R-tree, and the read-only (optimistic)
-// vs writable (mutex) FetchBatch serial-equality regression.
+// vs writable (mutex) serial-equality regression for held page groups.
 
 #include <gtest/gtest.h>
 
@@ -814,28 +814,17 @@ TEST(WritableServiceTest, FuzzyCheckpointsTruncateTheLogAndStayRecoverable) {
   std::remove(log_path.c_str());
 }
 
-TEST(WritableServiceTest, BatchPinBudgetLeavesEvictionHeadroom) {
-  DiskManager disk;
-  test::StagePage(disk, PageType::kData, 0, geom::Rect(0, 0, 1, 1));
-  // 64 frames over 4 shards = 16 per shard; the budget keeps 2 in reserve
-  // so a full-width batch can never pin a shard wall-to-wall.
-  svc::BufferService service(disk, WritableConfig(4, 64));
-  EXPECT_EQ(service.BatchPinBudget(), 14u);
-  // Tiny shards degrade to single-page batches, never to zero.
-  svc::BufferService tiny(disk, WritableConfig(4, 12));
-  EXPECT_EQ(tiny.BatchPinBudget(), 1u);
-}
-
 // ---------------------------------------------------------------------------
-// Satellite: optimistic FetchBatch must preserve per-shard access order
+// Optimistic hits must keep each shard's access order
 
-/// Serial-equality regression: one thread, identical batch sequences, a
-/// writable (mutex) service and a read-only (optimistic) service over the
-/// same pages must report bit-identical hit/miss counts. The optimistic
-/// batch path probes hits latch-free first; if that probe reordered a
-/// shard's accesses (hits before misses), LRU state — and with it every
-/// subsequent eviction — would diverge.
-TEST(WritableServiceTest, OptimisticBatchMatchesMutexHitForHitSerially) {
+/// Serial-equality regression: one thread, identical sequences of 6-page
+/// groups held until the group ends, a writable (mutex) service and a
+/// read-only (optimistic) service over the same pages must report
+/// bit-identical hit/miss counts. The optimistic path serves hits
+/// latch-free and defers their policy events; if a deferred hit reached
+/// the policy out of order with a latched miss, LRU state — and with it
+/// every subsequent eviction — would diverge.
+TEST(WritableServiceTest, OptimisticGroupsMatchMutexHitForHitSerially) {
   DiskManager disk;
   std::vector<PageId> pages;
   for (int i = 0; i < 48; ++i) {
@@ -860,16 +849,12 @@ TEST(WritableServiceTest, OptimisticBatchMatchesMutexHitForHitSerially) {
       z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
       return z ^ (z >> 31);
     };
-    std::vector<core::StatusOr<PageHandle>> out;
+    std::vector<PageHandle> group;
     for (int round = 0; round < 200; ++round) {
-      std::vector<PageId> batch;
       for (int i = 0; i < 6; ++i) {
-        batch.push_back(pages[next() % pages.size()]);
+        group.push_back(service.FetchOrDie(pages[next() % pages.size()], ctx));
       }
-      out.clear();
-      service.FetchBatch(batch, ctx, &out);
-      for (auto& handle : out) EXPECT_TRUE(handle.ok());
-      out.clear();  // release every pin before the next batch
+      group.clear();  // release every pin before the next group
     }
     return service.AggregateStats();
   };
@@ -877,11 +862,9 @@ TEST(WritableServiceTest, OptimisticBatchMatchesMutexHitForHitSerially) {
   const svc::ShardStats mutex_stats = run(/*writable=*/true);
   const svc::ShardStats optimistic_stats = run(/*writable=*/false);
   EXPECT_EQ(optimistic_stats.buffer.hits, mutex_stats.buffer.hits)
-      << "identical serial batch streams must hit identically";
+      << "identical serial group streams must hit identically";
   EXPECT_EQ(optimistic_stats.buffer.misses, mutex_stats.buffer.misses);
   EXPECT_EQ(mutex_stats.optimistic_hits, 0u);
-  EXPECT_EQ(optimistic_stats.batch_submits, mutex_stats.batch_submits);
-  EXPECT_EQ(optimistic_stats.async_reads, mutex_stats.async_reads);
 }
 
 // ---------------------------------------------------------------------------
