@@ -67,6 +67,15 @@ Modes:
       and the in-place append 0.21-0.33x). With repetitions, each row's median
       counts.
 
+  visit micro_rtree.json [--max-ratio 0.9]
+      Reads google-benchmark JSON from micro_rtree and fails when
+      BM_WindowQuery/100000, W-33 window queries whose counting visitor
+      WindowQueryVisit inlines, costs more than --max-ratio times
+      BM_WindowQueryTypeErased/100000, the same queries with the visitor
+      in a std::function (an indirect call and a full Entry decode per
+      hit; the two rows cost the same while WindowQueryVisit took a
+      std::function). With repetitions, each row's median counts.
+
   checksum micro_policy_overhead.json [--max-ratio 6]
       Reads google-benchmark JSON from micro_policy_overhead and fails when
       BM_PageChecksum, the CRC-32C verify of a hot 4 KiB page, costs more
@@ -204,6 +213,8 @@ NODE_SCAN = "BM_NodeScanKernels"
 NODE_SCAN_BARE = "BM_NodeScanBareKernel"
 INSERT = "BM_Insert"
 CHOOSE_SUBTREE_REFERENCE = "BM_ChooseSubtreeReference"
+WINDOW_QUERY = "BM_WindowQuery/100000"
+WINDOW_QUERY_TYPE_ERASED = "BM_WindowQueryTypeErased/100000"
 PAGE_CHECKSUM = "BM_PageChecksum"
 PAGE_COPY = "BM_PageCopy"
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -263,6 +274,14 @@ def check_choose_subtree(args):
         args, INSERT, CHOOSE_SUBTREE_REFERENCE,
         lambda insert, loop: f"insert {insert / 1e3:.1f} us vs reference "
                              f"ChooseSubtree step {loop / 1e3:.1f} us")
+
+
+def check_visit(args):
+    return check_gbench_ratio(
+        args, WINDOW_QUERY, WINDOW_QUERY_TYPE_ERASED,
+        lambda inlined, erased: f"window query {inlined / 1e3:.2f} us with "
+                                f"the visitor inlined vs "
+                                f"{erased / 1e3:.2f} us type-erased")
 
 
 def check_checksum(args):
@@ -525,6 +544,12 @@ def main():
     choose.add_argument("file")
     choose.add_argument("--max-ratio", type=float, default=0.5)
 
+    visit = sub.add_parser("visit",
+                           help="guard the inlined window-query visitor "
+                                "against a std::function one")
+    visit.add_argument("file")
+    visit.add_argument("--max-ratio", type=float, default=0.9)
+
     checksum = sub.add_parser("checksum",
                               help="guard the page checksum against a "
                                    "page copy")
@@ -569,6 +594,8 @@ def main():
         sys.exit(check_node_scan(args))
     if args.mode == "choose-subtree":
         sys.exit(check_choose_subtree(args))
+    if args.mode == "visit":
+        sys.exit(check_visit(args))
     if args.mode == "checksum":
         sys.exit(check_checksum(args))
     if args.mode == "wal":

@@ -1,12 +1,14 @@
 // Microbenchmark (google-benchmark): R*-tree operation throughput on the
 // paged tree — insertion (and the pre-kernel ChooseSubtree step it is gated
-// against), point/window queries, STR bulk loading, and the
-// synchronized-traversal join — all through a large (all-resident) buffer,
-// i.e. measuring CPU cost rather than I/O.
+// against), point/window queries (and the type-erased visit they are gated
+// against), STR bulk loading, and the synchronized-traversal join — all
+// through a large (all-resident) buffer, i.e. measuring CPU cost rather
+// than I/O.
 
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -162,6 +164,30 @@ void BM_WindowQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WindowQuery)->Arg(10'000)->Arg(100'000);
+
+// BM_WindowQuery's workload (W-33, about 106 results per query at 100,000
+// entries) with its counting visitor stored in a std::function: an
+// indirect call per hit, and a full Entry decode because the traversal
+// cannot see which fields the callee reads. Every caller paid this while
+// WindowQueryVisit took a std::function; CI gates BM_WindowQuery/100000
+// against this row (check_bench_regression.py visit).
+void BM_WindowQueryTypeErased(benchmark::State& state) {
+  TreeFixture fixture(static_cast<size_t>(state.range(0)));
+  Rng rng(11);
+  uint64_t query = 0;
+  size_t results = 0;
+  const std::function<void(const rtree::Entry&)> visit =
+      [&results](const rtree::Entry&) { ++results; };
+  for (auto _ : state) {
+    const geom::Rect window = geom::Rect::Centered(
+        {rng.NextDouble(), rng.NextDouble()}, 1.0 / 33, 1.0 / 33);
+    fixture.tree.WindowQueryVisit(window, core::AccessContext{++query},
+                                  visit);
+  }
+  benchmark::DoNotOptimize(results);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WindowQueryTypeErased)->Arg(100'000);
 
 // Same window-query workload with the geometry kernels pinned to one
 // dispatch tier — the scalar/dispatched pair isolates how much of the query

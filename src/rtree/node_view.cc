@@ -2,29 +2,21 @@
 
 #include <cstring>
 
-#include "common/macros.h"
 #include "geom/entry_aggregates.h"
 
 namespace sdb::rtree {
 
 namespace {
 
-/// The columns in page order.
-enum Column : size_t { kXmin, kYmin, kXmax, kYmax, kId, kObjPage, kObjSlot };
+template <typename T>
+void StoreAt(std::byte* column, size_t i, const T& value) {
+  std::memcpy(column + i * sizeof(T), &value, sizeof(T));
+}
 
-/// Start of each column after the header, in units of the capacity: the
-/// running sum of the widths of the columns before it.
-constexpr size_t kColumnStart[] = {0, 8, 16, 24, 32, 40, 44};
-static_assert(kColumnStart[kObjPage] - kColumnStart[kId] == sizeof(Entry::id) &&
-              kColumnStart[kObjSlot] - kColumnStart[kObjPage] ==
-                  sizeof(ObjectRef::page) &&
-              kColumnStart[kObjSlot] + sizeof(ObjectRef::slot) <=
-                  NodeView::kEntrySize);
+}  // namespace
 
-/// Calls fn(column, field) for the seven entry fields in column order;
-/// field(e) is the member of Entry `e` that the column stores.
 template <typename Fn>
-void ForEachField(Fn&& fn) {
+void NodeView::ForEachField(Fn&& fn) {
   fn(kXmin, [](auto& e) -> auto& { return e.rect.xmin; });
   fn(kYmin, [](auto& e) -> auto& { return e.rect.ymin; });
   fn(kXmax, [](auto& e) -> auto& { return e.rect.xmax; });
@@ -33,18 +25,6 @@ void ForEachField(Fn&& fn) {
   fn(kObjPage, [](auto& e) -> auto& { return e.ref.page; });
   fn(kObjSlot, [](auto& e) -> auto& { return e.ref.slot; });
 }
-
-template <typename T>
-void LoadAt(const std::byte* column, size_t i, T* value) {
-  std::memcpy(value, column + i * sizeof(T), sizeof(T));
-}
-
-template <typename T>
-void StoreAt(std::byte* column, size_t i, const T& value) {
-  std::memcpy(column + i * sizeof(T), &value, sizeof(T));
-}
-
-}  // namespace
 
 void NodeView::Init(uint8_t level) {
   std::memset(page_.data(), 0, page_.size());
@@ -56,30 +36,11 @@ void NodeView::Init(uint8_t level) {
   h.set_aggregates(geom::EntryAggregates{});
 }
 
-Entry NodeView::GetEntry(uint16_t i) const {
-  SDB_DCHECK(i < count());
-  Entry e;
-  ForEachField([&](Column c, auto field) {
-    LoadAt(column(c), i, &field(e));
-  });
-  return e;
-}
-
 void NodeView::SetEntry(uint16_t i, const Entry& e) {
   SDB_DCHECK(i < count());
   ForEachField([&](Column c, auto field) {
     StoreAt(column(c), i, field(e));
   });
-}
-
-geom::Rect NodeView::rect(uint16_t i) const {
-  SDB_DCHECK(i < count());
-  geom::Rect r;
-  LoadAt(column(kXmin), i, &r.xmin);
-  LoadAt(column(kYmin), i, &r.ymin);
-  LoadAt(column(kXmax), i, &r.xmax);
-  LoadAt(column(kYmax), i, &r.ymax);
-  return r;
 }
 
 void NodeView::set_rect(uint16_t i, const geom::Rect& r) {
@@ -88,13 +49,6 @@ void NodeView::set_rect(uint16_t i, const geom::Rect& r) {
   StoreAt(column(kYmin), i, r.ymin);
   StoreAt(column(kXmax), i, r.xmax);
   StoreAt(column(kYmax), i, r.ymax);
-}
-
-uint64_t NodeView::id(uint16_t i) const {
-  SDB_DCHECK(i < count());
-  uint64_t id;
-  LoadAt(column(kId), i, &id);
-  return id;
 }
 
 void NodeView::Append(const Entry& e) {
@@ -140,11 +94,6 @@ size_t NodeView::ScanEntries(const geom::Rect& query,
 
 void NodeView::RefreshAggregates() {
   header().set_aggregates(geom::ComputeEntryAggregates(coords(), count()));
-}
-
-std::byte* NodeView::column(size_t k) const {
-  return page_.data() + storage::PageHeaderView::kHeaderSize +
-         kColumnStart[k] * Capacity(page_.size());
 }
 
 geom::kernels::Columns NodeView::coords() const {

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "common/macros.h"
 #include "geom/kernels/kernels.h"
 #include "geom/rect.h"
 #include "storage/page.h"
@@ -87,15 +88,38 @@ class NodeView {
   uint16_t count() const { return header().entry_count(); }
   geom::Rect mbr() const { return header().mbr(); }
 
-  Entry GetEntry(uint16_t i) const;
+  /// Entry i, one load per column. Inline, so a caller that reads only
+  /// some of the fields leaves the loads of the other columns dead.
+  Entry GetEntry(uint16_t i) const {
+    SDB_DCHECK(i < count());
+    Entry e;
+    e.rect = rect(i);
+    e.id = id(i);
+    LoadAt(column(kObjPage), i, &e.ref.page);
+    LoadAt(column(kObjSlot), i, &e.ref.slot);
+    return e;
+  }
   void SetEntry(uint16_t i, const Entry& e);
 
   /// Entry i's rectangle, from the coordinate columns alone.
-  geom::Rect rect(uint16_t i) const;
+  geom::Rect rect(uint16_t i) const {
+    SDB_DCHECK(i < count());
+    geom::Rect r;
+    LoadAt(column(kXmin), i, &r.xmin);
+    LoadAt(column(kYmin), i, &r.ymin);
+    LoadAt(column(kXmax), i, &r.xmax);
+    LoadAt(column(kYmax), i, &r.ymax);
+    return r;
+  }
   /// Overwrites entry i's rectangle without refreshing aggregates.
   void set_rect(uint16_t i, const geom::Rect& r);
   /// Entry i's id, from the id column alone.
-  uint64_t id(uint16_t i) const;
+  uint64_t id(uint16_t i) const {
+    SDB_DCHECK(i < count());
+    uint64_t id;
+    LoadAt(column(kId), i, &id);
+    return id;
+  }
   /// Entry i's id read as a child page id.
   storage::PageId child(uint16_t i) const {
     return static_cast<storage::PageId>(id(i));
@@ -127,8 +151,34 @@ class NodeView {
   geom::kernels::Columns coords() const;
 
  private:
-  /// Start of the k-th column of the layout above.
-  std::byte* column(size_t k) const;
+  /// The columns in page order.
+  enum Column : size_t { kXmin, kYmin, kXmax, kYmax, kId, kObjPage, kObjSlot };
+
+  /// Start of each column after the header, in units of the capacity: the
+  /// running sum of the widths of the columns before it.
+  static constexpr size_t kColumnStart[] = {0, 8, 16, 24, 32, 40, 44};
+  static_assert(kColumnStart[kObjPage] - kColumnStart[kId] ==
+                    sizeof(Entry::id) &&
+                kColumnStart[kObjSlot] - kColumnStart[kObjPage] ==
+                    sizeof(ObjectRef::page) &&
+                kColumnStart[kObjSlot] + sizeof(ObjectRef::slot) <=
+                    kEntrySize);
+
+  /// Calls fn(column, field) for the seven entry fields in column order;
+  /// field(e) is the member of Entry `e` that the column stores.
+  template <typename Fn>
+  static void ForEachField(Fn&& fn);  // defined in node_view.cc
+
+  template <typename T>
+  static void LoadAt(const std::byte* column, size_t i, T* value) {
+    std::memcpy(value, column + i * sizeof(T), sizeof(T));
+  }
+
+  /// Start of column k of the layout above.
+  std::byte* column(Column k) const {
+    return page_.data() + storage::PageHeaderView::kHeaderSize +
+           kColumnStart[k] * Capacity(page_.size());
+  }
 
   std::span<std::byte> page_;
 };

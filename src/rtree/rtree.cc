@@ -742,37 +742,6 @@ bool RTree::Delete(uint64_t id, const Rect& rect, const AccessContext& ctx) {
 // Queries
 // ---------------------------------------------------------------------------
 
-void RTree::WindowQueryVisit(
-    const Rect& window, const AccessContext& ctx,
-    const std::function<void(const Entry&)>& visit) const {
-  std::vector<PageId> stack{root_};
-  // Mask scratch reused by every node scan: the intersect kernel reads each
-  // node's coordinate columns in place, so nothing else is copied per node.
-  std::vector<uint8_t> mask;
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    core::StatusOr<core::PageHandle> fetched = buffer_->Fetch(id, ctx);
-    if (!fetched.ok()) {
-      // An unreadable node prunes its subtree: the query degrades to a
-      // partial result (reported via io_errors()) instead of killing the
-      // process.
-      RecordIoError(fetched.status());
-      continue;
-    }
-    core::PageHandle page = std::move(fetched).value();
-    const NodeView node(page.bytes());
-    if (node.ScanEntries(window, &mask) == 0) continue;
-    // Only a leaf hit is decoded into an Entry; a directory hit reads just
-    // the child id.
-    if (node.is_leaf()) {
-      ForEachHit(mask, [&](uint16_t i) { visit(node.GetEntry(i)); });
-    } else {
-      ForEachHit(mask, [&](uint16_t i) { stack.push_back(node.child(i)); });
-    }
-  }
-}
-
 std::vector<Entry> RTree::WindowQuery(const Rect& window,
                                       const AccessContext& ctx) const {
   std::vector<Entry> out;

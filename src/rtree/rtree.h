@@ -2,8 +2,8 @@
 #define SPATIALBUFFER_RTREE_RTREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/access_context.h"
@@ -95,10 +95,39 @@ class RTree {
   std::vector<Entry> PointQuery(const geom::Point& point,
                                 const core::AccessContext& ctx) const;
 
-  /// Streaming variant of WindowQuery.
+  /// Streaming variant of WindowQuery: calls visit(const Entry&) once per
+  /// hit, in the order WindowQuery returns them. A template, so each hit's
+  /// decode inlines into the visitor and loads only the columns it reads.
+  template <typename Visit>
   void WindowQueryVisit(const geom::Rect& window,
-                        const core::AccessContext& ctx,
-                        const std::function<void(const Entry&)>& visit) const;
+                        const core::AccessContext& ctx, Visit&& visit) const {
+    std::vector<storage::PageId> stack{root_};
+    // Mask scratch reused by every node scan: the intersect kernel reads each
+    // node's coordinate columns in place, so nothing else is copied per node.
+    std::vector<uint8_t> mask;
+    while (!stack.empty()) {
+      const storage::PageId id = stack.back();
+      stack.pop_back();
+      core::StatusOr<core::PageHandle> fetched = buffer_->Fetch(id, ctx);
+      if (!fetched.ok()) {
+        // An unreadable node prunes its subtree: the query degrades to a
+        // partial result (reported via io_errors()) instead of killing the
+        // process.
+        RecordIoError(fetched.status());
+        continue;
+      }
+      core::PageHandle page = std::move(fetched).value();
+      const NodeView node(page.bytes());
+      if (node.ScanEntries(window, &mask) == 0) continue;
+      // A leaf hit is decoded for the visitor; a directory hit reads just the
+      // child id.
+      if (node.is_leaf()) {
+        ForEachHit(mask, [&](uint16_t i) { visit(node.GetEntry(i)); });
+      } else {
+        ForEachHit(mask, [&](uint16_t i) { stack.push_back(node.child(i)); });
+      }
+    }
+  }
 
   /// The k entries whose rectangles are nearest to `point` (min-distance
   /// branch-and-bound). Extension beyond the paper's workloads.

@@ -81,6 +81,8 @@ TEST(NodeViewLayoutTest, FullCapacityRoundTrip) {
     EXPECT_EQ(node.LoadEntries(), entries) << page_size;
     for (uint16_t i = 0; i < capacity; ++i) {
       EXPECT_EQ(node.GetEntry(i), entries[i]) << page_size << " " << i;
+      EXPECT_EQ(node.rect(i), entries[i].rect) << page_size << " " << i;
+      EXPECT_EQ(node.id(i), entries[i].id) << page_size << " " << i;
       EXPECT_EQ(node.child(i), node.GetEntry(i).child())
           << page_size << " " << i;
     }

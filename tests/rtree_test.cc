@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "core/buffer_manager.h"
@@ -311,6 +313,144 @@ TEST_F(RTreeTest, CustomFanoutIsRespected) {
   const Rect window(0.2, 0.2, 0.6, 0.6);
   EXPECT_EQ(Ids(tree.WindowQuery(window, ctx)),
             BruteForceWindow(entries, window));
+}
+
+/// Forwards every call to the wrapped source and records the id of every
+/// page fetched, in fetch order.
+class FetchRecordingSource final : public core::PageSource {
+ public:
+  explicit FetchRecordingSource(core::PageSource* inner) : inner_(inner) {}
+
+  core::StatusOr<core::PageHandle> Fetch(storage::PageId page,
+                                         const AccessContext& ctx) override {
+    fetched_.push_back(page);
+    return inner_->Fetch(page, ctx);
+  }
+  core::StatusOr<core::PageHandle> New(const AccessContext& ctx) override {
+    return inner_->New(ctx);
+  }
+  std::span<const std::byte> Peek(storage::PageId page) const override {
+    return inner_->Peek(page);
+  }
+
+  /// Mix64 chain over the page ids fetched since the last call.
+  uint64_t TakeFetchDigest() {
+    uint64_t digest = 0;
+    for (const storage::PageId page : fetched_) digest = Mix64(digest ^ page);
+    fetched_.clear();
+    return digest;
+  }
+
+ private:
+  core::PageSource* inner_;
+  std::vector<storage::PageId> fetched_;
+};
+
+/// A visitor that owns what it collects. Move-only, so a std::function,
+/// which must be copyable, cannot hold it.
+struct CollectingVisitor {
+  void operator()(const Entry& e) { hits->push_back(e); }
+  std::unique_ptr<std::vector<Entry>> hits =
+      std::make_unique<std::vector<Entry>>();
+};
+static_assert(!std::is_copy_constructible_v<CollectingVisitor>);
+
+TEST_F(RTreeTest, WindowQueryVisitKeepsOrderForAnyVisitor) {
+  // Recorded while WindowQueryVisit took a std::function and decoded every
+  // field of each hit: per page size, the result count of 50 windows, a
+  // Mix64 chain over the hits in visit order as each visitor reads them, and
+  // one over the fetched page ids.
+  struct Recorded {
+    size_t page_size;
+    uint64_t results;
+    uint64_t entry_digest;  ///< id, rect bits and ref of every hit
+    uint64_t id_digest;     ///< the id of every hit
+    uint64_t count_digest;  ///< the hit count of every window
+    uint64_t fetch_digest;
+  };
+  constexpr Recorded kRecorded[] = {
+      {storage::kDefaultPageSize, 2625, 0x9caf7857dec3ed27, 0x63a4ded38b23e187,
+       0xa504e97406e76f47, 0x8b57c0885b022420},
+      {512, 2625, 0x63ae800fc9c2d82b, 0x37ded70e0b2dee24, 0xa504e97406e76f47,
+       0xf65140e8b08f8daf},
+  };
+  for (const Recorded& recorded : kRecorded) {
+    SCOPED_TRACE(recorded.page_size);
+    // Inserts with every fifth followed by a delete, as the kernels test's
+    // churned tree, at the largest fanout the page holds.
+    DiskManager disk(recorded.page_size);
+    BufferManager buffer(&disk, 1024, std::make_unique<core::LruPolicy>());
+    const uint32_t capacity = NodeView::Capacity(recorded.page_size);
+    RTreeConfig config;
+    config.max_dir_entries = std::min(config.max_dir_entries, capacity);
+    config.max_data_entries = std::min(config.max_data_entries, capacity);
+    RTree tree(&disk, &buffer, config);
+    Rng rng(23);
+    const Rect space(0, 0, 1, 1);
+    std::vector<Entry> live;
+    for (uint64_t id = 1; id <= 3000; ++id) {
+      Entry e = MakeEntry(id, test::RandomRect(rng, space, 0.02));
+      e.ref = ObjectRef{static_cast<storage::PageId>(id / 7),
+                        static_cast<uint16_t>(id % 7)};
+      tree.Insert(e, ctx_);
+      live.push_back(e);
+      if (id % 5 == 0) {
+        const size_t victim = rng.NextU64() % live.size();
+        ASSERT_TRUE(tree.Delete(live[victim].id, live[victim].rect, ctx_));
+        live[victim] = live.back();
+        live.pop_back();
+      }
+    }
+    ASSERT_EQ(tree.Validate(), "");
+    std::vector<Rect> windows;
+    for (int q = 0; q < 50; ++q) {
+      windows.push_back(test::RandomRect(rng, space, 0.3));
+    }
+    FetchRecordingSource recording(&buffer);
+    tree.set_buffer(&recording);
+
+    CollectingVisitor collecting;
+    for (const Rect& window : windows) {
+      tree.WindowQueryVisit(window, ctx_, collecting);
+    }
+    uint64_t entry_digest = 0;
+    for (const Entry& e : *collecting.hits) {
+      for (const double v : {e.rect.xmin, e.rect.ymin, e.rect.xmax,
+                             e.rect.ymax}) {
+        entry_digest = Mix64(entry_digest ^ std::bit_cast<uint64_t>(v));
+      }
+      entry_digest = Mix64(entry_digest ^ e.id);
+      entry_digest = Mix64(entry_digest ^ e.ref.page);
+      entry_digest = Mix64(entry_digest ^ e.ref.slot);
+    }
+    EXPECT_EQ(collecting.hits->size(), recorded.results);
+    EXPECT_EQ(entry_digest, recorded.entry_digest);
+    EXPECT_EQ(recording.TakeFetchDigest(), recorded.fetch_digest);
+
+    uint64_t id_hits = 0;
+    uint64_t id_digest = 0;
+    for (const Rect& window : windows) {
+      tree.WindowQueryVisit(window, ctx_, [&](const Entry& e) {
+        ++id_hits;
+        id_digest = Mix64(id_digest ^ e.id);
+      });
+    }
+    EXPECT_EQ(id_hits, recorded.results);
+    EXPECT_EQ(id_digest, recorded.id_digest);
+    EXPECT_EQ(recording.TakeFetchDigest(), recorded.fetch_digest);
+
+    uint64_t counted = 0;
+    uint64_t count_digest = 0;
+    for (const Rect& window : windows) {
+      uint64_t n = 0;
+      tree.WindowQueryVisit(window, ctx_, [&n](const Entry&) { ++n; });
+      counted += n;
+      count_digest = Mix64(count_digest ^ n);
+    }
+    EXPECT_EQ(counted, recorded.results);
+    EXPECT_EQ(count_digest, recorded.count_digest);
+    EXPECT_EQ(recording.TakeFetchDigest(), recorded.fetch_digest);
+  }
 }
 
 TEST_F(RTreeTest, ObjectRefsSurviveTheTree) {
