@@ -23,6 +23,16 @@ Modes:
       event stripes 2.4-3.2x). On a host with one hardware thread
       max_threads is 1 and the check passes with a note.
 
+  latch-overhead BENCH_policy_overhead.json --max-frac 0.25
+      Reads the one-shard bench:"latch_overhead" rows (the ones with
+      ns_per_fetch_mutex: an uncontended all-hit fetch through a read-only
+      service against a writable one over the same pages, best of 9 per
+      side) and fails when any row's overhead_frac, the optimistic path's
+      extra cost over the shard mutex, exceeds the threshold. Over 20 runs
+      each, the worst row of a run read 0.42-0.85 while every client
+      shared a frame's pin count and each release queued an event, and
+      -0.13-0.12 with per-stripe pin counts.
+
   wal A.json B.json --max-drop 0.5
       Joins the bench:"wal_commit" rows of two BENCH_wal.json runs on
       (window_us, threads) and fails when commits_per_sec in B dropped
@@ -207,6 +217,29 @@ def check_hit_scaling(args):
         return 1
     print(f"ok   {label} <= {args.max_ratio:g}")
     return 0
+
+
+def check_latch_overhead(args):
+    rows = [r for r in read_rows(args.file)
+            if r.get("bench") == "latch_overhead"
+            and r.get("ns_per_fetch_mutex") is not None]
+    if not rows:
+        print(f"{args.file}: no one-shard latch_overhead rows found",
+              file=sys.stderr)
+        return 2
+    failures = 0
+    for row in rows:
+        frac = row["overhead_frac"]
+        label = (f"{row.get('frames', '?')} frames: optimistic "
+                 f"{row['ns_per_fetch_optimistic']:.1f} vs mutex "
+                 f"{row['ns_per_fetch_mutex']:.1f} ns/fetch, overhead_frac "
+                 f"{frac:.4f}")
+        if frac > args.max_frac:
+            print(f"FAIL {label} > {args.max_frac:g}", file=sys.stderr)
+            failures += 1
+        else:
+            print(f"ok   {label} <= {args.max_frac:g}")
+    return 1 if failures else 0
 
 
 NODE_SCAN = "BM_NodeScanKernels"
@@ -532,6 +565,12 @@ def main():
     hits.add_argument("file")
     hits.add_argument("--max-ratio", type=float, default=4.0)
 
+    latch = sub.add_parser("latch-overhead",
+                           help="guard the uncontended optimistic hit "
+                                "against the shard mutex")
+    latch.add_argument("file")
+    latch.add_argument("--max-frac", type=float, default=0.25)
+
     node_scan = sub.add_parser("node-scan",
                                help="guard the in-place node scan against "
                                     "the bare kernel")
@@ -590,6 +629,8 @@ def main():
         sys.exit(check_evict_scaling(args))
     if args.mode == "hit-scaling":
         sys.exit(check_hit_scaling(args))
+    if args.mode == "latch-overhead":
+        sys.exit(check_latch_overhead(args))
     if args.mode == "node-scan":
         sys.exit(check_node_scan(args))
     if args.mode == "choose-subtree":

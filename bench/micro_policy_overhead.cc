@@ -397,10 +397,12 @@ void RunLatchOverheadTable() {
   for (const size_t frames : frame_counts) {
     const size_t pages = frames / 2;
     auto disk = StageDisk(pages);
-    // Best-of-3 per side: single-digit-ns deltas drown in scheduler noise
-    // otherwise.
+    // Best-of-9 per side, the sides alternating: single-digit-ns deltas
+    // drown in scheduler noise otherwise, and with best-of-3 one side
+    // alone sometimes caught a fast stretch of the host (CI gates the
+    // ratio: check_bench_regression.py latch-overhead).
     double mutex_ns = 0.0, optimistic_ns = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < 9; ++rep) {
       const double m =
           MeasureServiceFetchNs(*disk, /*writable=*/true, frames, pages);
       const double o =

@@ -13,11 +13,6 @@
 namespace sdb::core {
 
 namespace {
-/// Concurrent-mode bound on victimless policy scans before AcquireFrame
-/// concludes the pool is genuinely exhausted (each scan drains the deferred
-/// events and yields, so lagging unpin events get every chance to land).
-constexpr size_t kVictimScanLimit = 1u << 16;
-
 /// Optimistic probe retries (after the first attempt) before
 /// TryOptimisticFetch gives up and the caller takes the latch.
 constexpr uint32_t kMaxOptimisticRetries = 3;
@@ -101,7 +96,12 @@ BufferManager::BufferManager(storage::PageDevice* disk, size_t frames,
   SDB_CHECK(policy_ != nullptr);
   SDB_CHECK_MSG(frames > 0, "buffer needs at least one frame");
   obs_ = collector;
-  frame_data_ = std::make_unique<std::byte[]>(frames * page_size_);
+  // Not zero-filled: no frame byte is read before it is written. A miss
+  // reads the page into its frame, New and NewAt zero theirs, a frame
+  // recycled after a failed read is zeroed in QuarantineFrame, and Peek and
+  // every other reader see only resident pages.
+  frame_data_ =
+      std::make_unique_for_overwrite<std::byte[]>(frames * page_size_);
   frames_.assign(frames, Frame{});
   meta_versions_.assign(frames, 0);
   meta_cache_.assign(frames, MetaCacheEntry{});
@@ -131,7 +131,7 @@ StatusOr<PageHandle> BufferManager::Fetch(storage::PageId page,
   if (const FrameId f = page_table_.Lookup(page);
       f != PageTable::kInvalidFrame) {
     ++stats_.hits;
-    if (PinIncrement(f) == 0) {
+    if (AddPin(f)) {
       policy_->SetEvictable(f, false);
     }
     policy_->OnPageAccessed(f, ctx);
@@ -204,12 +204,12 @@ void BufferManager::InstallLoadedPage(FrameId f, storage::PageId page,
       (dirty && wal_ != nullptr) ? wal_->next_lsn() + 1 : 0;
   if (concurrent_) sync_[f].page.store(page, std::memory_order_release);
   page_table_.Insert(page, f);
-  // fetch_add, not a store: a doomed optimistic pin (one that will fail its
-  // validation and undo itself) may be in flight on this frame, and a plain
-  // store would erase its +1 before the matching -1 lands.
-  PinIncrement(f);
+  AddPin(f);
   FillMeta(f);
   policy_->OnPageLoaded(f, page, ctx);
+  // A concurrent buffer's policy sees every resident frame as evictable:
+  // eviction reads the live pin count itself.
+  if (concurrent_) policy_->SetEvictable(f, true);
 }
 
 bool BufferManager::Contains(storage::PageId page) const {
@@ -287,51 +287,34 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
     if (concurrent_) sync_[f].Lock();
     return f;
   }
-  // Bound on no-victim retries in concurrent mode: deferred unpin events
-  // can lag the atomic pin counts, so a transiently victimless policy view
-  // is drained and re-scanned before the pool is declared exhausted.
-  size_t starved_scans = 0;
-  // Clean-victim preference: with background write-back enabled and the
-  // pool at or below the high watermark, dirty victims are set aside
-  // (temporarily unevictable) so the flusher — not the foreground pin
-  // path — pays for their device writes.
-  std::vector<FrameId> dirty_skipped;
+  // Victims set aside (flagged unevictable) for the rest of this
+  // acquisition and restored before it returns. With background write-back
+  // enabled and the pool at or below the high watermark these are dirty
+  // frames, so the flusher — not the foreground pin path — pays for their
+  // device writes. In concurrent mode, whose policy sees every resident
+  // frame as evictable, they are frames whose live pin count is nonzero.
+  std::vector<FrameId> skipped;
   const auto restore_skipped = [&] {
-    for (const FrameId skipped : dirty_skipped) {
-      if (frames_[skipped].page != storage::kInvalidPageId &&
-          !frames_[skipped].quarantined && PinCount(skipped) == 0) {
-        policy_->SetEvictable(skipped, true);
-      }
-    }
-    dirty_skipped.clear();
+    for (const FrameId f : skipped) policy_->SetEvictable(f, true);
+    skipped.clear();
   };
   bool prefer_clean = writeback_.enabled && !PastHighWatermark();
+  size_t pinned_rounds = 0;
   for (;;) {
     const std::optional<FrameId> victim = policy_->ChooseVictim(ctx, incoming);
     if (!victim.has_value()) {
-      if (!dirty_skipped.empty()) {
+      if (prefer_clean && !skipped.empty()) {
         // Everything the policy had left was a dirty frame we set aside:
         // restore the flags and accept a dirty victim after all.
         restore_skipped();
         prefer_clean = false;
         continue;
       }
-      if (concurrent_ && ++starved_scans < kVictimScanLimit) {
-        DrainDeferred();
-        if (starved_scans > 1) {
-          // Draining alone did not produce a victim, so heal event-less
-          // flag staleness: an aborted optimistic pin (+1 undone by -1,
-          // no event) can leave an unpinned frame marked unevictable. By
-          // the eager protocol any live-unpinned frame is evictable, and
-          // the eviction path re-checks live pins under the frame lock, so
-          // over-marking here is safe.
-          for (FrameId swept = 0; swept < frames_.size(); ++swept) {
-            if (frames_[swept].page != storage::kInvalidPageId &&
-                !frames_[swept].quarantined && PinCount(swept) == 0) {
-              policy_->SetEvictable(swept, true);
-            }
-          }
-        }
+      restore_skipped();
+      if (concurrent_ && ++pinned_rounds < kPinnedVictimRounds) {
+        // Every candidate was pinned when looked at. Other clients release
+        // pins, and a doomed optimistic pin looks live for a moment, so
+        // choose again a few times before declaring the pool exhausted.
         std::this_thread::yield();
         continue;
       }
@@ -350,24 +333,23 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
     const FrameId f = *victim;
     Frame& frame = frames_[f];
     if (concurrent_) {
+      // Under the version lock no new pin can land, so the live count is
+      // the authority: a pinned victim is set aside and the policy asked
+      // again.
       sync_[f].Lock();
-      if (sync_[f].pins.load(std::memory_order_acquire) != 0) {
-        // The policy's evictable flag lagged a live optimistic pin (its
-        // deferred event is still in flight). Correct the flag, release the
-        // frame and rescan — the pin count is the authority.
+      if (LivePins(f) != 0) {
         sync_[f].Unlock();
         policy_->SetEvictable(f, false);
-        OwnStripe().conflicts.fetch_add(1, std::memory_order_relaxed);
+        skipped.push_back(f);
         continue;
       }
     } else {
       SDB_CHECK_MSG(frame.pin_count == 0, "policy evicted a pinned page");
     }
     SDB_CHECK(frame.page != storage::kInvalidPageId);
-    if (prefer_clean && frame.dirty &&
-        dirty_skipped.size() < kMaxCleanScan) {
+    if (prefer_clean && frame.dirty && skipped.size() < kMaxCleanScan) {
       policy_->SetEvictable(f, false);
-      dirty_skipped.push_back(f);
+      skipped.push_back(f);
       continue;
     }
     const bool was_dirty = frame.dirty;
@@ -526,13 +508,15 @@ void BufferManager::ExportMetrics(obs::MetricsRegistry* registry) const {
 }
 
 UnpinStatus BufferManager::Unpin(FrameId f, bool dirty) {
-  if (latch_ == nullptr) {
-    if (concurrent_) DrainDeferred();
-    return UnpinLocked(f, dirty);
-  }
+  if (latch_ == nullptr) return UnpinLocked(f, dirty);
   std::lock_guard<std::mutex> lock(*latch_);
-  if (concurrent_) DrainDeferred();
-  return UnpinLocked(f, dirty);
+  if (!concurrent_ || f >= frames_.size()) return UnpinLocked(f, dirty);
+  // Latch-free pins and releases keep moving the stripes' counters; the
+  // frame's version lock holds new pins off while the live count is read.
+  sync_[f].Lock();
+  const UnpinStatus status = UnpinLocked(f, dirty);
+  sync_[f].Unlock();
+  return status;
 }
 
 UnpinStatus BufferManager::UnpinLocked(FrameId f, bool dirty) {
@@ -546,7 +530,7 @@ UnpinStatus BufferManager::UnpinLocked(FrameId f, bool dirty) {
     NoteDirtyLocked(f);
     InvalidateMeta(f);
   }
-  if (PinDecrement(f) == 1) {
+  if (DropPin(f)) {
     policy_->SetEvictable(f, true);
   }
   return UnpinStatus::kOk;
@@ -560,33 +544,12 @@ void BufferManager::ReleasePin(FrameId f) {
     return;
   }
   // Latch-free release: the handle owns a pin by construction, so the
-  // decrement cannot fail, and holding that pin until here means the
-  // frame's page cannot have changed since the fetch.
-  const storage::PageId page = sync_[f].page.load(std::memory_order_acquire);
-  const uint32_t prev = sync_[f].pins.fetch_sub(1, std::memory_order_acq_rel);
-  SDB_DCHECK(prev > 0);
-  // Only the 1 -> 0 edge changes what the policy sees.
-  if (prev != 1) return;
-  DeferredEvent event;
-  event.frame = f;
-  event.page = page;
-  event.kind = DeferredEvent::Kind::kUnpin;
-  event.edge = true;
-  AccessEventRing& events = OwnStripe().events;
-  if (events.TryPush(event)) return;
-  // Stripe full: drain under the latch to make room; the event then queues
-  // behind this thread's earlier ones, so their order stays FIFO.
-  const auto drain_and_push = [&] {
-    do {
-      DrainDeferred();
-    } while (!events.TryPush(event));
-  };
-  if (latch_ == nullptr) {
-    drain_and_push();
-  } else {
-    std::lock_guard<std::mutex> lock(*latch_);
-    drain_and_push();
-  }
+  // decrement cannot fail, and the policy hears nothing (it sees every
+  // resident frame as evictable). Released on another thread than the
+  // fetch, the pin leaves this stripe's counter one below zero, which the
+  // wrapping sum in LivePins absorbs. The release order publishes the
+  // holder's reads of the frame to the evictor that sees the count drop.
+  OwnStripe().Pins(f).fetch_sub(1, std::memory_order_release);
 }
 
 void BufferManager::MarkFrameDirty(FrameId f) {
@@ -854,12 +817,14 @@ void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
   sync_ = std::make_unique<FrameSync[]>(frames_.size());
   const size_t stripes =
       std::bit_ceil(std::max(1u, std::thread::hardware_concurrency()));
+  const size_t pin_blocks =
+      (frames_.size() + PinBlock::kFrames - 1) / PinBlock::kFrames;
   stripes_ = std::make_unique<EventStripe[]>(stripes);
   for (size_t s = 0; s < stripes; ++s) {
+    stripes_[s].pins = std::make_unique<PinBlock[]>(pin_blocks);
     stripes_[s].events.Allocate(options.event_ring_capacity / stripes);
   }
   stripe_mask_ = stripes - 1;
-  edged_frames_.reserve(options.event_ring_capacity);
   concurrent_ = true;
 }
 
@@ -879,32 +844,28 @@ std::optional<PageHandle> BufferManager::TryOptimisticFetch(
       }
       return std::nullopt;  // genuine miss: the latched path loads it
     }
-    FrameSync& sync = sync_[f];
+    const FrameSync& sync = sync_[f];
     const uint64_t version = sync.version.load(std::memory_order_acquire);
     if ((version & 1) != 0 ||
         sync.page.load(std::memory_order_acquire) != page) {
       stripe.conflicts.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    // Pin-then-validate: either the pin lands before an evictor samples the
-    // pin count (the evictor then skips this frame), or the evictor locked
-    // first and the re-validation below fails before any byte is exposed.
-    const uint32_t prev = sync.pins.fetch_add(1, std::memory_order_acq_rel);
-    if (sync.version.load(std::memory_order_acquire) != version) {
-      sync.pins.fetch_sub(1, std::memory_order_acq_rel);
+    // Pin-then-validate on this thread's own counter: either the pin lands
+    // before an evictor sums the counters (the evictor then sets this frame
+    // aside), or the evictor locked first and the re-validation below fails
+    // before any byte is exposed.
+    std::atomic<uint32_t>& pins = stripe.Pins(f);
+    pins.fetch_add(1, std::memory_order_seq_cst);
+    if (sync.version.load(std::memory_order_seq_cst) != version) {
+      pins.fetch_sub(1, std::memory_order_release);
       stripe.conflicts.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    DeferredEvent event;
-    event.frame = f;
-    event.page = page;
-    event.query = ctx.query_id;
-    event.kind = DeferredEvent::Kind::kHit;
-    event.edge = prev == 0;
-    if (!stripe.events.TryPush(event)) {
+    if (!stripe.events.TryPush(DeferredEvent{f, page, ctx.query_id})) {
       // Stripe full: undo and let the latched path do this hit eagerly (it
       // drains the stripes first, which is what makes room again).
-      sync.pins.fetch_sub(1, std::memory_order_acq_rel);
+      pins.fetch_sub(1, std::memory_order_release);
       stripe.retries.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
@@ -928,44 +889,32 @@ uint64_t BufferManager::SumStripes(
   return sum;
 }
 
-void BufferManager::DrainDeferred() {
-  if (!concurrent_) return;
-  DeferredEvent event;
+uint32_t BufferManager::LivePins(FrameId f) const {
+  uint32_t live = 0;
   for (size_t s = 0; s <= stripe_mask_; ++s) {
-    while (stripes_[s].events.TryPop(&event)) ApplyDeferred(event);
+    live += stripes_[s].Pins(f).load(std::memory_order_seq_cst);
   }
-  // Stripes reorder events between threads, so a frame's hit edge may have
-  // drained after the unpin edge that ended its pin: the live pin count
-  // settles the flag (in serial runs it already agrees).
-  for (const FrameId f : edged_frames_) {
-    policy_->SetEvictable(f, PinCount(f) == 0);
-  }
-  edged_frames_.clear();
+  return live;
 }
 
-void BufferManager::ApplyDeferred(const DeferredEvent& event) {
-  // The pin behind the event protected the frame while it was held, but by
-  // drain time the pin may be gone and the frame evicted and reloaded; the
-  // stats still count (the access happened and was served), while policy
-  // callbacks only apply if the frame still holds the event's page. The
-  // drain's reconcile and the eviction path's live-pin check are the safety
-  // net for any flag staleness this introduces under races; in serial
-  // execution the guard never fires and the replay is exactly the eager
-  // mutex-path sequence.
-  const bool current = event.frame < frames_.size() &&
-                       frames_[event.frame].page == event.page;
-  if (current && event.edge) {
-    policy_->SetEvictable(event.frame,
-                          event.kind == DeferredEvent::Kind::kUnpin);
-    edged_frames_.push_back(event.frame);
-  }
-  if (event.kind == DeferredEvent::Kind::kHit) {
-    ++stats_.requests;
-    ++stats_.hits;
-    ++optimistic_hits_;
-    if (obs_ != nullptr) obs_->OnBufferRequest(event.page, event.query, true);
-    if (current) {
-      policy_->OnPageAccessed(event.frame, AccessContext{event.query});
+void BufferManager::DrainDeferred() {
+  if (!concurrent_) return;
+  // The pin behind a hit protected its frame while it was held, but by
+  // drain time the pin may be gone and the frame evicted and reloaded: the
+  // stats still count the hit (the access happened and was served), while
+  // the policy hears of it only if the frame still holds the event's page.
+  // In serial execution that guard never fires and the replay is exactly
+  // the eager mutex-path sequence.
+  DeferredEvent event;
+  for (size_t s = 0; s <= stripe_mask_; ++s) {
+    while (stripes_[s].events.TryPop(&event)) {
+      ++stats_.requests;
+      ++stats_.hits;
+      ++optimistic_hits_;
+      if (obs_ != nullptr) obs_->OnBufferRequest(event.page, event.query, true);
+      if (frames_[event.frame].page == event.page) {
+        policy_->OnPageAccessed(event.frame, AccessContext{event.query});
+      }
     }
   }
 }

@@ -296,7 +296,9 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// out of range / holds no page (kUnknownFrame) or is not pinned
   /// (kNotPinned); the buffer state is untouched in both error cases.
   /// Acquires the external latch (see set_latch) when one is attached, so
-  /// handle releases are safe without the caller holding the shard latch.
+  /// handle releases are safe without the caller holding the shard latch;
+  /// in concurrent mode it also takes the frame's version lock to read the
+  /// live pin count.
   UnpinStatus Unpin(FrameId frame, bool dirty);
 
   /// Attaches the latch that guards this buffer inside a sharded service
@@ -308,40 +310,41 @@ class BufferManager : public FrameMetaSource, public PageSource {
 
   /// Switches this buffer into concurrent mode (call once, before traffic,
   /// with the external latch already attached): allocates the per-frame
-  /// version stamps and one deferred-event ring per thread stripe (the
-  /// hardware thread count rounded up to a power of two; a thread keeps its
-  /// stripe for life). From then on TryOptimisticFetch
-  /// may serve hits without the latch, and exclusive sections
-  /// (Fetch/Unpin/stats under the latch) drain the stripes first. A
-  /// concurrent buffer is a read-only service shard: a WAL or background
-  /// write-back attached before or after aborts, and New, NewAt and Evict
-  /// are not for it.
+  /// version stamps and, per thread stripe (the hardware thread count
+  /// rounded up to a power of two; a thread keeps its stripe for life), one
+  /// deferred-event ring and one pin counter per frame. From then on
+  /// TryOptimisticFetch may serve hits without the latch, every pin and
+  /// release goes to the calling thread's counters, the policy sees every
+  /// resident frame as evictable, and eviction sets aside a victim whose
+  /// live pin count is nonzero. Exclusive sections (Fetch and the stats
+  /// paths under the latch) drain the stripes first. A concurrent buffer is
+  /// a read-only service shard: a WAL or background write-back attached
+  /// before or after aborts, and New, NewAt and Evict are not for it.
   void EnableConcurrency(const ConcurrentOptions& options);
   bool concurrent() const { return concurrent_; }
 
-  /// Latch-free hit path: probes the page table, pins through the frame's
-  /// version stamp, and defers the policy/stats bookkeeping into the calling
-  /// thread's stripe — the only words it writes besides the pin count.
-  /// Returns nullopt — after bounded retries — on a miss, a version
-  /// conflict, or a full stripe; the caller then takes the latch and calls
-  /// Fetch. Only valid in concurrent mode.
+  /// Latch-free hit path: probes the page table, pins the frame on the
+  /// calling thread's pin counter, validates the frame's version stamp, and
+  /// defers the policy/stats bookkeeping into the calling thread's stripe —
+  /// it writes only cache lines of that stripe. Returns nullopt — after
+  /// bounded retries — on a miss, a version conflict, or a full stripe; the
+  /// caller then takes the latch and calls Fetch. Only valid in concurrent
+  /// mode.
   std::optional<PageHandle> TryOptimisticFetch(storage::PageId page,
                                                const AccessContext& ctx);
 
-  /// Replays the deferred optimistic hit/unpin events into the policy,
-  /// stats and collector, stripe by stripe (each in FIFO order), then sets
-  /// every frame whose pin edge it applied to evictable iff it has no live
-  /// pin: stripes reorder events between threads, so a hit edge may drain
-  /// after the unpin edge that ended its pin (a no-op in serial runs).
-  /// Callers must hold the external latch. Fetch/New/Unpin drain implicitly;
-  /// explicit callers are the service's stats/metrics paths, which must
-  /// drain before reading.
+  /// Replays the deferred optimistic hits into the policy, stats and
+  /// collector, stripe by stripe, each in FIFO order. Callers must hold the
+  /// external latch, which makes them the stripes' only consumer. Fetch
+  /// drains implicitly; explicit callers are the service's stats/metrics
+  /// paths, which must drain before reading.
   void DrainDeferred();
 
   /// Optimistic-path counters (concurrent mode; all zero otherwise; read
   /// under the latch). Hits count when their deferred event drains;
   /// retries = optimistic attempts abandoned for any reason; conflicts =
-  /// version validations that failed against a concurrent writer.
+  /// optimistic probes and validations that failed against a concurrent
+  /// writer.
   uint64_t optimistic_hits() const { return optimistic_hits_; }
   uint64_t optimistic_retries() const {
     return SumStripes(&EventStripe::retries);
@@ -519,11 +522,14 @@ class BufferManager : public FrameMetaSource, public PageSource {
   const std::byte* FrameData(FrameId f) const;
 
   /// Finds a frame for an incoming page: free list first, else victim
-  /// eviction. Returns kResourceExhausted when quarantine has shrunk the
-  /// pool to nothing evictable, or when every frame of a latched (service
-  /// shard) buffer is pinned — in concurrent mode only after a bounded wait
-  /// for deferred unpins. A private buffer with every frame pinned still
-  /// aborts (caller bug, exactly the seed behaviour).
+  /// eviction. In concurrent mode a victim whose live pin count is nonzero
+  /// is set aside (flagged unevictable) until the acquisition returns.
+  /// Returns kResourceExhausted when quarantine has shrunk the pool to
+  /// nothing evictable, or when every frame of a latched (service shard)
+  /// buffer is pinned — in concurrent mode only after a few rounds, since a
+  /// doomed optimistic pin looks live for a moment. A private buffer with
+  /// every frame pinned still aborts (caller bug, exactly the seed
+  /// behaviour).
   StatusOr<FrameId> AcquireFrame(const AccessContext& ctx,
                                  storage::PageId incoming);
 
@@ -546,37 +552,50 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// Unpin body, latch already held (or no latch attached).
   UnpinStatus UnpinLocked(FrameId frame, bool dirty);
 
-  /// Handle-release fast path: in concurrent mode an atomic decrement plus,
-  /// on the 1 -> 0 edge, a deferred event (the handle owns the pin by
-  /// construction, so no status to report); otherwise the classic latched
-  /// Unpin.
+  /// Handle-release fast path: in concurrent mode one decrement of the
+  /// calling thread's pin counter and nothing else (the handle owns the pin
+  /// by construction, so no status to report); otherwise the classic
+  /// latched Unpin.
   void ReleasePin(FrameId frame);
 
-  /// Applies one drained event to policy/stats/collector and notes an
-  /// applied pin edge for the drain's reconcile (latch held).
-  void ApplyDeferred(const DeferredEvent& event);
-
-  /// The concurrent-mode pin-count accessors: frames_[f].pin_count and
-  /// sync_[f].pins must agree at every exclusive-section boundary, so all
-  /// exclusive-path pin arithmetic funnels through these.
+  /// The exclusive paths' pin-count accessors. A plain buffer keeps one
+  /// count per frame (Frame::pin_count). A concurrent buffer keeps one
+  /// counter per frame in every thread stripe, pins and releases on the
+  /// caller's own, and reads the live count as their wrapping sum
+  /// (LivePins) under the frame's version lock.
   uint32_t PinCount(FrameId f) const {
-    return concurrent_ ? sync_[f].pins.load(std::memory_order_acquire)
-                       : frames_[f].pin_count;
+    return concurrent_ ? LivePins(f) : frames_[f].pin_count;
   }
-  /// Returns the pre-increment count.
-  uint32_t PinIncrement(FrameId f) {
-    if (concurrent_) return sync_[f].pins.fetch_add(1, std::memory_order_acq_rel);
-    return frames_[f].pin_count++;
+  /// Takes one pin; true on the 0 -> 1 edge, which the policy must see as
+  /// SetEvictable(false). Never true in concurrent mode, whose policy sees
+  /// every resident frame as evictable.
+  bool AddPin(FrameId f) {
+    if (concurrent_) {
+      OwnStripe().Pins(f).fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    return frames_[f].pin_count++ == 0;
   }
-  /// Returns the pre-decrement count.
-  uint32_t PinDecrement(FrameId f) {
-    if (concurrent_) return sync_[f].pins.fetch_sub(1, std::memory_order_acq_rel);
-    return frames_[f].pin_count--;
+  /// Drops one pin; true on the 1 -> 0 edge (SetEvictable(true)). Never
+  /// true in concurrent mode.
+  bool DropPin(FrameId f) {
+    if (concurrent_) {
+      OwnStripe().Pins(f).fetch_sub(1, std::memory_order_release);
+      return false;
+    }
+    return --frames_[f].pin_count == 0;
   }
+  /// A concurrent frame's live pin count: the wrapping sum of every
+  /// stripe's counter, one load per stripe. Exact only while no pin can
+  /// land, so callers hold the frame's version lock; even then a doomed
+  /// optimistic pin (one that will fail its validation and undo itself)
+  /// may add 1 for a moment.
+  uint32_t LivePins(FrameId f) const;
   /// Installs `page` into frame `f` after its bytes are in place: page
-  /// table, frame fields, pin count 1, meta fill, policy load callback.
-  /// In concurrent mode the caller holds the frame's version latch and this
-  /// publishes page/pins before the caller unlocks.
+  /// table, frame fields, pin count 1, meta fill, policy load callback
+  /// (and, in concurrent mode, the evictable flag). In concurrent mode the
+  /// caller holds the frame's version latch and this publishes the page
+  /// before the caller unlocks.
   void InstallLoadedPage(FrameId f, storage::PageId page,
                          const AccessContext& ctx, bool dirty);
 
@@ -605,6 +624,9 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// Dirty victims one frame acquisition sets aside while hunting for a
   /// clean victim before it gives up and writes back synchronously.
   static constexpr size_t kMaxCleanScan = 8;
+  /// Concurrent mode: victim choices that end with every candidate set
+  /// aside as pinned before the acquisition gives up.
+  static constexpr size_t kPinnedVictimRounds = 64;
 
   /// True when the dirty ratio exceeds kHighWatermark.
   bool PastHighWatermark() const {
@@ -660,21 +682,24 @@ class BufferManager : public FrameMetaSource, public PageSource {
   bool concurrent_ = false;
   // One sync word per frame; sized with frames_ at EnableConcurrency.
   std::unique_ptr<FrameSync[]> sync_;
-  // One thread stripe: its share of the deferred events plus the counters
-  // its threads' latch-free attempts bump, so a hit or unpin writes nothing
-  // the whole shard shares.
+  // One thread stripe: its pin counter of every frame, its share of the
+  // deferred events and the counters its threads' latch-free attempts bump,
+  // so a hit or release writes nothing the whole shard shares.
   struct EventStripe {
-    AccessEventRing events;
+    std::unique_ptr<PinBlock[]> pins;
     std::atomic<uint64_t> retries{0};
     std::atomic<uint64_t> conflicts{0};
+    AccessEventRing events;
+
+    std::atomic<uint32_t>& Pins(FrameId f) const {
+      return pins[f / PinBlock::kFrames].count[f % PinBlock::kFrames];
+    }
   };
   /// The calling thread's stripe.
   EventStripe& OwnStripe();
   uint64_t SumStripes(std::atomic<uint64_t> EventStripe::*counter) const;
   std::unique_ptr<EventStripe[]> stripes_;
   size_t stripe_mask_ = 0;
-  // Frames whose pin edge the running drain applied; reconciled at its end.
-  std::vector<FrameId> edged_frames_;
   uint64_t optimistic_hits_ = 0;
 };
 

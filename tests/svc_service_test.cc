@@ -686,14 +686,14 @@ TEST_F(BufferServiceTest, TinyEventRingFallsBackWithoutLosingEvents) {
   EXPECT_EQ(stats.buffer.misses, stats.io.reads);
 }
 
-// Deferred events queue per thread stripe, and a drain empties the stripes
-// one after another, so a frame's hit edge (0 -> 1) can drain after the
-// unpin edge (1 -> 0) that ended the pin it started. Thread A pins the
-// shard's only resident frame (the hit edge), B pins it too, A releases
-// (2 -> 1, nothing queued), B releases (the unpin edge). The two threads
-// keep their stripes and swap roles between rounds, so one round drains A's
-// hit edge last whichever stripe comes first. After the drain the unpinned
-// frame must be the policy's victim, not stuck unevictable.
+// Two threads pin the shard's only resident frame latch-free, each on its
+// own stripe's counter, and release it one after the other: A pins, B pins,
+// A releases, B releases. Hits queue per thread stripe and releases queue
+// nothing, so the drain replays only the two hits, stripe by stripe. The
+// threads keep their stripes and swap roles between rounds, so either
+// stripe drains first once. After the drain the unpinned frame must be the
+// policy's victim: a concurrent shard's policy sees every resident frame as
+// evictable, whatever order the hits replay in.
 TEST_F(BufferServiceTest, HitEdgeDrainedAfterFinalUnpinLeavesFrameEvictable) {
   BufferServiceConfig config;
   config.total_frames = 8;
@@ -743,6 +743,86 @@ TEST_F(BufferServiceTest, HitEdgeDrainedAfterFinalUnpinLeavesFrameEvictable) {
   std::thread second(run, 1);
   first.join();
   second.join();
+}
+
+// A pin released on another thread than the one that took it lands on two
+// stripes' counters: +1 on the fetching thread's, -1 (wrapped) on the
+// releasing thread's. Two fresh threads take consecutive stripe ordinals,
+// so they use two stripes wherever there are at least two. The live count
+// is the wrapping sum, so the frame must read unpinned again: with every
+// other frame of the shard held, the next miss has to evict it. Once with a
+// pin from a miss (taken under the latch) and once with a latch-free hit.
+TEST_F(BufferServiceTest, PinReleasedOnAnotherThreadLeavesFrameEvictable) {
+  constexpr size_t kFrames = 8;
+  BufferServiceConfig config;
+  config.total_frames = kFrames;
+  config.shard_count = 1;
+  config.policy_spec = "LRU";
+  BufferService service(disk(), config);
+  uint64_t query = 0;
+  const auto hand_over = [&](PageId page) {
+    core::PageHandle handle;
+    std::thread([&] {
+      handle = service.FetchOrDie(page, core::AccessContext{++query});
+    }).join();
+    std::thread([&] { handle.Release(); }).join();
+  };
+  std::vector<core::PageHandle> held;
+  for (PageId id = 1; id < kFrames; ++id) {
+    held.push_back(service.FetchOrDie(id, core::AccessContext{++query}));
+  }
+  hand_over(0);  // a miss: the pin is taken under the shard latch
+  core::StatusOr<core::PageHandle> next =
+      service.Fetch(kFrames, core::AccessContext{++query});
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_FALSE(service.Contains(0)) << "the handed-over frame stayed pinned";
+  next.value().Release();
+
+  const uint64_t hits_before = service.StatsOfShard(0).optimistic_hits;
+  hand_over(kFrames);  // resident: a latch-free hit
+  EXPECT_EQ(service.StatsOfShard(0).optimistic_hits - hits_before, 1u);
+  next = service.Fetch(0, core::AccessContext{++query});
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_FALSE(service.Contains(kFrames))
+      << "the handed-over frame stayed pinned";
+  for (PageId id = 1; id < kFrames; ++id) EXPECT_TRUE(service.Contains(id));
+}
+
+// A concurrent shard's policy sees every resident frame as evictable, so
+// LRU can choose a pinned frame; eviction sets it aside for that
+// acquisition and restores it before returning. Hold the least recently
+// used page: the next miss must evict the second-oldest instead. Release
+// the held page: it is the oldest again, and the next miss must evict it.
+// A plain BufferManager, whose policy never sees the held frame as
+// evictable, makes the same evictions.
+TEST_F(BufferServiceTest, PinnedVictimIsSetAsideThenRestored) {
+  constexpr size_t kFrames = 8;
+  BufferServiceConfig config;
+  config.total_frames = kFrames;
+  config.shard_count = 1;
+  config.policy_spec = "LRU";
+  BufferService service(disk(), config);
+  storage::ReadOnlyDiskView view(disk());
+  core::BufferManager plain(&view, kFrames, core::CreatePolicy("LRU"));
+  // Residency of pages 0-2 after each of the two misses.
+  const auto run = [](auto& source) {
+    uint64_t query = 0;
+    core::PageHandle held = source.FetchOrDie(0, core::AccessContext{++query});
+    for (PageId id = 1; id < kFrames; ++id) {
+      source.FetchOrDie(id, core::AccessContext{++query}).Release();
+    }
+    std::vector<bool> resident;
+    source.FetchOrDie(kFrames, core::AccessContext{++query}).Release();
+    for (PageId id = 0; id < 3; ++id) resident.push_back(source.Contains(id));
+    held.Release();
+    source.FetchOrDie(kFrames + 1, core::AccessContext{++query}).Release();
+    for (PageId id = 0; id < 3; ++id) resident.push_back(source.Contains(id));
+    return resident;
+  };
+  const std::vector<bool> want = {true, false, true, false, false, true};
+  EXPECT_EQ(run(plain), want);
+  EXPECT_EQ(run(service), want);
+  EXPECT_EQ(service.StatsOfShard(0).buffer.evictions, plain.stats().evictions);
 }
 
 TEST_F(BufferServiceTest, MetricsStayMonotonicAcrossMidRunQuarantine) {
@@ -839,7 +919,9 @@ TEST_F(BufferServiceTest, StatsTextCountersDoNotDependOnCollectors) {
       std::memset(page->bytes().data(), 0x40 + i, page->bytes().size());
       page->MarkDirty();
       page->Release();
-      if (i % 4 == 3) ASSERT_TRUE(service.Commit(ctx).ok());
+      if (i % 4 == 3) {
+        ASSERT_TRUE(service.Commit(ctx).ok());
+      }
     }
     dumps[collect] = series_types(service.StatsText());
   }
