@@ -6,7 +6,9 @@ Modes:
   obs-overhead BENCH_policy_overhead.json --max-frac 0.5
       Asserts every bench:"obs_overhead" row keeps overhead_frac at or
       under the threshold (the attached-collector cost on the buffer-hit
-      path must stay bounded).
+      path must stay bounded). Each row is the best of 9 runs per side,
+      the sides alternating: with best of 3 the detached baseline alone
+      sometimes caught a slow stretch of the host.
 
   evict-scaling BENCH_policy_overhead.json --policy LRU --max-ratio 3
       Reads the policy's bench:"policy_overhead" eviction-cost rows and
@@ -76,6 +78,18 @@ Modes:
       an insert cost about 0.94x the row; the overlap_enlargement kernel
       and the in-place append 0.21-0.33x). With repetitions, each row's median
       counts.
+
+  delete micro_rtree.json [--max-ratio 0.65]
+      Reads google-benchmark JSON from micro_rtree and fails when
+      BM_Delete, one delete from a tree of 20,000 to 40,000 entries,
+      costs more than --max-ratio times BM_Insert, one insert into a
+      growing tree. Run the two with randomly interleaved repetitions
+      (--benchmark_enable_random_interleaving=true), so a drift of the
+      host hits both rows alike. A delete that searched every overlapping
+      subtree and rewrote every ancestor on its path read 0.71-1.27x, one
+      that searches only containing subtrees and writes only the pages it
+      changes 0.35-0.59x (12 runs each). With repetitions, each row's
+      median counts.
 
   visit micro_rtree.json [--max-ratio 0.9]
       Reads google-benchmark JSON from micro_rtree and fails when
@@ -245,6 +259,7 @@ def check_latch_overhead(args):
 NODE_SCAN = "BM_NodeScanKernels"
 NODE_SCAN_BARE = "BM_NodeScanBareKernel"
 INSERT = "BM_Insert"
+DELETE = "BM_Delete"
 CHOOSE_SUBTREE_REFERENCE = "BM_ChooseSubtreeReference"
 WINDOW_QUERY = "BM_WindowQuery/100000"
 WINDOW_QUERY_TYPE_ERASED = "BM_WindowQueryTypeErased/100000"
@@ -307,6 +322,13 @@ def check_choose_subtree(args):
         args, INSERT, CHOOSE_SUBTREE_REFERENCE,
         lambda insert, loop: f"insert {insert / 1e3:.1f} us vs reference "
                              f"ChooseSubtree step {loop / 1e3:.1f} us")
+
+
+def check_delete(args):
+    return check_gbench_ratio(
+        args, DELETE, INSERT,
+        lambda delete, insert: f"delete {delete / 1e3:.1f} us vs insert "
+                               f"{insert / 1e3:.1f} us")
 
 
 def check_visit(args):
@@ -583,6 +605,11 @@ def main():
     choose.add_argument("file")
     choose.add_argument("--max-ratio", type=float, default=0.5)
 
+    delete = sub.add_parser("delete",
+                            help="guard a delete against an insert")
+    delete.add_argument("file")
+    delete.add_argument("--max-ratio", type=float, default=0.65)
+
     visit = sub.add_parser("visit",
                            help="guard the inlined window-query visitor "
                                 "against a std::function one")
@@ -635,6 +662,8 @@ def main():
         sys.exit(check_node_scan(args))
     if args.mode == "choose-subtree":
         sys.exit(check_choose_subtree(args))
+    if args.mode == "delete":
+        sys.exit(check_delete(args))
     if args.mode == "visit":
         sys.exit(check_visit(args))
     if args.mode == "checksum":

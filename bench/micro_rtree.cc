@@ -1,9 +1,9 @@
 // Microbenchmark (google-benchmark): R*-tree operation throughput on the
 // paged tree — insertion (and the pre-kernel ChooseSubtree step it is gated
-// against), point/window queries (and the type-erased visit they are gated
-// against), STR bulk loading, and the synchronized-traversal join — all
-// through a large (all-resident) buffer, i.e. measuring CPU cost rather
-// than I/O.
+// against), deletion (gated against insertion), point/window queries (and
+// the type-erased visit they are gated against), STR bulk loading, and the
+// synchronized-traversal join — all through a large (all-resident) buffer,
+// i.e. measuring CPU cost rather than I/O.
 
 #include <benchmark/benchmark.h>
 
@@ -335,10 +335,16 @@ void BM_SpatialJoin(benchmark::State& state) {
 BENCHMARK(BM_SpatialJoin)->Arg(20'000);
 
 void BM_Delete(benchmark::State& state) {
-  // Rebuild periodically; measure delete amortized over fresh trees.
+  // Deletes `entries` in turn from a tree that also holds the fixture's
+  // 20,000, reinserting them (untimed) once all are gone, so the tree holds
+  // 20,000 to 40,000 entries. They are inserted before the timed loop:
+  // absent entries would time searches that find nothing.
   const size_t n = 20'000;
   auto entries = RandomEntries(n, 21);
   TreeFixture fixture(n);
+  for (const rtree::Entry& e : entries) {
+    fixture.tree.Insert(e, core::AccessContext{});
+  }
   size_t next = 0;
   for (auto _ : state) {
     if (next >= entries.size()) {

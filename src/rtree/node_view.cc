@@ -1,6 +1,7 @@
 #include "rtree/node_view.h"
 
 #include <cstring>
+#include <utility>
 
 #include "geom/entry_aggregates.h"
 
@@ -56,6 +57,19 @@ void NodeView::Append(const Entry& e) {
   SDB_CHECK_MSG(i < Capacity(page_.size()), "node page overflow");
   header().set_entry_count(i + 1);
   SetEntry(i, e);
+}
+
+void NodeView::Remove(uint16_t i) {
+  const uint16_t n = count();
+  SDB_DCHECK(i < n);
+  ForEachField([&](Column c, auto field) {
+    const size_t width = sizeof(field(std::declval<Entry&>()));
+    std::byte* base = column(c);
+    std::memmove(base + i * width, base + (i + 1) * width,
+                 (n - 1 - i) * width);
+  });
+  header().set_entry_count(n - 1);
+  RefreshAggregates();
 }
 
 std::vector<Entry> NodeView::LoadEntries() const {

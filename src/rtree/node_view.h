@@ -129,6 +129,11 @@ class NodeView {
   /// WriteEntries) once the batch of modifications is complete.
   void Append(const Entry& e);
 
+  /// Removes entry i in place: shifts each column's tail down one slot and
+  /// refreshes the aggregates. The page ends byte-identical to LoadEntries,
+  /// erase and WriteEntries, the stale slot past the new count included.
+  void Remove(uint16_t i);
+
   /// Copies all entries out, one pass per column.
   std::vector<Entry> LoadEntries() const;
 

@@ -593,120 +593,86 @@ geom::Rect RTree::NodeMbr(PageId id, const AccessContext& ctx) const {
 // Deletion
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Path step used during deletion: node id plus the entry index taken in the
-/// parent (undefined for the root).
-struct PathStep {
-  PageId page;
-  uint16_t index_in_parent;
-};
-
-}  // namespace
-
 bool RTree::Delete(uint64_t id, const Rect& rect, const AccessContext& ctx) {
-  // Depth-first search for the leaf holding the entry, keeping the path.
-  std::vector<PathStep> path{{root_, 0}};
-  std::vector<uint16_t> cursor{0};
-  std::optional<uint16_t> found_index;
+  // Depth-first search for the leaf holding the entry. Only a subtree whose
+  // rectangle contains `rect` can hold it, so the search descends into no
+  // other. child_index[d] is the entry of path[d] the search took.
+  std::vector<PageId> path{root_};
+  std::vector<uint16_t> child_index;
+  uint16_t next = 0;      // first entry of path.back() still to look at
+  core::PageHandle page;  // once found: the leaf, holding the entry at `i`
+  uint16_t i = 0;
   std::vector<uint8_t> mask;
-
   while (!path.empty()) {
-    const PageId node_id = path.back().page;
-    core::PageHandle page = buffer_->FetchOrDie(node_id, ctx);
-    const NodeView node(page.bytes());
+    core::PageHandle fetched = buffer_->FetchOrDie(path.back(), ctx);
+    const NodeView node(fetched.bytes());
     const uint16_t n = node.count();
-    const bool leaf = node.is_leaf();
-    // A leaf reads the id column first and a rectangle only on an id match;
-    // a directory scans its coordinate columns and reads a hit's child id.
-    if (!leaf) node.ScanEntries(rect, &mask);
-    bool descended = false;
-    uint16_t i = cursor.back();
-    for (; i < n; ++i) {
-      if (leaf) {
-        if (node.id(i) == id && node.rect(i) == rect) {
-          found_index = i;
-          break;
-        }
-      } else if (mask[i] != 0) {
-        cursor.back() = i + 1;  // resume after this child on backtrack
-        path.push_back({node.child(i), i});
-        cursor.push_back(0);
-        descended = true;
+    i = next;
+    if (node.is_leaf()) {
+      // The id column first, a rectangle only on an id match.
+      while (i < n && !(node.id(i) == id && node.rect(i) == rect)) ++i;
+      if (i < n) {
+        page = std::move(fetched);
         break;
       }
+    } else {
+      node.ScanEntries(rect, &mask);
+      while (i < n && !(mask[i] != 0 && node.rect(i).Contains(rect))) ++i;
+      if (i < n) {
+        child_index.push_back(i);
+        path.push_back(node.child(i));
+        next = 0;
+        continue;
+      }
     }
-    if (!descended) cursor.back() = i;
-    if (found_index) break;
-    if (!descended) {
-      path.pop_back();
-      cursor.pop_back();
+    // Nothing (more) below this node: resume after it in its parent.
+    path.pop_back();
+    if (!child_index.empty()) {
+      next = child_index.back() + 1;
+      child_index.pop_back();
     }
   }
-  if (!found_index) return false;
+  if (path.empty()) return false;
 
-  // Remove the entry from the leaf.
-  std::vector<Entry> orphans;  // data entries to reinsert
-  {
-    const PageId leaf_id = path.back().page;
-    core::PageHandle page = buffer_->FetchOrDie(leaf_id, ctx);
-    NodeView node(page.bytes());
-    std::vector<Entry> entries = node.LoadEntries();
-    entries.erase(entries.begin() + *found_index);
-    node.WriteEntries(entries);
-    page.MarkDirty();
-  }
+  // Remove the entry from the leaf the search holds pinned.
+  NodeView(page.bytes()).Remove(i);
+  page.MarkDirty();
   --size_;
 
-  // CondenseTree: walk upward; underfull non-root nodes are dissolved and
-  // their entries queued for reinsertion at their original level.
-  for (size_t depth = path.size() - 1; depth > 0; --depth) {
-    const PageId node_id = path[depth].page;
-    core::PageHandle page = buffer_->FetchOrDie(node_id, ctx);
-    NodeView node(page.bytes());
-    const uint8_t level = node.level();
-    const std::vector<Entry> entries = node.LoadEntries();
-    const bool underfull = entries.size() < MinEntries(level);
-
-    core::PageHandle parent_page = buffer_->FetchOrDie(path[depth - 1].page, ctx);
-    NodeView parent(parent_page.bytes());
-    std::vector<Entry> parent_entries = parent.LoadEntries();
-    const uint16_t my_index = path[depth].index_in_parent;
-
-    if (underfull) {
-      // Dissolve the node. Data entries are queued directly; a directory
-      // node's subtrees are dismantled down to their data entries, which is
-      // always level-consistent no matter how far the root later shrinks.
-      if (level == 0) {
-        orphans.insert(orphans.end(), entries.begin(), entries.end());
+  // CondenseTree: dissolve underfull non-root nodes bottom-up, queueing
+  // their data entries for reinsertion, and remove each from its parent.
+  // The first node that keeps its place ends the walk: no ancestor above it
+  // lost an entry, so AdjustPathUpwards rewrites only the rectangles that
+  // changed. A dissolved directory node's subtrees are dismantled down to
+  // their data entries, which is always level-consistent no matter how far
+  // the root later shrinks.
+  std::vector<Entry> orphans;
+  std::vector<PageId> stack;
+  const auto dismantle = [&](const NodeView& node) {
+    for (uint16_t j = 0; j < node.count(); ++j) {
+      if (node.is_leaf()) {
+        orphans.push_back(node.GetEntry(j));
       } else {
-        std::vector<PageId> stack;
-        for (const Entry& e : entries) stack.push_back(e.child());
-        while (!stack.empty()) {
-          const PageId sub = stack.back();
-          stack.pop_back();
-          core::PageHandle sub_page = buffer_->FetchOrDie(sub, ctx);
-          const NodeView sub_node(sub_page.bytes());
-          const uint16_t sub_n = sub_node.count();
-          for (uint16_t j = 0; j < sub_n; ++j) {
-            const Entry e = sub_node.GetEntry(j);
-            if (sub_node.is_leaf()) {
-              orphans.push_back(e);
-            } else {
-              stack.push_back(e.child());
-            }
-          }
-        }
+        stack.push_back(node.child(j));
       }
-      parent_entries.erase(parent_entries.begin() + my_index);
-      // Later path indexes into this parent are unaffected because the path
-      // only references one child per node.
-    } else {
-      parent_entries[my_index].rect = MbrOf(entries);
     }
-    parent.WriteEntries(parent_entries);
-    parent_page.MarkDirty();
+  };
+  size_t depth = path.size() - 1;
+  for (; depth > 0; --depth) {
+    const NodeView node(page.bytes());  // path[depth]
+    if (node.count() >= MinEntries(node.level())) break;
+    dismantle(node);
+    while (!stack.empty()) {
+      core::PageHandle sub = buffer_->FetchOrDie(stack.back(), ctx);
+      stack.pop_back();
+      dismantle(NodeView(sub.bytes()));
+    }
+    page = buffer_->FetchOrDie(path[depth - 1], ctx);
+    NodeView(page.bytes()).Remove(child_index[depth - 1]);
+    page.MarkDirty();
   }
+  page.Release();
+  AdjustPathUpwards(path, child_index, depth, ctx);
 
   // Shrink the root while it is a directory with a single child.
   while (height_ > 1) {

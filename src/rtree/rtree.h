@@ -198,7 +198,8 @@ class RTree {
                      std::vector<bool>* reinserted_at_level);
 
   /// Updates the parent entry rectangles along `path` after the node at
-  /// position `depth` changed its MBR.
+  /// position `depth` changed its MBR, up to the first ancestor whose
+  /// rectangle is already right. Insert and Delete both end with it.
   void AdjustPathUpwards(const std::vector<storage::PageId>& path,
                          const std::vector<uint16_t>& child_index,
                          size_t depth, const core::AccessContext& ctx);

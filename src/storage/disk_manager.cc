@@ -29,9 +29,9 @@ core::StatusOr<PageId> DiskManager::Allocate() {
       (page_capacity_ != 0 && pages_.size() >= page_capacity_)) {
     return core::Status::ResourceExhausted("disk full");
   }
-  auto page = std::make_unique<std::byte[]>(page_size_);
-  std::memset(page.get(), 0, page_size_);
-  pages_.push_back(std::move(page));
+  // make_unique<T[]> value-initialises: the new page is all zeros, which
+  // zero_page_crc_ describes.
+  pages_.push_back(std::make_unique<std::byte[]>(page_size_));
   checksums_.push_back(zero_page_crc_);
   return static_cast<PageId>(pages_.size() - 1);
 }

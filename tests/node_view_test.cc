@@ -184,6 +184,28 @@ TEST_F(NodeViewTest, WriteShrinkingEntrySetUpdatesCount) {
   EXPECT_EQ(node.LoadEntries(), two);
 }
 
+TEST_F(NodeViewTest, RemoveMatchesLoadEraseWrite) {
+  // On a full node the slot the shifted tail leaves behind is the last one
+  // of each column; it keeps its stale value either way.
+  const uint16_t capacity = static_cast<uint16_t>(
+      NodeView::Capacity(storage::kDefaultPageSize));
+  View().Init(0);
+  View().WriteEntries(DistinctEntries(capacity));
+  for (const uint16_t i : {uint16_t{0}, static_cast<uint16_t>(capacity / 2),
+                           static_cast<uint16_t>(capacity - 1)}) {
+    std::vector<std::byte> expected = page_;
+    NodeView reference(expected);
+    std::vector<Entry> entries = reference.LoadEntries();
+    entries.erase(entries.begin() + i);
+    reference.WriteEntries(entries);
+
+    std::vector<std::byte> removed = page_;
+    NodeView(removed).Remove(i);
+    EXPECT_EQ(NodeView(removed).count(), capacity - 1) << i;
+    EXPECT_EQ(removed, expected) << i;
+  }
+}
+
 TEST_F(NodeViewTest, DirEntryChildAccessor) {
   Entry e;
   e.id = 4711;

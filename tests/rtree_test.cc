@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <type_traits>
 #include <vector>
@@ -215,6 +216,66 @@ TEST_F(RTreeTest, DeleteDownToEmpty) {
   EXPECT_EQ(tree_.size(), 0u);
   EXPECT_TRUE(tree_.WindowQuery(Rect(0, 0, 1, 1), ctx_).empty());
   EXPECT_EQ(tree_.Validate(), "");
+}
+
+TEST_F(RTreeTest, DeleteDirtiesOnlyThePagesItChanges) {
+  // A delete rewrites its leaf, and a parent only where a child dissolved or
+  // its rectangle changed, so most deletes dirty the leaf alone. A delete
+  // that rewrote every ancestor on its path would dirty about 3 pages here.
+  InsertRandom(20000, 31);
+  ASSERT_EQ(tree_.height(), 3u);
+  Rng rng(32);
+  std::vector<Entry> live = all_;
+  constexpr size_t kDeletes = 2000;
+  size_t dirtied = 0;
+  for (size_t d = 0; d < kDeletes; ++d) {
+    buffer_.FlushAll();
+    const size_t victim = rng.NextBelow(live.size());
+    ASSERT_TRUE(tree_.Delete(live[victim].id, live[victim].rect, ctx_));
+    dirtied += buffer_.dirty_count();
+    live[victim] = live.back();
+    live.pop_back();
+  }
+  EXPECT_LE(static_cast<double>(dirtied) / kDeletes, 1.5);
+  EXPECT_EQ(tree_.Validate(), "");
+
+  // An entry strictly inside its leaf's MBR, in a leaf above the minimum
+  // fill: removing it changes no rectangle, so only the leaf is written.
+  std::vector<storage::PageId> stack{tree_.root()};
+  std::optional<Entry> inner;
+  while (!inner && !stack.empty()) {
+    core::PageHandle page = buffer_.FetchOrDie(stack.back(), ctx_);
+    stack.pop_back();
+    const NodeView node(page.bytes());
+    const Rect mbr = node.mbr();
+    for (uint16_t i = 0; i < node.count() && !inner; ++i) {
+      const Rect r = node.rect(i);
+      if (!node.is_leaf()) {
+        stack.push_back(node.child(i));
+      } else if (node.count() > tree_.config().min_data_entries() &&
+                 mbr.xmin < r.xmin && mbr.ymin < r.ymin &&
+                 r.xmax < mbr.xmax && r.ymax < mbr.ymax) {
+        inner = node.GetEntry(i);
+      }
+    }
+  }
+  ASSERT_TRUE(inner.has_value());
+  buffer_.FlushAll();
+  ASSERT_TRUE(tree_.Delete(inner->id, inner->rect, ctx_));
+  EXPECT_EQ(buffer_.dirty_count(), 1u);
+  EXPECT_EQ(tree_.Validate(), "");
+}
+
+TEST_F(RTreeTest, DeleteSearchSkipsSubtreesThatCannotHoldTheEntry) {
+  // No root entry's rectangle contains the whole space, so the search for
+  // an entry that covers it ends at the root. A search that descended into
+  // every subtree merely overlapping it would fetch each page about twice.
+  InsertRandom(20000, 31);
+  ASSERT_EQ(tree_.height(), 3u);
+  const uint64_t requests = buffer_.stats().requests;
+  EXPECT_FALSE(tree_.Delete(all_.size() + 1, Rect(0, 0, 1, 1), ctx_));
+  EXPECT_EQ(buffer_.stats().requests - requests, 1u);
+  EXPECT_EQ(tree_.size(), all_.size());
 }
 
 TEST_F(RTreeTest, PersistAndReopenWithFreshBuffer) {
