@@ -476,16 +476,10 @@ void BufferManager::QuarantineWriteFailure(FrameId f) {
   SDB_DCHECK(page != storage::kInvalidPageId);
   SDB_DCHECK(frame.dirty);
   // The page's only current image is its committed WAL record now — the
-  // device copy is stale and the device refuses updates. Pin the redo
-  // low-water mark so fuzzy-checkpoint truncation can never reclaim that
-  // record, and remember the page as bad so the stale device copy is never
-  // served to a reader. Recovery (which replays the WAL onto the device
-  // region that works, or a replacement) is the only way the page comes
-  // back.
-  if (frame.rec_lsn != 0 && (write_quarantined_rec_lsn_floor_ == 0 ||
-                             frame.rec_lsn < write_quarantined_rec_lsn_floor_)) {
-    write_quarantined_rec_lsn_floor_ = frame.rec_lsn;
-  }
+  // device copy is stale and the device refuses updates. Remember the page
+  // as bad so the stale device copy is never served to a reader. Recovery
+  // (which replays the WAL onto the device region that works, or a
+  // replacement) is the only way the page comes back.
   bad_pages_.emplace(page, StatusCode::kPermanentFailure);
   page_table_.Erase(page);
   policy_->OnPageEvicted(f, page);
@@ -686,20 +680,6 @@ size_t BufferManager::dirty_count() const {
   return dirty;
 }
 
-uint64_t BufferManager::min_rec_lsn() const {
-  // Seeded with the write-quarantine floor: a quarantined page's only
-  // current image is in the WAL, so truncation must keep its records.
-  uint64_t min_lsn = write_quarantined_rec_lsn_floor_;
-  for (const Frame& frame : frames_) {
-    if (frame.page == storage::kInvalidPageId || !frame.dirty ||
-        frame.rec_lsn == 0) {
-      continue;
-    }
-    if (min_lsn == 0 || frame.rec_lsn < min_lsn) min_lsn = frame.rec_lsn;
-  }
-  return min_lsn;
-}
-
 void BufferManager::CollectDirtyPages(std::vector<wal::PageImageRef>* images,
                                       std::vector<FrameId>* frames) {
   for (FrameId f = 0; f < frames_.size(); ++f) {
@@ -755,8 +735,8 @@ size_t BufferManager::HarvestFlushCandidates(size_t max,
     out->push_back(
         DirtyCandidate{f, frame.page, frame.rec_lsn, frame.page_lsn});
   }
-  // Oldest rec_lsn first: flushing those frames lifts the checkpoint
-  // low-water mark (and thus how much log truncation can reclaim) fastest.
+  // Oldest rec_lsn first (ties by page id): the longest-dirty pages reach
+  // the device first.
   std::sort(out->begin() + before, out->end(),
             [](const DirtyCandidate& a, const DirtyCandidate& b) {
               return a.rec_lsn != b.rec_lsn ? a.rec_lsn < b.rec_lsn

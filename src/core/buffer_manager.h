@@ -385,11 +385,8 @@ class BufferManager : public FrameMetaSource, public PageSource {
   EvictStatus Evict(storage::PageId page);
 
   /// Dirty-frame census: resident frames whose bytes differ from the data
-  /// device. `min_rec_lsn` is the smallest recovery LSN among them (0 when
-  /// none are dirty or no WAL is attached) — the log prefix a redo pass
-  /// would need, which sizes the recovery-time-vs-dirty-set bench axis.
+  /// device.
   size_t dirty_count() const;
-  uint64_t min_rec_lsn() const;
 
   /// Switches watermark-driven background write-back on or off. Changes
   /// only eviction's victim preference and unlocks the harvest API below —
@@ -404,9 +401,10 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// Selects up to `max` background-flush candidates: dirty, unpinned,
   /// non-quarantined frames whose current bytes are already logged
   /// (wal_logged) — flushing only those never needs a steal commit, the
-  /// flusher's steal-avoidance invariant. Ordered oldest rec_lsn first, so
-  /// flushing them advances the checkpoint low-water mark fastest. Caller
-  /// holds the external latch. Appends to `out`, returns the count added.
+  /// flusher's steal-avoidance invariant. Ordered oldest rec_lsn first
+  /// (ties by page id), so the longest-dirty pages reach the device first.
+  /// Caller holds the external latch. Appends to `out`, returns the count
+  /// added.
   size_t HarvestFlushCandidates(size_t max, std::vector<DirtyCandidate>* out);
 
   /// Writes harvested candidates to the data device in ascending page-id
@@ -543,10 +541,9 @@ class BufferManager : public FrameMetaSource, public PageSource {
   void QuarantineFrame(FrameId frame, storage::PageId page);
 
   /// Write-side escalation: detaches the (dirty, wal_logged) page from the
-  /// tables, pins the redo low-water mark so log truncation cannot drop the
-  /// page's only current image, remembers the page as bad, then hands the
-  /// frame to QuarantineFrame. Caller holds the latch; the frame has a zero
-  /// pin count (and the buffer, having a WAL, is not concurrent).
+  /// tables, remembers the page as bad, then hands the frame to
+  /// QuarantineFrame. Caller holds the latch; the frame has a zero pin
+  /// count (and the buffer, having a WAL, is not concurrent).
   void QuarantineWriteFailure(FrameId frame);
 
   /// Unpin body, latch already held (or no latch attached).
@@ -662,6 +659,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   // without the latch.
   PageTable page_table_;
   BufferStats stats_;
+  uint64_t optimistic_hits_ = 0;  // beside stats_: the drain bumps both
   // Background write-back state: knobs plus the O(1) dirty census the
   // watermark checks read on every eviction.
   WritebackOptions writeback_;
@@ -674,10 +672,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   // Observability sink for events, histograms and policy metrics (nullptr
   // = none); the counts themselves live in stats_.
   obs::Collector* obs_ = nullptr;
-  // Smallest rec_lsn among write-quarantined pages (0 = none): their only
-  // current image lives in the WAL, so min_rec_lsn() — and with it fuzzy
-  // checkpoint truncation — must never advance past it.
-  uint64_t write_quarantined_rec_lsn_floor_ = 0;
   // --- concurrent mode (EnableConcurrency; all null/false otherwise) ---
   bool concurrent_ = false;
   // One sync word per frame; sized with frames_ at EnableConcurrency.
@@ -700,7 +694,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   uint64_t SumStripes(std::atomic<uint64_t> EventStripe::*counter) const;
   std::unique_ptr<EventStripe[]> stripes_;
   size_t stripe_mask_ = 0;
-  uint64_t optimistic_hits_ = 0;
 };
 
 }  // namespace sdb::core

@@ -99,8 +99,6 @@ void BufferService::Init(const storage::DiskManager& disk,
     }
     shards_.push_back(std::move(shard));
   }
-  fuzzy_checkpoints_ = config.fuzzy_checkpoints && writable_disk_ != nullptr;
-  truncate_wal_ = config.truncate_wal && fuzzy_checkpoints_;
   if (writable_disk_ != nullptr && config.flusher_threads > 0) {
     FlushCoordinatorOptions flusher;
     flusher.threads = std::min(config.flusher_threads, shards_.size());
@@ -237,47 +235,6 @@ core::Status BufferService::Checkpoint(const core::AccessContext& ctx) {
         "BufferService is read-only: nothing to checkpoint");
   }
   if (core::Status committed = Commit(ctx); !committed.ok()) return committed;
-  if (fuzzy_checkpoints_) {
-    // Fuzzy: no force pass, no whole-service latch hold. The redo horizon
-    // is min(floor, min rec_lsn - 1) with the floor sampled BEFORE the
-    // shard scan: a frame dirtied after the sample stamps rec_lsn past the
-    // floor, so scanning one shard at a time — mutators running on the
-    // others — can never push the horizon past a record recovery still
-    // needs. Flushed-meanwhile frames only *raise* the min, which is safe:
-    // their bytes are already on the device.
-    const wal::Lsn floor = wal_->next_lsn();
-    wal::Lsn redo = floor;
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      const std::unique_lock<std::mutex> lock = LockShard(*shard);
-      const uint64_t min_rec = shard->buffer->min_rec_lsn();
-      if (min_rec != 0) redo = std::min<wal::Lsn>(redo, min_rec - 1);
-    }
-    uint64_t page_count;
-    {
-      const std::lock_guard<std::mutex> device_lock(device_mu_);
-      page_count = writable_disk_->page_count();
-    }
-    core::StatusOr<wal::Lsn> end =
-        wal_->AppendCheckpoint(page_count, ctx, redo);
-    if (!end.ok()) {
-      if (!wal_->sticky_error().ok()) {
-        const std::unique_lock<std::mutex> lock = LockShard(*shards_[0]);
-        EnterDegraded(DegradedState::kWalError, 0, end.status().code());
-      }
-      return end.status();
-    }
-    // The checkpoint record is durable, so every record below its carried
-    // horizon is dead — whole segments of it may be reclaimed.
-    if (truncate_wal_) {
-      core::Status truncated = wal_->TruncateBelow(redo);
-      if (!truncated.ok() && !wal_->sticky_error().ok()) {
-        const std::unique_lock<std::mutex> lock = LockShard(*shards_[0]);
-        EnterDegraded(DegradedState::kWalError, 0, truncated.code());
-      }
-      return truncated;
-    }
-    return core::Status::Ok();
-  }
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& shard : shards_) {

@@ -81,21 +81,11 @@ struct BufferServiceConfig {
   /// eviction stops waiting and writes back synchronously (counted as
   /// sync_writeback_fallbacks — the bench gate expects zero in steady
   /// state). Between commit nudges the flusher polls at
-  /// FlushCoordinatorOptions' idle cadence.
+  /// FlushCoordinator's idle cadence.
   double dirty_low_watermark = 0.10;
   /// Pages one flusher round harvests from one shard (bounds the latch
   /// hold; a capped round re-runs immediately).
   size_t flusher_batch_pages = 16;
-  /// Fuzzy checkpoints: Checkpoint() appends a record carrying the redo
-  /// low-water mark (min rec_lsn over all shards) instead of forcing every
-  /// dirty page to the device first — so it runs concurrently with
-  /// mutators. OFF preserves the strict force-checkpoint behaviour (and
-  /// its "recovery after checkpoint replays nothing" guarantee).
-  bool fuzzy_checkpoints = false;
-  /// After each durable fuzzy checkpoint, zero whole WAL segments below
-  /// the redo horizon (wal::WalManager::TruncateBelow), bounding log
-  /// growth. Requires fuzzy_checkpoints.
-  bool truncate_wal = false;
 };
 
 /// Counters of one shard (or the shard-summed aggregate).
@@ -207,13 +197,9 @@ class BufferService final : public core::PageSource {
   /// read-only service.
   core::Status Commit(const core::AccessContext& ctx = {});
 
-  /// Commit, then append one durable checkpoint record covering the whole
-  /// service. Strict mode (the default) first forces every shard's dirty
-  /// frames to the data device; fuzzy mode instead scans the shards —
-  /// one latch at a time, concurrently with mutators — for the redo
-  /// low-water mark, stamps it into the record, and leaves the dirty pages
-  /// to the background flusher. With truncate_wal the fuzzy path then
-  /// zeros the dead log segments below the horizon.
+  /// Commit, force every shard's dirty frames to the data device (all
+  /// shard latches held), then append one durable checkpoint record
+  /// covering the whole service: recovery replays nothing before it.
   core::Status Checkpoint(const core::AccessContext& ctx = {});
 
   /// One background write-back round over shard `s` (writable service with
@@ -370,8 +356,6 @@ class BufferService final : public core::PageSource {
   mutable std::mutex device_mu_;
   std::string policy_spec_;
   bool asb_shared_ = false;
-  bool fuzzy_checkpoints_ = false;
-  bool truncate_wal_ = false;
   core::AsbSharedTuning asb_tuning_;
   /// DegradedState of the write path, stored widened so the CAS in
   /// EnterDegraded stays on a plain integer. kHealthy until the first

@@ -9,6 +9,22 @@
 
 namespace sdb::svc {
 
+namespace {
+
+/// Poll cadence while idle. A Nudge() (after every service commit) wakes
+/// the workers immediately; the timer is the backstop that keeps watermark
+/// pressure bounded between commits.
+constexpr std::chrono::microseconds kIdleWait{200};
+/// Failed rounds in a row on one shard before the worker starts skipping it
+/// instead of hot-spinning its failing device: past the threshold the shard
+/// sits out 2, 4, 8, ... rounds (doubling per further failure, flat at
+/// kMaxBackoffRounds). Any successful round resets the shard to full
+/// cadence.
+constexpr uint64_t kMaxConsecutiveErrors = 3;
+constexpr uint64_t kMaxBackoffRounds = 64;
+
+}  // namespace
+
 FlushCoordinator::FlushCoordinator(BufferService* service,
                                    FlushCoordinatorOptions options)
     : service_(service), options_(options) {
@@ -57,10 +73,9 @@ void FlushCoordinator::WorkerLoop(size_t worker) {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, std::chrono::microseconds(options_.idle_wait_us),
-                   [this, seen_nudges] {
-                     return stop_ || nudges_ != seen_nudges;
-                   });
+      cv_.wait_for(lock, kIdleWait, [this, seen_nudges] {
+        return stop_ || nudges_ != seen_nudges;
+      });
       if (stop_) return;
       seen_nudges = nudges_;
       ++stats_.wakeups;
@@ -88,13 +103,11 @@ void FlushCoordinator::WorkerLoop(size_t worker) {
           // shard if it keeps failing, and move on.
           ++consecutive_errors[s];
           uint64_t backoff = 0;
-          if (consecutive_errors[s] > options_.max_consecutive_errors) {
-            const uint64_t over =
-                consecutive_errors[s] - options_.max_consecutive_errors;
-            backoff = over >= 63 ? options_.max_backoff_rounds
-                                 : std::min<uint64_t>(
-                                       uint64_t{1} << over,
-                                       options_.max_backoff_rounds);
+          if (consecutive_errors[s] > kMaxConsecutiveErrors) {
+            const uint64_t over = consecutive_errors[s] - kMaxConsecutiveErrors;
+            backoff = over >= 63 ? kMaxBackoffRounds
+                                 : std::min(uint64_t{1} << over,
+                                            kMaxBackoffRounds);
             skip_rounds[s] = backoff;
           }
           {

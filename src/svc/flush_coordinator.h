@@ -18,20 +18,9 @@ struct FlushCoordinatorOptions {
   /// shards w, w + threads, ...), so two workers never contend for one
   /// shard's latch.
   size_t threads = 1;
-  /// Poll cadence while idle. A Nudge() (after every service commit) wakes
-  /// the workers immediately; the timer is the backstop that keeps
-  /// watermark pressure bounded between commits.
-  uint32_t idle_wait_us = 200;
   /// Pages harvested per shard per round. Bounds how long one round holds
   /// a shard latch; a capped round simply re-runs without waiting.
   size_t batch_pages = 16;
-  /// Failed rounds in a row on one shard before the worker starts skipping
-  /// it instead of hot-spinning its failing device: after the threshold the
-  /// shard sits out 2, 4, 8, ... rounds (doubling per further failure, flat
-  /// at max_backoff_rounds). Any successful round resets the shard to full
-  /// cadence. 0 backs off on the first failure.
-  uint32_t max_consecutive_errors = 3;
-  uint64_t max_backoff_rounds = 64;
 };
 
 /// Aggregate counters of one coordinator (sampled under its mutex).
@@ -67,7 +56,6 @@ class FlushCoordinator {
   void Stop();
 
   FlushCoordinatorStats stats() const;
-  const FlushCoordinatorOptions& options() const { return options_; }
 
  private:
   void WorkerLoop(size_t worker);

@@ -15,10 +15,9 @@
 namespace sdb::wal {
 
 /// Log sequence number: the byte offset of a record's first header byte in
-/// the logical (segment-spanning) log stream. Monotone by construction, and
-/// self-checking — recovery rejects any record whose stored LSN disagrees
-/// with the offset it was scanned at, which catches stale bytes left from a
-/// recycled tail page.
+/// the log stream. Monotone by construction, and self-checking — recovery
+/// rejects any record whose stored LSN disagrees with the offset it was
+/// scanned at, which catches stale bytes left from a recycled tail page.
 using Lsn = uint64_t;
 
 inline constexpr Lsn kNullLsn = 0;
@@ -34,7 +33,8 @@ enum class RecordType : uint8_t {
   /// recovery can bound its byte-exactness check to committed pages.
   kCommit = 2,
   /// All committed images up to here are on the data device; redo starts
-  /// after the last one of these. `page` carries the device page count.
+  /// after the last one of these. `page` carries the device page count;
+  /// the payload is empty.
   kCheckpoint = 3,
 };
 
@@ -169,20 +169,6 @@ inline std::optional<ParsedRecord> ParseRecordAt(
 
   record.end = offset + total;
   return record;
-}
-
-/// Payload size of a fuzzy checkpoint record: one little-endian u64 redo
-/// low-water mark (the min rec_lsn across dirty frames when the checkpoint
-/// scanned them). A strict checkpoint has an empty payload.
-inline constexpr size_t kCheckpointRedoPayloadSize = 8;
-
-/// Redo low-water mark carried by a fuzzy checkpoint record, or nullopt for
-/// a strict checkpoint (empty payload), whose redo horizon is the record's
-/// own end — every committed image before it is already on the data device.
-inline std::optional<Lsn> CheckpointRedoLsn(const ParsedRecord& record) {
-  if (record.header.type != RecordType::kCheckpoint) return std::nullopt;
-  if (record.payload.size() < kCheckpointRedoPayloadSize) return std::nullopt;
-  return detail::GetU64(record.payload.data());
 }
 
 }  // namespace sdb::wal

@@ -23,28 +23,6 @@ size_t ResolveRedoWorkers(size_t requested) {
   return 1;
 }
 
-/// Locates the first valid record of a log whose head segments were
-/// truncated (zeroed). Returns 0 when the stream starts with a record or
-/// with arbitrary garbage: only a zero *prefix* is evidence of truncation,
-/// so a torn record in the middle of an untruncated log can never
-/// resurrect the records behind it.
-Lsn FindStartLsn(std::span<const std::byte> stream) {
-  if (ParseRecordAt(stream, 0).has_value()) return 0;
-  if (stream.empty() || stream[0] != std::byte{0}) return 0;
-  size_t zeros = 0;
-  while (zeros < stream.size() && stream[zeros] == std::byte{0}) ++zeros;
-  if (zeros == stream.size()) return 0;
-  // A record straddling the truncation boundary leaves at most one
-  // record's worth of dead bytes past the zeros; scan that bounded window
-  // for a self-validating record (magic + LSN-equals-offset + CRC).
-  const size_t limit = std::min(
-      stream.size(), zeros + RecordHeader::kSize + RecordHeader::kMaxPayload);
-  for (size_t at = zeros; at < limit; ++at) {
-    if (ParseRecordAt(stream, at).has_value()) return at;
-  }
-  return 0;
-}
-
 /// One committed page image selected for replay; `bytes` aliases the
 /// scanned stream.
 struct ReplayImage {
@@ -76,11 +54,10 @@ core::StatusOr<RecoveryResult> Recover(storage::PageDevice& log,
   // CRC — which is how a torn flush manifests. Records are only *located*
   // here; whether an image replays is decided by the redo horizon below.
   RecoveryResult result;
-  result.start_lsn = FindStartLsn(stream);
   Lsn last_commit_start = kNullLsn;
   bool any_commit = false;
-  Lsn redo_horizon = result.start_lsn;
-  Lsn offset = result.start_lsn;
+  Lsn redo_horizon = kNullLsn;
+  Lsn offset = kNullLsn;
   while (true) {
     const std::optional<ParsedRecord> record = ParseRecordAt(stream, offset);
     if (!record.has_value()) break;
@@ -94,21 +71,22 @@ core::StatusOr<RecoveryResult> Recover(storage::PageDevice& log,
         result.last_commit_lsn = offset;
         result.committed_page_count = record->header.page;
         break;
-      case RecordType::kCheckpoint: {
+      case RecordType::kCheckpoint:
+        // A checkpoint asserts that every committed image before it is on
+        // the data device. One with a payload was written under another
+        // contract (a redo horizon below the record): skipping to its end
+        // would drop committed images, so refuse the log instead.
+        if (!record->payload.empty()) {
+          return core::Status::DataLoss("checkpoint record carries a payload");
+        }
         result.last_checkpoint_lsn = offset;
         result.committed_page_count = record->header.page;
-        // A fuzzy checkpoint carries its redo low-water mark (min rec_lsn
-        // over dirty frames at scan time); a strict one (empty payload)
-        // asserts everything committed before it is on the data device.
-        const std::optional<Lsn> fuzzy = CheckpointRedoLsn(*record);
-        redo_horizon = fuzzy.has_value() ? *fuzzy : record->end;
+        redo_horizon = record->end;
         break;
-      }
     }
     offset = record->end;
   }
   result.valid_prefix = offset;
-  result.redo_lsn = redo_horizon;
   // A clean end leaves only zero padding behind; anything else in the
   // allocated log pages means a record was torn mid-flush.
   for (size_t i = offset; i < stream.size(); ++i) {
@@ -118,23 +96,21 @@ core::StatusOr<RecoveryResult> Recover(storage::PageDevice& log,
     }
   }
 
-  // Pass 2: redo. Replay every committed image in [redo horizon, last
-  // commit) in log order. Images before the horizon are already on the data
-  // device (strict checkpoint) or will be re-covered by one that is not
-  // (fuzzy horizon = min rec_lsn); images after the last commit record are
-  // uncommitted and must not reach it.
+  // Pass 2: redo. Replay every committed image between the last
+  // checkpoint's end and the last commit, in log order. Images before the
+  // checkpoint are already on the data device; images after the last
+  // commit record are uncommitted and must not reach it.
   if (any_commit) {
     obs::Counter* replayed_metric =
         collector == nullptr
             ? nullptr
             : collector->metrics().GetCounter("wal.recovery_replayed");
     std::vector<ReplayImage> images;
-    offset = result.start_lsn;
-    while (offset < result.valid_prefix) {
+    offset = redo_horizon;
+    while (offset < last_commit_start) {
       const std::optional<ParsedRecord> record = ParseRecordAt(stream, offset);
       SDB_CHECK(record.has_value());  // pass 1 validated this prefix
-      if (record->header.type == RecordType::kPageImage &&
-          offset >= redo_horizon && offset < last_commit_start) {
+      if (record->header.type == RecordType::kPageImage) {
         images.push_back(
             {static_cast<storage::PageId>(record->header.page),
              record->payload});

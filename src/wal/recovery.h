@@ -43,15 +43,6 @@ struct RecoveryResult {
   /// True when invalid bytes followed the valid prefix within the allocated
   /// log pages — the signature of a torn tail, as opposed to a clean end.
   bool torn_tail = false;
-  /// Offset of the first valid record. Nonzero only after segment
-  /// truncation zeroed a log prefix: the scan skips the zeros plus the
-  /// bounded garbage window a record straddling the truncation boundary
-  /// can leave behind.
-  Lsn start_lsn = kNullLsn;
-  /// Redo horizon the replay used: committed images at or past this offset
-  /// were replayed. The last checkpoint's carried redo_lsn (fuzzy) or its
-  /// record end (strict); start_lsn when the log holds no checkpoint.
-  Lsn redo_lsn = kNullLsn;
   /// Threads that ran the replay pass (1 = serial on the caller).
   size_t redo_workers = 1;
 };
@@ -62,7 +53,9 @@ struct RecoveryResult {
 /// image after the last valid commit record — are discarded, which is
 /// exactly safe because the write-ahead rule guarantees the data device
 /// never saw them. Idempotent: replaying an already-applied image rewrites
-/// identical bytes (and re-stamps the same CRC sidecar).
+/// identical bytes (and re-stamps the same CRC sidecar). A checkpoint
+/// record must have an empty payload; one that carries a payload fails the
+/// call with kDataLoss before anything is replayed.
 ///
 /// `log` is read page-by-page (counting toward its stats); pages missing
 /// from `data` are allocated before being replayed.

@@ -24,7 +24,6 @@ std::string_view RecordTypeName(RecordType type) {
 
 WalManager::WalManager(storage::PageDevice* device, WalOptions options)
     : device_(device), options_(options), page_size_(device->page_size()) {
-  SDB_CHECK_MSG(options_.segment_pages > 0, "segment must hold pages");
   SDB_CHECK_MSG(options_.commit_queue_capacity > 0,
                 "commit queue must admit at least one commit");
   partial_.reserve(page_size_);
@@ -55,11 +54,7 @@ Lsn WalManager::AppendLocked(RecordType type, uint64_t page,
                              std::span<const std::byte> payload) {
   const Lsn lsn = next_lsn_;
   const size_t encoded = AppendRecord(type, lsn, page, payload, &tail_);
-  const uint64_t segment_before = lsn / (options_.segment_pages * page_size_);
   next_lsn_ += encoded;
-  const uint64_t segment_after =
-      (next_lsn_ - 1) / (options_.segment_pages * page_size_);
-  stats_.segments_opened += segment_after - segment_before;
   ++stats_.appends;
   stats_.bytes_appended += encoded;
   return lsn;
@@ -171,57 +166,6 @@ core::Status WalManager::WriteBlockAndSync(storage::PageId first_page,
   return device_->Sync();
 }
 
-core::Status WalManager::TruncateBelow(Lsn lsn) {
-  std::lock_guard<std::mutex> file_lock(file_mu_);
-  Lsn durable = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!sticky_error_.ok()) return sticky_error_;
-    durable = durable_lsn_;
-  }
-  const uint64_t segment_bytes = options_.segment_pages * page_size_;
-  const Lsn bound = std::min(lsn, durable);
-  const Lsn target = bound - bound % segment_bytes;
-  if (target <= truncated_lsn_) return core::Status::Ok();
-
-  // Zero whole segments in ascending page order: a crash at any point
-  // leaves zeros in [0, k) for some k and intact records past it — the
-  // zero-prefix shape recovery's start discovery expects.
-  std::vector<std::byte> zero(page_size_, std::byte{0});
-  const auto first = static_cast<storage::PageId>(truncated_lsn_ / page_size_);
-  const auto last = static_cast<storage::PageId>(target / page_size_);
-  for (storage::PageId p = first; p < last; ++p) {
-    // Transient zeroing failures retry within the flush budget; only a
-    // persistent failure turns sticky. (Losing a zeroing write in a crash
-    // is harmless — recovery just replays records the checkpoint already
-    // covered — but a device that cannot be written at all is the same
-    // terminal condition a failed flush is.)
-    core::Status status = core::Status::Ok();
-    for (uint32_t attempt = 0;; ++attempt) {
-      status = device_->Write(p, zero);
-      if (status.ok()) break;
-      if (!status.retryable() || attempt >= options_.max_flush_retries) break;
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.write_retries;
-    }
-    if (!status.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        sticky_error_ = status;
-      }
-      durable_cv_.notify_all();
-      space_cv_.notify_all();
-      writer_cv_.notify_all();
-      return status;
-    }
-  }
-  const uint64_t segments = (target - truncated_lsn_) / segment_bytes;
-  truncated_lsn_ = target;
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.segments_truncated += segments;
-  return core::Status::Ok();
-}
-
 void WalManager::WriterLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
@@ -313,23 +257,13 @@ core::StatusOr<Lsn> WalManager::CommitPages(
 }
 
 core::StatusOr<Lsn> WalManager::AppendCheckpoint(
-    uint64_t data_page_count, const core::AccessContext& ctx,
-    std::optional<Lsn> redo_lsn) {
+    uint64_t data_page_count, const core::AccessContext& ctx) {
   obs::ScopedSpan span(ctx.span, obs::SpanKind::kCheckpoint);
-  span.set_payload(redo_lsn.value_or(kNullLsn));
   Lsn end = kNullLsn;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!sticky_error_.ok()) return sticky_error_;
-    std::byte payload[kCheckpointRedoPayloadSize];
-    std::span<const std::byte> body;
-    if (redo_lsn.has_value()) {
-      // Fuzzy checkpoint: carry the redo low-water mark instead of
-      // asserting that the data device is clean.
-      detail::PutU64(payload, *redo_lsn);
-      body = {payload, sizeof(payload)};
-    }
-    AppendLocked(RecordType::kCheckpoint, data_page_count, body);
+    AppendLocked(RecordType::kCheckpoint, data_page_count, {});
     end = next_lsn_;
     ++stats_.checkpoints;
   }
@@ -378,11 +312,6 @@ Lsn WalManager::next_lsn() const {
 Lsn WalManager::durable_lsn() const {
   std::lock_guard<std::mutex> lock(mu_);
   return durable_lsn_;
-}
-
-Lsn WalManager::truncated_lsn() const {
-  std::lock_guard<std::mutex> lock(file_mu_);
-  return truncated_lsn_;
 }
 
 core::Status WalManager::sticky_error() const {

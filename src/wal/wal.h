@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -32,10 +31,6 @@ struct WalOptions {
   /// Bounded commit queue: at most this many commits may be waiting on the
   /// writer before further committers block (backpressure).
   size_t commit_queue_capacity = 64;
-  /// Pages per log segment. Segments only rotate accounting (the log lives
-  /// on one PageDevice), but the boundary is observable: stats count every
-  /// segment the tail crosses, matching a file-per-segment layout.
-  size_t segment_pages = 1024;
   /// Retry budget for one flush: a retryable device failure (transient
   /// write, failed sync) re-runs the whole write+sync attempt up to this
   /// many extra times before the error turns sticky. Each attempt rewrites
@@ -54,8 +49,6 @@ struct WalStats {
   uint64_t fsyncs = 0;         ///< durable flush batches
   uint64_t grouped_commits = 0;  ///< commits covered by those fsyncs
   uint64_t bytes_appended = 0;
-  uint64_t segments_opened = 0;
-  uint64_t segments_truncated = 0;  ///< whole segments zeroed by TruncateBelow
   uint64_t write_retries = 0;  ///< flush attempts re-run after retryable faults
 };
 
@@ -69,8 +62,6 @@ inline constexpr obs::StatsCounter<WalStats> kWalStatsCounters[] = {
     {"wal.fsyncs", &WalStats::fsyncs},
     {"wal.grouped_commits", &WalStats::grouped_commits},
     {"wal.bytes_appended", &WalStats::bytes_appended},
-    {"wal.segments_opened", &WalStats::segments_opened},
-    {"wal.segments_truncated", &WalStats::segments_truncated},
     {"wal.write_retries", &WalStats::write_retries},
 };
 
@@ -80,7 +71,7 @@ struct PageImageRef {
   std::span<const std::byte> bytes;
 };
 
-/// Append-only, segmented, redo-only write-ahead log over a PageDevice.
+/// Append-only, redo-only write-ahead log over a PageDevice.
 ///
 /// The log is a byte stream of checksummed records (log_record.h) stored in
 /// page-size blocks on its own device — its *own*, never the data device, so
@@ -97,13 +88,13 @@ struct PageImageRef {
 ///
 /// Thread-safe, with two latches: the queue latch `mu_` covers the append
 /// tail, LSN bookkeeping and the commit queue, while the file latch
-/// `file_mu_` covers device writes (flushes and truncation). A flush claims
-/// the tail under `mu_`, writes it out holding only `file_mu_`, then
-/// re-acquires `mu_` to publish durability — so committers keep appending
-/// (and the queue keeps draining) while a flush or checkpoint is writing
-/// pages. Lock order is file_mu_ -> mu_; mu_ is never held across a device
-/// write. The writer thread (group-commit mode only) is joined by
-/// Shutdown()/the destructor, which then runs one final flush.
+/// `file_mu_` covers device writes. A flush claims the tail under `mu_`,
+/// writes it out holding only `file_mu_`, then re-acquires `mu_` to publish
+/// durability — so committers keep appending (and the queue keeps
+/// draining) while a flush or checkpoint is writing pages. Lock order is
+/// file_mu_ -> mu_; mu_ is never held across a device write. The writer
+/// thread (group-commit mode only) is joined by Shutdown()/the destructor,
+/// which then runs one final flush.
 class WalManager {
  public:
   /// `device` must outlive the manager and must start empty (recovery
@@ -125,26 +116,11 @@ class WalManager {
                                   const core::AccessContext& ctx,
                                   bool forced_steal = false);
 
-  /// Appends a checkpoint record and makes it durable. Without a `redo_lsn`
-  /// the record is *strict* (empty payload): the caller must have forced
-  /// every committed dirty page to the data device first, and recovery
-  /// redoes nothing before it. With one the checkpoint is *fuzzy*: the
-  /// record carries that redo low-water mark (a value of 0 is legal and
-  /// just means "replay everything"), dirty pages stay in the pool, and
-  /// recovery replays committed images from `redo_lsn` on. Fuzzy
-  /// checkpoints run concurrently with mutators and license
-  /// TruncateBelow(redo_lsn) once durable.
+  /// Appends a checkpoint record (empty payload) and makes it durable. The
+  /// caller must have forced every committed dirty page to the data device
+  /// first: recovery redoes nothing before the record.
   core::StatusOr<Lsn> AppendCheckpoint(uint64_t data_page_count,
-                                       const core::AccessContext& ctx,
-                                       std::optional<Lsn> redo_lsn = {});
-
-  /// Zeros every whole log segment strictly below `lsn` (clamped to the
-  /// durable prefix), reclaiming the space a durable fuzzy checkpoint made
-  /// dead. Segments are zeroed in ascending page order, so a crash at any
-  /// point leaves the log with a zero prefix — which recovery's start
-  /// discovery skips — never a gap that could resurrect stale records. The
-  /// caller must only pass a redo_lsn whose checkpoint record is durable.
-  core::Status TruncateBelow(Lsn lsn);
+                                       const core::AccessContext& ctx);
 
   /// Stops accepting group commits, joins the writer thread and runs one
   /// final flush, so everything appended before the call is durable when it
@@ -163,8 +139,6 @@ class WalManager {
   Lsn next_lsn() const;
   /// End of the durable prefix.
   Lsn durable_lsn() const;
-  /// End of the zeroed (truncated) prefix; always a segment boundary.
-  Lsn truncated_lsn() const;
   /// The sticky terminal error, Ok while the log is healthy. Once set (a
   /// device failure that survived the retry budget) the log stops flushing
   /// and every commit/durability call returns this error — the service's
@@ -204,11 +178,10 @@ class WalManager {
   const WalOptions options_;
   const size_t page_size_;
 
-  /// File latch: serializes device writes (flush blocks, truncation) and
-  /// guards partial_/truncated_lsn_. Acquired before mu_, never inside it.
-  mutable std::mutex file_mu_;
+  /// File latch: serializes device writes (flush blocks) and guards
+  /// partial_. Acquired before mu_, never inside it.
+  std::mutex file_mu_;
   std::vector<std::byte> partial_;  ///< durable bytes of the tail page
-  Lsn truncated_lsn_ = 0;           ///< zeroed prefix end (segment-aligned)
 
   /// Queue latch: append tail, LSN bookkeeping, commit queue, stats.
   mutable std::mutex mu_;

@@ -79,7 +79,7 @@ TEST(DiskManagerTest, ReadWriteRoundTrip) {
   const auto out = MakeImage(disk.page_size(), 0xAB);
   ASSERT_TRUE(disk.Write(id, out).ok());
   auto in = MakeImage(disk.page_size(), 0);
-  disk.Read(id, in);
+  ASSERT_TRUE(disk.Read(id, in).ok());
   EXPECT_EQ(std::memcmp(in.data(), out.data(), disk.page_size()), 0);
 }
 
@@ -87,7 +87,7 @@ TEST(DiskManagerTest, FreshPageIsZeroed) {
   DiskManager disk;
   const PageId id = disk.AllocateOrDie();
   auto in = MakeImage(disk.page_size(), 0xFF);
-  disk.Read(id, in);
+  ASSERT_TRUE(disk.Read(id, in).ok());
   for (std::byte b : in) EXPECT_EQ(b, std::byte{0});
 }
 
@@ -98,9 +98,9 @@ TEST(DiskManagerTest, CountsReadsAndWrites) {
   auto image = MakeImage(disk.page_size(), 1);
   ASSERT_TRUE(disk.Write(a, image).ok());
   ASSERT_TRUE(disk.Write(b, image).ok());
-  disk.Read(a, image);
-  disk.Read(a, image);
-  disk.Read(b, image);
+  ASSERT_TRUE(disk.Read(a, image).ok());
+  ASSERT_TRUE(disk.Read(a, image).ok());
+  ASSERT_TRUE(disk.Read(b, image).ok());
   EXPECT_EQ(disk.stats().writes, 2u);
   EXPECT_EQ(disk.stats().reads, 3u);
   EXPECT_EQ(disk.stats().accesses(), 5u);
@@ -110,11 +110,11 @@ TEST(DiskManagerTest, DetectsSequentialReads) {
   DiskManager disk;
   for (int i = 0; i < 5; ++i) disk.AllocateOrDie();
   auto image = MakeImage(disk.page_size(), 0);
-  disk.Read(0, image);
-  disk.Read(1, image);  // sequential
-  disk.Read(2, image);  // sequential
-  disk.Read(0, image);  // random
-  disk.Read(4, image);  // random
+  ASSERT_TRUE(disk.Read(0, image).ok());
+  ASSERT_TRUE(disk.Read(1, image).ok());  // sequential
+  ASSERT_TRUE(disk.Read(2, image).ok());  // sequential
+  ASSERT_TRUE(disk.Read(0, image).ok());  // random
+  ASSERT_TRUE(disk.Read(4, image).ok());  // random
   EXPECT_EQ(disk.stats().reads, 5u);
   EXPECT_EQ(disk.stats().sequential_reads, 2u);
 }
@@ -142,12 +142,12 @@ TEST(DiskManagerTest, ResetStatsClearsEverything) {
   DiskManager disk;
   disk.AllocateOrDie();
   auto image = MakeImage(disk.page_size(), 0);
-  disk.Read(0, image);
+  ASSERT_TRUE(disk.Read(0, image).ok());
   disk.ResetStats();
   EXPECT_EQ(disk.stats().reads, 0u);
   EXPECT_EQ(disk.stats().writes, 0u);
   // After a reset the next read must not count as sequential.
-  disk.Read(0, image);
+  ASSERT_TRUE(disk.Read(0, image).ok());
   EXPECT_EQ(disk.stats().sequential_reads, 0u);
 }
 
@@ -171,7 +171,7 @@ TEST(DiskManagerTest, CustomPageSize) {
   auto image = MakeImage(512, 0x5A);
   ASSERT_TRUE(disk.Write(id, image).ok());
   auto in = MakeImage(512, 0);
-  disk.Read(id, in);
+  ASSERT_TRUE(disk.Read(id, in).ok());
   EXPECT_EQ(std::memcmp(in.data(), image.data(), 512), 0);
 }
 
@@ -193,7 +193,7 @@ TEST(DiskImageTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded->page_count(), 5u);
   for (int i = 0; i < 5; ++i) {
     std::vector<std::byte> in(512);
-    loaded->Read(static_cast<PageId>(i), in);
+    ASSERT_TRUE(loaded->Read(static_cast<PageId>(i), in).ok());
     EXPECT_EQ(in[0], static_cast<std::byte>(0x10 + i));
     EXPECT_EQ(in[511], static_cast<std::byte>(0x10 + i));
   }
@@ -236,8 +236,8 @@ TEST(ReadOnlyDiskViewTest, ReadsSameBytesAsBase) {
   auto via_view = MakeImage(disk.page_size(), 0);
   auto via_base = MakeImage(disk.page_size(), 0);
   for (const PageId id : {a, b}) {
-    view.Read(id, via_view);
-    disk.Read(id, via_base);
+    ASSERT_TRUE(view.Read(id, via_view).ok());
+    ASSERT_TRUE(disk.Read(id, via_base).ok());
     EXPECT_EQ(
         std::memcmp(via_view.data(), via_base.data(), disk.page_size()), 0);
   }
@@ -251,10 +251,10 @@ TEST(ReadOnlyDiskViewTest, CountersArePerViewAndLeaveBaseUntouched) {
   ReadOnlyDiskView first(disk);
   ReadOnlyDiskView second(disk);
   auto image = MakeImage(disk.page_size(), 0);
-  first.Read(0, image);
-  first.Read(1, image);  // sequential
-  first.Read(3, image);  // random
-  second.Read(2, image);
+  ASSERT_TRUE(first.Read(0, image).ok());
+  ASSERT_TRUE(first.Read(1, image).ok());  // sequential
+  ASSERT_TRUE(first.Read(3, image).ok());  // random
+  ASSERT_TRUE(second.Read(2, image).ok());
 
   EXPECT_EQ(first.stats().reads, 3u);
   EXPECT_EQ(first.stats().sequential_reads, 1u);
@@ -266,7 +266,7 @@ TEST(ReadOnlyDiskViewTest, CountersArePerViewAndLeaveBaseUntouched) {
   first.ResetStats();
   EXPECT_EQ(first.stats().reads, 0u);
   // After a reset the next read must not count as sequential.
-  first.Read(0, image);
+  ASSERT_TRUE(first.Read(0, image).ok());
   EXPECT_EQ(first.stats().sequential_reads, 0u);
 }
 

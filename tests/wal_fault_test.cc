@@ -102,7 +102,6 @@ TEST(WalWriteFaultTest, ExhaustedRetriesTurnSticky) {
   EXPECT_EQ(wal.EnsureDurable(wal.next_lsn()).code(),
             StatusCode::kUnavailable);
   EXPECT_FALSE(wal.AppendCheckpoint(1, core::AccessContext{3}).ok());
-  EXPECT_FALSE(wal.TruncateBelow(wal.next_lsn()).ok());
 }
 
 TEST(WalWriteFaultTest, FullLogDeviceIsTerminalNotRetryable) {

@@ -199,19 +199,6 @@ TEST(WalManagerTest, PartialTailPageSurvivesRepeatedFlushes) {
   EXPECT_EQ(offset, wal.durable_lsn()) << "whole durable stream parses";
 }
 
-TEST(WalManagerTest, SegmentBoundariesAreCounted) {
-  storage::DiskManager log(kPageSize);
-  WalOptions options;
-  options.segment_pages = 2;  // 1 KiB segments: the images cross often
-  WalManager wal(&log, options);
-  for (int i = 0; i < 8; ++i) {
-    const auto image = MakeImage(kPageSize, 0x33);
-    const PageImageRef ref{0, image};
-    ASSERT_TRUE(wal.CommitPages({&ref, 1}, 1, {}).ok());
-  }
-  EXPECT_GE(wal.stats().segments_opened, 3u);
-}
-
 TEST(WalManagerTest, EnsureDurableIsIdempotentOnDurablePrefix) {
   storage::DiskManager log(kPageSize);
   WalManager wal(&log);
@@ -327,15 +314,14 @@ TEST(WalGroupCommitTest, ShutdownUnderLoadAcknowledgesOnlyDurableCommits) {
   EXPECT_GE(offset, wal.durable_lsn()) << "the durable prefix parses";
 }
 
-TEST(WalGroupCommitTest, CheckpointsAndTruncationRunConcurrentlyWithCommits) {
-  // Liveness of the two-latch split: fuzzy checkpoints and segment
-  // truncation (device writes under the file latch) interleave with live
-  // group committers (queue latch) without deadlock or starvation.
+TEST(WalGroupCommitTest, CheckpointsRunConcurrentlyWithCommits) {
+  // Liveness of the two-latch split: checkpoints (which flush under the
+  // file latch on the checkpointing thread) interleave with live group
+  // committers (queue latch) without deadlock or starvation.
   storage::DiskManager log(kPageSize);
   WalOptions options;
   options.group_commit = true;
   options.group_window_us = 50;
-  options.segment_pages = 2;
   WalManager wal(&log, options);
   std::vector<std::thread> committers;
   for (size_t t = 0; t < 2; ++t) {
@@ -349,137 +335,14 @@ TEST(WalGroupCommitTest, CheckpointsAndTruncationRunConcurrentlyWithCommits) {
     });
   }
   for (int round = 0; round < 8; ++round) {
-    const Lsn redo = wal.durable_lsn();
-    const core::StatusOr<Lsn> end = wal.AppendCheckpoint(2, {}, redo);
+    const core::StatusOr<Lsn> end = wal.AppendCheckpoint(2, {});
     ASSERT_TRUE(end.ok());
     ASSERT_TRUE(wal.EnsureDurable(*end).ok());
-    ASSERT_TRUE(wal.TruncateBelow(redo).ok());
   }
   for (std::thread& thread : committers) thread.join();
   EXPECT_EQ(wal.durable_lsn(), wal.next_lsn())
       << "every committer waited for durability";
   EXPECT_EQ(wal.stats().checkpoints, 8u);
-  EXPECT_EQ(wal.truncated_lsn() % (options.segment_pages * kPageSize), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Fuzzy checkpoints and segment truncation
-
-TEST(WalManagerTest, TruncateBelowZerosWholeSegmentsAndRecoveryStillWorks) {
-  storage::DiskManager log(kPageSize);
-  WalOptions options;
-  options.segment_pages = 2;  // 1 KiB segments
-  WalManager wal(&log, options);
-  // Four single-page commits, each to its own page, fills 1..4.
-  std::vector<Lsn> ends;
-  for (uint8_t p = 0; p < 4; ++p) {
-    const auto image = MakeImage(kPageSize, static_cast<uint8_t>(p + 1));
-    const PageImageRef ref{p, image};
-    const core::StatusOr<Lsn> end = wal.CommitPages({&ref, 1}, 4, {});
-    ASSERT_TRUE(end.ok());
-    ends.push_back(*end);
-  }
-  // Fuzzy checkpoint at commit 2's end: pages 0 and 1 are on the data
-  // device, pages 2 and 3 are still dirty in the pool.
-  const Lsn redo = ends[1];
-  ASSERT_TRUE(wal.AppendCheckpoint(4, {}, redo).ok());
-  ASSERT_TRUE(wal.TruncateBelow(redo).ok());
-
-  const Lsn segment_bytes = options.segment_pages * kPageSize;
-  const Lsn truncated = wal.truncated_lsn();
-  EXPECT_GT(truncated, 0u);
-  EXPECT_LE(truncated, redo) << "only segments wholly below the horizon";
-  EXPECT_EQ(truncated % segment_bytes, 0u) << "always a segment boundary";
-  EXPECT_GE(wal.stats().segments_truncated, 1u);
-  const std::vector<std::byte> stream = ReadStream(log);
-  for (Lsn b = 0; b < truncated; ++b) {
-    ASSERT_EQ(stream[b], std::byte{0}) << "offset " << b;
-  }
-
-  // Recovery of the truncated log, onto a device holding the flushed
-  // prefix state, reproduces all four pages byte-exactly.
-  storage::DiskManager data(kPageSize);
-  for (uint8_t p = 0; p < 2; ++p) {
-    data.AllocateOrDie();
-    ASSERT_TRUE(data.Write(p, MakeImage(kPageSize, p + 1)).ok());
-  }
-  const core::StatusOr<RecoveryResult> result = Recover(log, data);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(result->start_lsn, truncated)
-      << "start discovery skips the zero prefix (plus straddler garbage)";
-  EXPECT_FALSE(result->torn_tail);
-  std::vector<std::byte> page(kPageSize);
-  for (uint8_t p = 0; p < 4; ++p) {
-    ASSERT_TRUE(data.Read(p, page).ok());
-    for (const std::byte b : page) {
-      ASSERT_EQ(b, std::byte{static_cast<uint8_t>(p + 1)}) << "page " << p;
-    }
-  }
-}
-
-TEST(WalCrashTest, CrashMidTruncationLeavesARecoverableLog) {
-  // TruncateBelow zeros segments in ascending page order, so a crash after
-  // k zeroed segments leaves exactly a k-segment zero prefix. Recovery must
-  // be byte-exact at EVERY such k.
-  constexpr size_t kCommits = 8;
-  constexpr size_t kFlushed = 6;  // pages 0..5 on the data device at the ckpt
-  WalOptions options;
-  options.segment_pages = 2;
-  const Lsn segment_bytes = options.segment_pages * kPageSize;
-
-  // The workload is deterministic: run it once to learn the redo horizon
-  // (commit kFlushed's end), then replay it fresh for every crash point.
-  const auto run_workload = [&](storage::DiskManager* log) {
-    WalManager wal(log, options);
-    std::vector<Lsn> ends;
-    for (uint8_t p = 0; p < kCommits; ++p) {
-      const auto image = MakeImage(kPageSize, static_cast<uint8_t>(p + 1));
-      const PageImageRef ref{p, image};
-      const core::StatusOr<Lsn> end = wal.CommitPages({&ref, 1}, kCommits, {});
-      EXPECT_TRUE(end.ok());
-      ends.push_back(*end);
-    }
-    const Lsn redo = ends[kFlushed - 1];
-    EXPECT_TRUE(wal.AppendCheckpoint(kCommits, {}, redo).ok());
-    return redo;
-  };
-  Lsn redo = 0;
-  {
-    storage::DiskManager probe(kPageSize);
-    redo = run_workload(&probe);
-  }
-  const size_t full_segments = redo / segment_bytes;
-  ASSERT_GE(full_segments, 2u) << "the matrix needs several crash points";
-
-  for (size_t crashed_after = 0; crashed_after <= full_segments;
-       ++crashed_after) {
-    storage::DiskManager log(kPageSize);
-    ASSERT_EQ(run_workload(&log), redo);
-    const std::vector<std::byte> zeros(kPageSize, std::byte{0});
-    for (size_t p = 0; p < crashed_after * options.segment_pages; ++p) {
-      ASSERT_TRUE(log.Write(static_cast<storage::PageId>(p), zeros).ok());
-    }
-
-    storage::DiskManager data(kPageSize);
-    for (size_t p = 0; p < kFlushed; ++p) {
-      data.AllocateOrDie();
-      ASSERT_TRUE(
-          data.Write(static_cast<storage::PageId>(p),
-                     MakeImage(kPageSize, static_cast<uint8_t>(p + 1)))
-              .ok());
-    }
-    const core::StatusOr<RecoveryResult> result = Recover(log, data);
-    ASSERT_TRUE(result.ok()) << "crashed after " << crashed_after
-                             << " segments";
-    std::vector<std::byte> page(kPageSize);
-    for (size_t p = 0; p < kCommits; ++p) {
-      ASSERT_TRUE(data.Read(static_cast<storage::PageId>(p), page).ok());
-      for (const std::byte b : page) {
-        ASSERT_EQ(b, std::byte{static_cast<uint8_t>(p + 1)})
-            << "crashed after " << crashed_after << " segments, page " << p;
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -543,6 +406,28 @@ TEST(RecoveryTest, CheckpointBoundsTheReplay) {
   EXPECT_EQ(page[0], std::byte{0x02});
 }
 
+TEST(RecoveryTest, CheckpointWithPayloadIsRefused) {
+  // A checkpoint asserts that the data device holds every committed image
+  // before it. A record that carries a payload (a redo horizon below it)
+  // makes no such promise, so skipping to its end could drop committed
+  // images: recovery must refuse the log before replaying anything.
+  std::vector<std::byte> stream;
+  const auto image = MakeImage(kPageSize, 0x5A);
+  std::byte horizon[8] = {};
+  Lsn lsn = 0;
+  lsn += AppendRecord(RecordType::kPageImage, lsn, 0, image, &stream);
+  lsn += AppendRecord(RecordType::kCommit, lsn, 1, {}, &stream);
+  lsn += AppendRecord(RecordType::kCheckpoint, lsn, 1, horizon, &stream);
+
+  storage::DiskManager log(kPageSize);
+  WriteStream(log, stream);
+  storage::DiskManager data(kPageSize);
+  const core::StatusOr<RecoveryResult> result = Recover(log, data);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), core::StatusCode::kDataLoss);
+  EXPECT_EQ(data.page_count(), 0u) << "nothing may be replayed";
+}
+
 TEST(RecoveryTest, EmptyLogRecoversToNothing) {
   storage::DiskManager log(kPageSize);
   storage::DiskManager data(kPageSize);
@@ -580,56 +465,6 @@ TEST(RecoveryTest, TornTailIsDetectedAndDiscarded) {
   std::vector<std::byte> page(kPageSize);
   ASSERT_TRUE(data.Read(0, page).ok());
   EXPECT_EQ(page[0], std::byte{0x10}) << "the torn group must not replay";
-}
-
-TEST(RecoveryTest, FuzzyCheckpointRedoHorizonSkipsFlushedImages) {
-  storage::DiskManager log(kPageSize);
-  WalManager wal(&log);
-  const auto flushed = MakeImage(kPageSize, 0xF1);
-  const auto pending = MakeImage(kPageSize, 0xD2);
-  const PageImageRef first{0, flushed};
-  const core::StatusOr<Lsn> e1 = wal.CommitPages({&first, 1}, 2, {});
-  ASSERT_TRUE(e1.ok());
-  const PageImageRef second{1, pending};
-  ASSERT_TRUE(wal.CommitPages({&second, 1}, 2, {}).ok());
-  // Fuzzy checkpoint: page 0 made it to the data device (its rec_lsn is
-  // behind the horizon), page 1 is still dirty in the pool — so the record
-  // carries redo = e1 and recovery replays from there, not from the record.
-  ASSERT_TRUE(wal.AppendCheckpoint(2, {}, *e1).ok());
-  EXPECT_EQ(wal.stats().checkpoints, 1u);
-
-  storage::DiskManager data(kPageSize);
-  data.AllocateOrDie();
-  ASSERT_TRUE(data.Write(0, flushed).ok());
-  const core::StatusOr<RecoveryResult> result = Recover(log, data);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->redo_lsn, *e1) << "the carried horizon drives the redo";
-  EXPECT_EQ(result->replayed_pages, 1u) << "the flushed image is skipped";
-  std::vector<std::byte> page(kPageSize);
-  ASSERT_TRUE(data.Read(1, page).ok());
-  EXPECT_EQ(page[0], std::byte{0xD2});
-  ASSERT_TRUE(data.Read(0, page).ok());
-  EXPECT_EQ(page[0], std::byte{0xF1});
-}
-
-TEST(RecoveryTest, FuzzyRedoZeroReplaysEverything) {
-  // redo_lsn 0 is a legal fuzzy horizon (min rec_lsn 1 -> redo 0) and must
-  // NOT collapse into a strict checkpoint: every committed image replays.
-  storage::DiskManager log(kPageSize);
-  WalManager wal(&log);
-  const auto image = MakeImage(kPageSize, 0x77);
-  const PageImageRef ref{0, image};
-  ASSERT_TRUE(wal.CommitPages({&ref, 1}, 1, {}).ok());
-  ASSERT_TRUE(wal.AppendCheckpoint(1, {}, Lsn{0}).ok());
-
-  storage::DiskManager data(kPageSize);
-  const core::StatusOr<RecoveryResult> result = Recover(log, data);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->redo_lsn, 0u);
-  EXPECT_EQ(result->replayed_pages, 1u);
-  std::vector<std::byte> page(kPageSize);
-  ASSERT_TRUE(data.Read(0, page).ok());
-  EXPECT_EQ(page[0], std::byte{0x77});
 }
 
 TEST(RecoveryTest, ParallelRedoIsByteIdenticalToSerial) {

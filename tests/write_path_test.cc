@@ -89,8 +89,6 @@ TEST_F(WritePathTest, NewPinsAZeroedDirtyFrame) {
     ASSERT_EQ(b, std::byte{0});
   }
   EXPECT_EQ(buffer->dirty_count(), 1u);
-  EXPECT_EQ(buffer->min_rec_lsn(), 1u)
-      << "rec_lsn is stored 1-based off an empty log";
   page->Release();
 }
 
@@ -248,35 +246,6 @@ TEST_F(WritePathTest, UnpinDirtyOnQuarantinedFrameIsRefused) {
   (void)good;
 }
 
-TEST_F(WritePathTest, MinRecLsnTracksTheOldestDirtyFrame) {
-  auto buffer = MakeBuffer(disk_, 4);
-  buffer->AttachWal(&wal_);
-  EXPECT_EQ(buffer->min_rec_lsn(), 0u);
-
-  PageHandle first = buffer->NewOrDie(ctx_);
-  FillPage(first, 0x01);
-  first.Release();
-  const uint64_t first_rec = buffer->min_rec_lsn();
-  EXPECT_EQ(first_rec, 1u);
-
-  // Commit advances the log but not the recovery LSN: the frame is still
-  // dirty, redo for it still starts at its first-dirty position.
-  ASSERT_TRUE(buffer->Commit(ctx_).ok());
-  EXPECT_EQ(buffer->min_rec_lsn(), first_rec);
-
-  PageHandle second = buffer->NewOrDie(ctx_);
-  FillPage(second, 0x02);
-  second.Release();
-  EXPECT_EQ(buffer->min_rec_lsn(), first_rec)
-      << "the minimum is the OLDEST dirty frame";
-  EXPECT_EQ(buffer->dirty_count(), 2u);
-
-  // Forcing everything to the device clears the census entirely.
-  ASSERT_TRUE(buffer->ForceDirty(ctx_).ok());
-  EXPECT_EQ(buffer->dirty_count(), 0u);
-  EXPECT_EQ(buffer->min_rec_lsn(), 0u);
-}
-
 TEST_F(WritePathTest, CheckpointMakesTheDeviceMatchTheCommittedState) {
   auto buffer = MakeBuffer(disk_, 4);
   buffer->AttachWal(&wal_);
@@ -360,6 +329,9 @@ TEST_F(WritePathTest, HarvestSelectsLoggedUnpinnedDirtyOldestFirst) {
   ASSERT_EQ(buffer->HarvestFlushCandidates(8, &candidates), 2u);
   EXPECT_EQ(candidates[0].page, id_a);
   EXPECT_EQ(candidates[1].page, id_b);
+  EXPECT_EQ(candidates[0].rec_lsn, 1u)
+      << "rec_lsn is stamped 1-based off the empty log and kept across a "
+         "commit";
   EXPECT_LT(candidates[0].rec_lsn, candidates[1].rec_lsn);
 
   const core::StatusOr<size_t> flushed =
@@ -698,100 +670,6 @@ TEST(WritableServiceTest, ChurnWithBackgroundFlusherAvoidsForegroundWrites) {
       wal::Recover(*crashed_log, *crashed_data);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->replayed_pages, 0u);
-
-  svc::BufferService reader(*crashed_data, WritableConfig(2, 128));
-  rtree::RTree recovered =
-      rtree::RTree::Open(&*crashed_data, &reader, tree.meta_page());
-  EXPECT_EQ(recovered.Validate(), "");
-  std::vector<rtree::Entry> replayed = recovered.WindowQuery(space, ctx);
-  ASSERT_EQ(replayed.size(), committed.size());
-  auto by_id = [](const rtree::Entry& a, const rtree::Entry& b) {
-    return a.id < b.id;
-  };
-  std::vector<rtree::Entry> expected = committed;
-  std::sort(expected.begin(), expected.end(), by_id);
-  std::sort(replayed.begin(), replayed.end(), by_id);
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(replayed[i].id, expected[i].id);
-  }
-
-  ASSERT_TRUE(service.Checkpoint(ctx).ok());
-  std::remove(data_path.c_str());
-  std::remove(log_path.c_str());
-}
-
-/// Fuzzy checkpoints under churn: the checkpoint hook drains the dirty
-/// census through FlushShardBatch (the flusher's own entry point), so the
-/// sampled redo horizon advances and TruncateBelow reclaims whole log
-/// segments — and a crash after all of that still recovers exactly.
-TEST(WritableServiceTest, FuzzyCheckpointsTruncateTheLogAndStayRecoverable) {
-  const geom::Rect space(0, 0, 100, 100);
-  DiskManager disk;
-  DiskManager log;
-  wal::WalOptions wal_options;
-  wal_options.segment_pages = 2;  // small segments so truncation triggers
-  wal::WalManager wal(&log, wal_options);
-  svc::BufferServiceConfig config = WritableConfig(2, 128);
-  config.flusher_threads = 1;
-  config.dirty_low_watermark = 0.0;
-  config.fuzzy_checkpoints = true;
-  config.truncate_wal = true;
-  svc::BufferService service(&disk, &wal, config);
-  const AccessContext ctx{6};
-
-  rtree::RTree tree(&disk, &service);
-  sim::ChurnOptions options;
-  options.operations = 400;
-  options.delete_fraction = 0.35;
-  options.seed = SoakSeed(98765);
-  options.commit_every = 20;
-  options.checkpoint_every = 80;
-  sim::ChurnHooks hooks;
-  hooks.commit = [&] {
-    tree.PersistMeta();
-    return service.Commit(ctx);
-  };
-  hooks.checkpoint = [&] {
-    tree.PersistMeta();
-    if (core::Status status = service.Commit(ctx); !status.ok()) {
-      return status;
-    }
-    // Drain every shard so the horizon is fresh when Checkpoint samples it.
-    for (size_t s = 0; s < service.shard_count(); ++s) {
-      while (true) {
-        const core::StatusOr<size_t> flushed =
-            service.FlushShardBatch(s, 32, ctx);
-        if (!flushed.ok()) return flushed.status();
-        if (*flushed == 0) break;
-      }
-    }
-    return service.Checkpoint(ctx);
-  };
-  const core::StatusOr<sim::ChurnResult> churn =
-      sim::RunChurn(tree, space, options, hooks, ctx);
-  ASSERT_TRUE(churn.ok());
-  EXPECT_GT(churn->checkpoints, 0u);
-  EXPECT_GE(wal.stats().segments_truncated, 1u)
-      << "fuzzy checkpoints must reclaim log segments";
-  EXPECT_GT(wal.truncated_lsn(), 0u);
-
-  // Post-truncation commits, then crash and recover from the shortened log.
-  tree.PersistMeta();
-  ASSERT_TRUE(service.Commit(ctx).ok());
-  const std::vector<rtree::Entry> committed = tree.WindowQuery(space, ctx);
-  service.flusher()->Stop();
-  const std::string data_path = ::testing::TempDir() + "/fuzzy_data.img";
-  const std::string log_path = ::testing::TempDir() + "/fuzzy_log.img";
-  ASSERT_TRUE(disk.SaveImage(data_path));
-  ASSERT_TRUE(log.SaveImage(log_path));
-  auto crashed_data = DiskManager::LoadImage(data_path);
-  auto crashed_log = DiskManager::LoadImage(log_path);
-  ASSERT_TRUE(crashed_data.has_value());
-  ASSERT_TRUE(crashed_log.has_value());
-  const core::StatusOr<wal::RecoveryResult> result =
-      wal::Recover(*crashed_log, *crashed_data);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->start_lsn, 0u) << "the scan skipped the zeroed prefix";
 
   svc::BufferService reader(*crashed_data, WritableConfig(2, 128));
   rtree::RTree recovered =
