@@ -100,12 +100,15 @@ Modes:
       hit; the two rows cost the same while WindowQueryVisit took a
       std::function). With repetitions, each row's median counts.
 
-  checksum micro_policy_overhead.json [--max-ratio 6]
+  checksum micro_policy_overhead.json [--max-ratio 6] [--max-fold-ratio 2.5]
       Reads google-benchmark JSON from micro_policy_overhead and fails when
       BM_PageChecksum, the CRC-32C verify of a hot 4 KiB page, costs more
-      than --max-ratio times BM_PageCopy, a copy of that page (one crc32q
-      chain measured about 10x, three interleaved chains about 4x). With
-      repetitions, each row's median counts.
+      than a bound times BM_PageCopy, a copy of that page. The bound
+      follows the kernel the row's label names: --max-fold-ratio for the
+      VPCLMULQDQ fold tier (1.2-1.5x measured), --max-ratio for any other
+      (three interleaved crc32q chains about 4x, one chain about 10x), so
+      a probe that mislabels a fallback fails. A row without a label exits
+      2. With repetitions, each row's median counts.
 
   compare A.json B.json [--field hit_rate] [--tol 0]
       Joins two BENCH_sweep.json runs on the row key
@@ -296,17 +299,19 @@ def gbench_medians(path, names):
     return medians
 
 
-def check_gbench_ratio(args, numerator, denominator, describe):
+def check_gbench_ratio(args, numerator, denominator, describe,
+                       max_ratio=None):
+    max_ratio = args.max_ratio if max_ratio is None else max_ratio
     medians = gbench_medians(args.file, (numerator, denominator))
     if not isinstance(medians, dict):
         return medians
     ratio = medians[numerator] / medians[denominator]
     label = (f"{describe(medians[numerator], medians[denominator])}: "
              f"ratio {ratio:.2f}")
-    if ratio > args.max_ratio:
-        print(f"FAIL {label} > {args.max_ratio:g}", file=sys.stderr)
+    if ratio > max_ratio:
+        print(f"FAIL {label} > {max_ratio:g}", file=sys.stderr)
         return 1
-    print(f"ok   {label} <= {args.max_ratio:g}")
+    print(f"ok   {label} <= {max_ratio:g}")
     return 0
 
 
@@ -340,10 +345,24 @@ def check_visit(args):
 
 
 def check_checksum(args):
+    try:
+        with open(args.file, "r", encoding="utf-8") as handle:
+            rows = json.load(handle).get("benchmarks", [])
+    except (OSError, json.JSONDecodeError) as err:
+        print(f"cannot read {args.file}: {err}", file=sys.stderr)
+        return 2
+    tiers = {row.get("label") for row in rows
+             if row.get("run_name", row.get("name")) == PAGE_CHECKSUM}
+    if not tiers or None in tiers or "" in tiers or len(tiers) > 1:
+        print(f"{args.file}: {PAGE_CHECKSUM} rows name no single kernel "
+              f"label ({sorted(map(str, tiers))})", file=sys.stderr)
+        return 2
+    tier = tiers.pop()
     return check_gbench_ratio(
         args, PAGE_CHECKSUM, PAGE_COPY,
-        lambda crc, copy: f"page checksum {crc:.1f} ns vs page copy "
-                          f"{copy:.1f} ns")
+        lambda crc, copy: f"page checksum ({tier}) {crc:.1f} ns vs page "
+                          f"copy {copy:.1f} ns",
+        args.max_fold_ratio if tier == "vpclmulqdq" else args.max_ratio)
 
 
 ROW_KEY = ("bench", "database", "fraction", "query_set", "policy",
@@ -621,6 +640,7 @@ def main():
                                    "page copy")
     checksum.add_argument("file")
     checksum.add_argument("--max-ratio", type=float, default=6.0)
+    checksum.add_argument("--max-fold-ratio", type=float, default=2.5)
 
     cmp_parser = sub.add_parser("compare",
                                 help="diff a field between two bench runs")

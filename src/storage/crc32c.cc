@@ -2,13 +2,9 @@
 
 #include <array>
 
-namespace sdb::storage::crc32c {
+#include "storage/crc32c_internal.h"
 
-namespace detail {
-// Defined in crc32c_sse42.cc (compiled with -msse4.2 -mpclmul when the
-// compiler takes both). Works on the raw, uninverted CRC register.
-uint32_t ExtendHardware(uint32_t state, const std::byte* data, size_t size);
-}  // namespace detail
+namespace sdb::storage::crc32c {
 
 namespace {
 
@@ -28,39 +24,59 @@ constexpr std::array<uint32_t, 256> BuildTable() {
 
 constexpr std::array<uint32_t, 256> kTable = BuildTable();
 
-uint32_t ExtendTable(uint32_t state, std::span<const std::byte> data) {
-  for (std::byte b : data) {
-    state = kTable[(state ^ static_cast<uint32_t>(b)) & 0xFFu] ^ (state >> 8);
+/// The kernels, worst first; the probe picks the last one the CPU runs.
+struct Tier {
+  const char* name;
+  uint32_t (*extend)(uint32_t state, const std::byte* data, size_t size);
+};
+constexpr Tier kTiers[] = {{"table", detail::ExtendTable},
+                           {"crc32q", detail::ExtendHardware},
+                           {"vpclmulqdq", detail::ExtendFold}};
+
+size_t Probe() {
+  size_t tier = 0;
+#if defined(SDB_CRC_HARDWARE) && (defined(__x86_64__) || defined(__i386__))
+  if (__builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("pclmul")) {
+    tier = 1;
+  }
+#if defined(SDB_CRC_FOLD)
+  if (tier == 1 && __builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("vpclmulqdq")) {
+    tier = 2;
+  }
+#endif
+#endif
+  return tier;
+}
+
+// Probed once at startup. A checksum taken during another translation
+// unit's static initialization may still see tier 0 and use the table,
+// which gives the same value.
+const size_t g_tier = Probe();
+
+}  // namespace
+
+uint32_t detail::ExtendTable(uint32_t state, const std::byte* data,
+                             size_t size) {
+  for (const std::byte* end = data + size; data != end; ++data) {
+    state = kTable[(state ^ static_cast<uint32_t>(*data)) & 0xFFu] ^
+            (state >> 8);
   }
   return state;
 }
 
-bool HardwareAvailable() {
-#if defined(SDB_CRC_HARDWARE) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("pclmul");
-#else
-  return false;
-#endif
-}
-
-// Probed once at startup. A checksum taken during another translation
-// unit's static initialization may still see false and use the table, which
-// gives the same value.
-const bool g_hardware = HardwareAvailable();
-
-}  // namespace
-
 uint32_t Extend(uint32_t crc, std::span<const std::byte> data) {
-  const uint32_t state =
-      g_hardware ? detail::ExtendHardware(~crc, data.data(), data.size())
-                 : ExtendTable(~crc, data);
-  return ~state;
+  return ~kTiers[g_tier].extend(~crc, data.data(), data.size());
 }
 
 uint32_t Checksum(std::span<const std::byte> data) { return Extend(0, data); }
 
 uint32_t ChecksumScalar(std::span<const std::byte> data) {
-  return ~ExtendTable(0xFFFFFFFFu, data);
+  return ~detail::ExtendTable(0xFFFFFFFFu, data.data(), data.size());
 }
+
+const char* KernelName() { return kTiers[g_tier].name; }
 
 }  // namespace sdb::storage::crc32c

@@ -11,8 +11,7 @@
 // that product. crc32q of a 64-bit value v yields v·x^32 mod P, and the
 // bit-reflected product of two 32-bit values carries one extra factor x, so
 // the constant for n bytes is x^(8n-33) mod P.
-#include <cstddef>
-#include <cstdint>
+#include "storage/crc32c_internal.h"
 
 #if defined(SDB_CRC_HARDWARE)
 #include <nmmintrin.h>
@@ -29,14 +28,6 @@ namespace {
 /// page record (32-byte header + 4 KiB) is three blocks plus 48 bytes.
 constexpr size_t kBlock = 1360;
 static_assert(kBlock % 8 == 0);
-
-/// x^n mod P, bit-reflected like the crc32 instructions' operands (bit 31
-/// holds x^0).
-constexpr uint32_t XPowMod(uint64_t n) {
-  uint32_t r = 0x80000000u;
-  for (; n > 0; --n) r = (r & 1u) ? (r >> 1) ^ 0x82F63B78u : r >> 1;
-  return r;
-}
 
 constexpr uint32_t kShiftOneBlock = XPowMod(8 * kBlock - 33);
 constexpr uint32_t kShiftTwoBlocks = XPowMod(8 * 2 * kBlock - 33);
@@ -80,8 +71,8 @@ uint32_t ExtendHardware(uint32_t state, const std::byte* data, size_t size) {
 
 #else
 
-uint32_t ExtendHardware(uint32_t state, const std::byte*, size_t) {
-  return state;
+uint32_t ExtendHardware(uint32_t state, const std::byte* data, size_t size) {
+  return ExtendTable(state, data, size);
 }
 
 #endif

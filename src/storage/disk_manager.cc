@@ -1,7 +1,10 @@
 #include "storage/disk_manager.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/macros.h"
 #include "storage/crc32c.h"
@@ -13,6 +16,12 @@ uint32_t ZeroPageCrc(size_t page_size) {
   std::vector<std::byte> zero(page_size, std::byte{0});
   return crc32c::Checksum(zero);
 }
+
+/// Directory segment of page `id` and the page's index in it.
+std::pair<int, size_t> Place(size_t id) {
+  const int segment = std::bit_width(id + 1) - 1;
+  return {segment, id + 1 - (size_t{1} << segment)};
+}
 }  // namespace
 
 DiskManager::DiskManager(size_t page_size)
@@ -21,19 +30,42 @@ DiskManager::DiskManager(size_t page_size)
                 "page must fit its header");
 }
 
+DiskManager::DiskManager(DiskManager&& other) noexcept
+    : page_size_(other.page_size_),
+      segments_(std::move(other.segments_)),
+      page_count_(other.page_count_.exchange(0)),
+      zero_page_crc_(other.zero_page_crc_),
+      page_capacity_(other.page_capacity_),
+      stats_(other.stats_),
+      last_read_(other.last_read_),
+      last_write_(other.last_write_) {}
+
+DiskManager::~DiskManager() {
+  for (PageId id = 0; id < page_count(); ++id) delete[] PagePtr(id);
+}
+
 core::StatusOr<PageId> DiskManager::Allocate() {
   // Disk-full is an operational condition, not a harness bug: the write
   // path surfaces it as backpressure (New() fails, the service stays up)
   // instead of aborting the process.
-  if (pages_.size() >= kInvalidPageId ||
-      (page_capacity_ != 0 && pages_.size() >= page_capacity_)) {
+  const size_t id = page_count_.load(std::memory_order_relaxed);
+  if (id >= kInvalidPageId || (page_capacity_ != 0 && id >= page_capacity_)) {
     return core::Status::ResourceExhausted("disk full");
   }
-  // make_unique<T[]> value-initialises: the new page is all zeros, which
-  // zero_page_crc_ describes.
-  pages_.push_back(std::make_unique<std::byte[]>(page_size_));
-  checksums_.push_back(zero_page_crc_);
-  return static_cast<PageId>(pages_.size() - 1);
+  const auto [segment, index] = Place(id);
+  Segment& block = segments_[segment];
+  if (block.pages == nullptr) {
+    block.pages =
+        std::make_unique_for_overwrite<std::byte*[]>(size_t{1} << segment);
+    block.checksums =
+        std::make_unique_for_overwrite<uint32_t[]>(size_t{1} << segment);
+  }
+  // Value-initialised: the new page is all zeros, which zero_page_crc_
+  // describes.
+  block.pages[index] = new std::byte[page_size_]();
+  block.checksums[index] = zero_page_crc_;
+  page_count_.store(id + 1, std::memory_order_release);
+  return static_cast<PageId>(id);
 }
 
 core::Status DiskManager::Read(PageId id, std::span<std::byte> out) {
@@ -48,22 +80,10 @@ core::Status DiskManager::Read(PageId id, std::span<std::byte> out) {
 }
 
 core::Status DiskManager::Write(PageId id, std::span<const std::byte> in) {
-  // Hardened write path: short (or oversized) buffers and unallocated page
-  // ids are rejected with a status, not an abort — the buffer manager
-  // propagates the failure to the caller that dirtied the page.
-  if (in.size() != page_size_) {
-    return core::Status::InvalidArgument("short write: buffer size mismatch");
-  }
-  if (id >= pages_.size()) {
-    return core::Status::InvalidArgument("write to unallocated page");
-  }
-  std::memcpy(PagePtr(id), in.data(), page_size_);
-  checksums_[id] = crc32c::Checksum(in);
-  // Verify the sidecar re-stamp against the bytes actually stored: a page
-  // rewrite must leave device bytes and sidecar in agreement, or every later
-  // fetch of the page would quarantine it.
-  if (crc32c::Checksum({PagePtr(id), page_size_}) != checksums_[id]) {
-    return core::Status::DataLoss("page rewrite failed checksum verification");
+  // The page/sidecar update of WriteConcurrent, then the counters.
+  if (core::Status stored = DiskManager::WriteConcurrent(id, in);
+      !stored.ok()) {
+    return stored;
   }
   ++stats_.writes;
   if (last_write_ != kInvalidPageId && id == last_write_ + 1) {
@@ -75,27 +95,31 @@ core::Status DiskManager::Write(PageId id, std::span<const std::byte> in) {
 
 core::Status DiskManager::WriteConcurrent(PageId id,
                                           std::span<const std::byte> in) {
-  // Parallel-redo variant of Write: identical page/sidecar update, minus
-  // the IoStats counters and last_write_ run tracking — the only members
-  // shared between pages. Callers partition page ids across threads, so
-  // pages_[id]/checksums_[id] are single-writer here.
+  // Write minus the IoStats counters and last_write_ run tracking, the only
+  // members shared between pages; parallel redo partitions page ids across
+  // threads. Short (or oversized) buffers and unallocated page ids are
+  // rejected with a status, not an abort — the buffer manager propagates
+  // the failure to the caller that dirtied the page.
   if (in.size() != page_size_) {
     return core::Status::InvalidArgument("short write: buffer size mismatch");
   }
-  if (id >= pages_.size()) {
+  if (id >= page_count()) {
     return core::Status::InvalidArgument("write to unallocated page");
   }
   std::memcpy(PagePtr(id), in.data(), page_size_);
-  checksums_[id] = crc32c::Checksum(in);
-  if (crc32c::Checksum({PagePtr(id), page_size_}) != checksums_[id]) {
+  uint32_t& checksum = SidecarOf(id);
+  checksum = crc32c::Checksum(in);
+  // Verify the sidecar re-stamp against the bytes actually stored: a page
+  // rewrite must leave device bytes and sidecar in agreement, or every later
+  // fetch of the page would quarantine it.
+  if (crc32c::Checksum(PeekPage(id)) != checksum) {
     return core::Status::DataLoss("page rewrite failed checksum verification");
   }
   return core::Status::Ok();
 }
 
 std::optional<uint32_t> DiskManager::PageChecksum(PageId id) const {
-  SDB_CHECK_MSG(id < checksums_.size(), "page id out of range");
-  return checksums_[id];
+  return SidecarOf(id);
 }
 
 PageMeta DiskManager::PeekMeta(PageId id) const {
@@ -128,10 +152,10 @@ struct FileCloser {
 bool DiskManager::SaveImage(const std::string& path) const {
   FileCloser out{std::fopen(path.c_str(), "wb")};
   if (out.file == nullptr) return false;
-  const ImageHeader header{kImageMagic, page_size_, pages_.size()};
+  const ImageHeader header{kImageMagic, page_size_, page_count()};
   if (std::fwrite(&header, sizeof(header), 1, out.file) != 1) return false;
-  for (const auto& page : pages_) {
-    if (std::fwrite(page.get(), 1, page_size_, out.file) != page_size_) {
+  for (PageId id = 0; id < header.page_count; ++id) {
+    if (std::fwrite(PagePtr(id), 1, page_size_, out.file) != page_size_) {
       return false;
     }
   }
@@ -148,19 +172,16 @@ std::optional<DiskManager> DiskManager::LoadImage(const std::string& path) {
     return std::nullopt;
   }
   DiskManager disk(header.page_size);
-  disk.pages_.reserve(header.page_count);
-  disk.checksums_.reserve(header.page_count);
   for (uint64_t i = 0; i < header.page_count; ++i) {
-    auto page = std::make_unique<std::byte[]>(header.page_size);
-    if (std::fread(page.get(), 1, header.page_size, in.file) !=
+    const core::StatusOr<PageId> id = disk.Allocate();
+    if (!id.ok()) return std::nullopt;
+    if (std::fread(disk.PagePtr(*id), 1, header.page_size, in.file) !=
         header.page_size) {
       return std::nullopt;
     }
     // Stamp the sidecar eagerly so views opened on the loaded image can
     // verify fetches without ever writing through this manager.
-    disk.checksums_.push_back(
-        crc32c::Checksum({page.get(), header.page_size}));
-    disk.pages_.push_back(std::move(page));
+    disk.SidecarOf(*id) = crc32c::Checksum(disk.PeekPage(*id));
   }
   return disk;
 }
@@ -171,14 +192,16 @@ void DiskManager::ResetStats() {
   last_write_ = kInvalidPageId;
 }
 
-std::byte* DiskManager::PagePtr(PageId id) {
-  SDB_CHECK_MSG(id < pages_.size(), "page id out of range");
-  return pages_[id].get();
+std::byte* DiskManager::PagePtr(PageId id) const {
+  SDB_CHECK_MSG(id < page_count(), "page id out of range");
+  const auto [segment, index] = Place(id);
+  return segments_[segment].pages[index];
 }
 
-const std::byte* DiskManager::PagePtr(PageId id) const {
-  SDB_CHECK_MSG(id < pages_.size(), "page id out of range");
-  return pages_[id].get();
+uint32_t& DiskManager::SidecarOf(PageId id) const {
+  SDB_CHECK_MSG(id < page_count(), "page id out of range");
+  const auto [segment, index] = Place(id);
+  return segments_[segment].checksums[index];
 }
 
 }  // namespace sdb::storage

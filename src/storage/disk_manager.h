@@ -1,13 +1,14 @@
 #ifndef SPATIALBUFFER_STORAGE_DISK_MANAGER_H_
 #define SPATIALBUFFER_STORAGE_DISK_MANAGER_H_
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "core/status.h"
 #include "storage/page.h"
@@ -117,6 +118,12 @@ class PageDevice {
 /// Simulated disk: a growable array of fixed-size pages held in memory, with
 /// exact accounting of every page transfer. All experiment metrics are
 /// computed from these counters, so buffer hits must never reach this class.
+///
+/// Allocate, Write and Read share the counters and need one caller at a
+/// time. PeekPage, PageChecksum and page_count may run beside them for any
+/// page below the count they observe: Allocate publishes the count after
+/// filling the new slot. A page's bytes and checksum are the caller's to
+/// guard.
 class DiskManager : public PageDevice {
  public:
   explicit DiskManager(size_t page_size = kDefaultPageSize);
@@ -134,7 +141,7 @@ class DiskManager : public PageDevice {
   void set_page_capacity(size_t pages) { page_capacity_ = pages; }
   size_t page_capacity() const { return page_capacity_; }
 
-  /// Distinct page ids touch distinct pages_/checksums_ slots, so writes to
+  /// Distinct page ids touch distinct directory slots, so writes to
   /// different pages need no synchronization once the shared IoStats and
   /// sequential-run bookkeeping are skipped.
   bool SupportsConcurrentWrites() const override { return true; }
@@ -165,24 +172,33 @@ class DiskManager : public PageDevice {
   /// missing or malformed.
   static std::optional<DiskManager> LoadImage(const std::string& path);
 
-  DiskManager(DiskManager&&) = default;
+  DiskManager(DiskManager&& other) noexcept;
+  ~DiskManager() override;
 
   size_t page_size() const override { return page_size_; }
-  size_t page_count() const override { return pages_.size(); }
+  size_t page_count() const override {
+    return page_count_.load(std::memory_order_acquire);
+  }
 
   const IoStats& stats() const override { return stats_; }
   void ResetStats() override;
 
  private:
-  std::byte* PagePtr(PageId id);
-  const std::byte* PagePtr(PageId id) const;
+  /// Page `id`'s bytes and sidecar CRC; both abort unless id < page_count().
+  std::byte* PagePtr(PageId id) const;
+  uint32_t& SidecarOf(PageId id) const;
 
   const size_t page_size_;
-  // One heap block per page keeps Allocate O(1) without invalidating
-  // outstanding writes; page images are only touched via Read/Write copies.
-  std::vector<std::unique_ptr<std::byte[]>> pages_;
-  // Parallel to pages_: CRC-32C of each page as last written.
-  std::vector<uint32_t> checksums_;
+  // Page directory: segment s holds the heap blocks (freed by the
+  // destructor) and CRC-32Cs of pages 2^s - 1 to 2^(s+1) - 2, so 32 cover
+  // every PageId. A segment is allocated with its first page, its slots
+  // untouched until their page is, and it never moves: readers need no lock.
+  struct Segment {
+    std::unique_ptr<std::byte*[]> pages;
+    std::unique_ptr<uint32_t[]> checksums;
+  };
+  std::array<Segment, 32> segments_;
+  std::atomic<size_t> page_count_{0};
   // CRC of the all-zero page, computed once so Allocate stays O(1).
   const uint32_t zero_page_crc_;
   size_t page_capacity_ = 0;  ///< 0 = unbounded

@@ -6,20 +6,27 @@
 
 namespace sdb::storage {
 
+namespace {
+/// Copies page `id` of `base` into `out` and counts the read in `stats`.
+void CopyPage(const DiskManager& base, PageId id, std::span<std::byte> out,
+              IoStats* stats, PageId* last_read) {
+  SDB_CHECK(out.size() == base.page_size());
+  std::memcpy(out.data(), base.PeekPage(id).data(), out.size());
+  ++stats->reads;
+  if (*last_read != kInvalidPageId && id == *last_read + 1) {
+    ++stats->sequential_reads;
+  }
+  *last_read = id;
+}
+}  // namespace
+
 core::StatusOr<PageId> ReadOnlyDiskView::Allocate() {
   return core::Status::Unimplemented(
       "read-only disk view cannot allocate pages");
 }
 
 core::Status ReadOnlyDiskView::Read(PageId id, std::span<std::byte> out) {
-  SDB_CHECK(out.size() == base_->page_size());
-  std::span<const std::byte> page = base_->PeekPage(id);
-  std::memcpy(out.data(), page.data(), page.size());
-  ++stats_.reads;
-  if (last_read_ != kInvalidPageId && id == last_read_ + 1) {
-    ++stats_.sequential_reads;
-  }
-  last_read_ = id;
+  CopyPage(*base_, id, out, &stats_, &last_read_);
   return core::Status::Ok();
 }
 
@@ -43,15 +50,7 @@ core::Status WritableDiskView::Sync() {
 }
 
 core::Status WritableDiskView::Read(PageId id, std::span<std::byte> out) {
-  std::lock_guard<std::mutex> lock(*mu_);
-  SDB_CHECK(out.size() == page_size_);
-  std::span<const std::byte> page = base_->PeekPage(id);
-  std::memcpy(out.data(), page.data(), page.size());
-  ++stats_.reads;
-  if (last_read_ != kInvalidPageId && id == last_read_ + 1) {
-    ++stats_.sequential_reads;
-  }
-  last_read_ = id;
+  CopyPage(*base_, id, out, &stats_, &last_read_);
   return core::Status::Ok();
 }
 

@@ -50,23 +50,20 @@ class ReadOnlyDiskView final : public PageDevice {
 
 /// Writable window onto a shared DiskManager for the sharded write path.
 ///
-/// DiskManager is not thread-safe: Allocate grows the page and checksum
-/// vectors, and Write mutates the sidecar, so concurrent shards cannot hit
-/// the manager directly even though the service's page partitioning
-/// guarantees each page's *bytes* are only touched under one shard's latch.
-/// All views over one manager therefore share a device mutex (owned by the
-/// service) that serializes every call through to the base; I/O counters and
-/// sequential-run detection stay per view so shard statistics remain exact.
+/// Reads take no lock: the manager's page directory never moves an entry,
+/// and the service's page partitioning guarantees each page's bytes and
+/// checksum are only touched under one shard's latch. Allocate, Write and
+/// Sync share the manager's counters, so all views over one manager
+/// serialize them on a device mutex (owned by the service). I/O counters
+/// and sequential-run detection stay per view so shard statistics remain
+/// exact.
 class WritableDiskView final : public PageDevice {
  public:
   WritableDiskView(DiskManager& base, std::mutex& device_mu)
       : base_(&base), mu_(&device_mu), page_size_(base.page_size()) {}
 
   size_t page_size() const override { return page_size_; }
-  size_t page_count() const override {
-    std::lock_guard<std::mutex> lock(*mu_);
-    return base_->page_count();
-  }
+  size_t page_count() const override { return base_->page_count(); }
 
   core::StatusOr<PageId> Allocate() override;
   core::Status Read(PageId id, std::span<std::byte> out) override;
@@ -74,7 +71,6 @@ class WritableDiskView final : public PageDevice {
   core::Status Sync() override;
 
   std::optional<uint32_t> PageChecksum(PageId id) const override {
-    std::lock_guard<std::mutex> lock(*mu_);
     return base_->PageChecksum(id);
   }
 

@@ -204,12 +204,8 @@ core::Status BufferService::Commit(const core::AccessContext& ctx) {
   for (size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->buffer->CollectDirtyPages(&images, &frames[s]);
   }
-  uint64_t page_count;
-  {
-    const std::lock_guard<std::mutex> device_lock(device_mu_);
-    page_count = writable_disk_->page_count();
-  }
-  core::StatusOr<wal::Lsn> end = wal_->CommitPages(images, page_count, ctx);
+  core::StatusOr<wal::Lsn> end =
+      wal_->CommitPages(images, writable_disk_->page_count(), ctx);
   if (!end.ok()) {
     // A commit can fail transiently (shutdown race); only a sticky WAL
     // error — durability is gone for good — trips degraded mode. All shard
@@ -248,12 +244,8 @@ core::Status BufferService::Checkpoint(const core::AccessContext& ctx) {
       return forced;
     }
   }
-  uint64_t page_count;
-  {
-    const std::lock_guard<std::mutex> device_lock(device_mu_);
-    page_count = writable_disk_->page_count();
-  }
-  core::StatusOr<wal::Lsn> end = wal_->AppendCheckpoint(page_count, ctx);
+  core::StatusOr<wal::Lsn> end =
+      wal_->AppendCheckpoint(writable_disk_->page_count(), ctx);
   if (!end.ok()) {
     // Every shard latch is still held (`locks` above), so EnterDegraded's
     // collector access is covered.

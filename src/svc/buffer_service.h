@@ -147,9 +147,10 @@ inline constexpr obs::StatsCounter<ShardStats> kShardStatsCounters[] = {
 /// counters, no device races), and New() fails with kUnimplemented.
 /// Writable construction (mutable disk + WAL) additionally serves page
 /// creation and durability: each shard reads and writes through a
-/// WritableDiskView serialized on one device mutex, every shard's buffer
-/// holds the WAL, and Commit/Checkpoint gather the dirty pages of ALL
-/// shards into one atomic log group.
+/// WritableDiskView (reads take no lock; allocations and writes are
+/// serialized on one device mutex), every shard's buffer holds the WAL, and
+/// Commit/Checkpoint gather the dirty pages of ALL shards into one atomic
+/// log group.
 ///
 /// The latch protocol follows writability. A read-only service's shards
 /// pin hits latch-free (core::BufferManager::EnableConcurrency); a writable
@@ -307,7 +308,7 @@ class BufferService final : public core::PageSource {
     explicit Shard(const storage::DiskManager& disk) : view(disk) {}
 
     storage::ReadOnlyDiskView view;
-    // Writable service only: the shard's device-mutex-serialized view, used
+    // Writable service only: the shard's view over the mutable disk, used
     // in place of `view` for both reads and writes.
     std::unique_ptr<storage::WritableDiskView> writable;
     // Optional fault-injection wrapper over the shard's device; the shard's
@@ -350,10 +351,11 @@ class BufferService final : public core::PageSource {
 
   size_t total_frames_ = 0;
   // Write mode (both null on a read-only service). The device mutex
-  // serializes every shard's view over the one mutable DiskManager.
+  // serializes allocations and writes of every shard's view over the one
+  // mutable DiskManager.
   storage::DiskManager* writable_disk_ = nullptr;
   wal::WalManager* wal_ = nullptr;
-  mutable std::mutex device_mu_;
+  std::mutex device_mu_;
   std::string policy_spec_;
   bool asb_shared_ = false;
   core::AsbSharedTuning asb_tuning_;

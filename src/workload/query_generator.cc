@@ -50,7 +50,8 @@ std::string QuerySetName(QueryFamily family, int ex) {
     // ID-W maintains object sizes, so it carries no extent suffix in the
     // paper; every other family appends the reciprocal extent.
     if (family != QueryFamily::kIdentical) {
-      name += "-" + std::to_string(ex);
+      name += '-';
+      name += std::to_string(ex);
     }
   }
   return name;

@@ -12,6 +12,7 @@
 #include "core/policy_lru.h"
 #include "rtree/node_view.h"
 #include "storage/crc32c.h"
+#include "storage/crc32c_internal.h"
 #include "storage/disk_manager.h"
 #include "storage/disk_view.h"
 #include "storage/fault_injection.h"
@@ -93,6 +94,71 @@ TEST(Crc32cTest, ExtendContinuesAChecksumAtAnySplit) {
               expected)
         << "length " << len << " split " << split;
     EXPECT_EQ(crc32c::Extend(0, whole), expected) << len;
+  }
+}
+
+bool CpuRunsCrc32q() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("pclmul");
+#else
+  return false;
+#endif
+}
+
+bool CpuRunsFold() {
+#if defined(__x86_64__) || defined(__i386__)
+  return CpuRunsCrc32q() && __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512vl") &&
+         __builtin_cpu_supports("avx512dq") &&
+         __builtin_cpu_supports("vpclmulqdq");
+#else
+  return false;
+#endif
+}
+
+TEST(Crc32cTest, ProbePicksTheBestTierTheCpuHas) {
+  const std::string expected = CpuRunsFold()     ? "vpclmulqdq"
+                               : CpuRunsCrc32q() ? "crc32q"
+                                                 : "table";
+  EXPECT_EQ(crc32c::KernelName(), expected);
+}
+
+TEST(Crc32cTest, EveryTierMatchesTheTable) {
+  // Each kernel the CPU can run, called directly: every length from 0 to
+  // 9,000 bytes (the fold kernel's 256-byte steps, the crc32q kernel's
+  // 1,360-byte blocks and every tail) at four start alignments, each from
+  // a random CRC register.
+  using Kernel = uint32_t (*)(uint32_t, const std::byte*, size_t);
+  std::vector<std::pair<const char*, Kernel>> tiers;
+  if (CpuRunsCrc32q()) {
+    tiers.emplace_back("crc32q", crc32c::detail::ExtendHardware);
+  }
+  if (CpuRunsFold()) {
+    tiers.emplace_back("vpclmulqdq", crc32c::detail::ExtendFold);
+  }
+  std::vector<std::byte> data(9000 + 13);
+  Rng rng(31);
+  for (std::byte& b : data) b = static_cast<std::byte>(rng.NextBelow(256));
+  for (const size_t offset : {0, 1, 7, 13}) {
+    for (size_t len = 0; len <= 9000; ++len) {
+      const auto state = static_cast<uint32_t>(rng.NextU64());
+      const std::byte* p = data.data() + offset;
+      const uint32_t expected = crc32c::detail::ExtendTable(state, p, len);
+      for (const auto& [name, kernel] : tiers) {
+        ASSERT_EQ(kernel(state, p, len), expected)
+            << name << " offset " << offset << " length " << len;
+      }
+    }
+  }
+  // The active tier continues a WAL page record (32-byte header + 4 KiB
+  // page) split at every offset.
+  const std::span<const std::byte> record{data.data(), 32 + kDefaultPageSize};
+  const uint32_t whole = crc32c::ChecksumScalar(record);
+  for (size_t split = 0; split <= record.size(); ++split) {
+    ASSERT_EQ(crc32c::Extend(crc32c::Extend(0, record.first(split)),
+                             record.subspan(split)),
+              whole)
+        << split;
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -113,8 +114,8 @@ TEST(LogRecordTest, RejectsEveryCorruptionClass) {
   // Stale-bytes defense: a perfectly valid record read at the wrong offset
   // fails the lsn==offset rule.
   {
-    std::vector<std::byte> shifted(32, std::byte{0});
-    shifted.insert(shifted.end(), stream.begin(), stream.end());
+    std::vector<std::byte> shifted(32 + stream.size(), std::byte{0});
+    std::copy(stream.begin(), stream.end(), shifted.begin() + 32);
     EXPECT_FALSE(ParseRecordAt(shifted, 32).has_value());
   }
   // Truncation (torn tail mid-payload).

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "geom/rect.h"
 #include "rtree/rtree.h"
 #include "sim/churn.h"
+#include "storage/crc32c.h"
 #include "storage/disk_manager.h"
 #include "storage/disk_view.h"
 #include "storage/fault_injection.h"
@@ -441,6 +444,54 @@ svc::BufferServiceConfig WritableConfig(size_t shards, size_t frames) {
   config.total_frames = frames;
   config.policy_spec = "LRU";
   return config;
+}
+
+TEST(DiskManagerTest, ReadsTakeNoLockBesideAnAllocatingWriter) {
+  // One thread allocates and fills pages while the directory grows through
+  // a dozen segments; two others read, without the device mutex, pages
+  // below the count they observe. The newest page may still be in its
+  // Write, so readers stop one short of the count; every older page was
+  // written before the allocation that published the count.
+  DiskManager disk;
+  std::mutex device_mu;
+  constexpr size_t kPages = 3000;
+  const auto fill = [](PageId id, size_t b) {
+    return static_cast<std::byte>((id * 31 + b) & 0xFF);
+  };
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    storage::WritableDiskView view(disk, device_mu);
+    std::vector<std::byte> page(disk.page_size());
+    for (size_t i = 0; i < kPages; ++i) {
+      const PageId id = view.AllocateOrDie();
+      for (size_t b = 0; b < page.size(); ++b) page[b] = fill(id, b);
+      EXPECT_TRUE(view.Write(id, page).ok()) << id;
+    }
+    done.store(true);
+  });
+  const auto reader = [&](uint64_t seed, size_t* checked) {
+    storage::WritableDiskView view(disk, device_mu);
+    std::vector<std::byte> out(disk.page_size());
+    Rng rng(seed);
+    while (!done.load() || *checked < 500) {
+      const size_t count = view.page_count();
+      if (count < 2) continue;
+      const auto id = static_cast<PageId>(rng.NextBelow(count - 1));
+      ASSERT_TRUE(view.Read(id, out).ok());
+      ASSERT_EQ(storage::crc32c::Checksum(out), *view.PageChecksum(id)) << id;
+      ASSERT_EQ(out[id % out.size()], fill(id, id % out.size())) << id;
+      ++*checked;
+    }
+  };
+  size_t checked[2] = {0, 0};
+  std::thread first(reader, 1, &checked[0]);
+  std::thread second(reader, 2, &checked[1]);
+  writer.join();
+  first.join();
+  second.join();
+  EXPECT_EQ(disk.page_count(), kPages);
+  EXPECT_GE(checked[0], 500u);
+  EXPECT_GE(checked[1], 500u);
 }
 
 TEST(WritableServiceTest, NewAllocatesAcrossShardsAndCommitIsOneGroup) {
