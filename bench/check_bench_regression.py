@@ -56,6 +56,13 @@ Modes:
       whole demonstrably injected write faults (a soak that injected
       nothing proves nothing).
 
+  evictions BENCH_concurrent.json
+      Reads the bench:"concurrent_service" rows and fails unless at least
+      one row's metrics block has buffer.evictions > 0. A smoke run whose
+      buffer holds the whole database never chooses a victim, so it proves
+      nothing about the eviction path (at SDB_SCALE=0.1 the 2,064-frame
+      floor holds all 336 pages and every cell evicts 0).
+
   metrics-schema BENCH_sweep.json
       Groups the rows that carry a metrics block by (bench, policy) and
       fails when two rows of one group export different metric-name sets:
@@ -444,6 +451,26 @@ def check_metrics_schema(args):
     return 1 if failures else 0
 
 
+def check_evictions(args):
+    rows = [r for r in read_rows(args.file)
+            if r.get("bench") == "concurrent_service"
+            and r.get("metrics") is not None]
+    if not rows:
+        print(f"{args.file}: no concurrent_service row with a metrics block",
+              file=sys.stderr)
+        return 2
+    evicting = [r for r in rows
+                if r["metrics"].get("buffer.evictions", 0) > 0]
+    if not evicting:
+        print(f"FAIL none of {len(rows)} concurrent_service rows evicted a "
+              f"frame: the buffer holds the whole database", file=sys.stderr)
+        return 1
+    most = max(r["metrics"]["buffer.evictions"] for r in evicting)
+    print(f"ok   {len(evicting)} of {len(rows)} concurrent_service rows "
+          f"evicted (at most {most} frames)")
+    return 0
+
+
 def check_wal(args):
     def commit_rows(path):
         rows = {}
@@ -664,6 +691,10 @@ def main():
                         help="guard the write-fault chaos-soak rows")
     wf.add_argument("file")
 
+    ev = sub.add_parser("evictions",
+                        help="demand that a concurrent_service row evicts")
+    ev.add_argument("file")
+
     schema = sub.add_parser("metrics-schema",
                             help="demand one metric-name set per "
                                  "bench and policy")
@@ -694,6 +725,8 @@ def main():
         sys.exit(check_writeback(args))
     if args.mode == "writefault":
         sys.exit(check_writefault(args))
+    if args.mode == "evictions":
+        sys.exit(check_evictions(args))
     if args.mode == "metrics-schema":
         sys.exit(check_metrics_schema(args))
     sys.exit(check_compare(args))

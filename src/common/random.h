@@ -68,10 +68,6 @@ class Rng {
     return s - 6.0;
   }
 
-  /// Derives an independent child generator; useful for giving each
-  /// generated entity its own stream.
-  Rng Fork() { return Rng(NextU64() ^ 0xd1b54a32d192ed03ULL); }
-
  private:
   uint64_t state_;
 };

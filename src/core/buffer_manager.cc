@@ -74,23 +74,12 @@ void PageHandle::Release() {
   }
 }
 
-FrameId PageHandle::Detach() {
-  SDB_CHECK(valid());
-  const FrameId frame = frame_;
-  manager_ = nullptr;
-  frame_ = kInvalidFrameId;
-  page_id_ = storage::kInvalidPageId;
-  return frame;
-}
-
 BufferManager::BufferManager(storage::PageDevice* disk, size_t frames,
                              std::unique_ptr<ReplacementPolicy> policy,
-                             obs::Collector* collector,
-                             ResilienceOptions resilience)
+                             obs::Collector* collector)
     : disk_(disk),
       policy_(std::move(policy)),
       page_size_(disk->page_size()),
-      resilience_(resilience),
       page_table_(frames) {
   SDB_CHECK(disk_ != nullptr);
   SDB_CHECK(policy_ != nullptr);
@@ -223,7 +212,7 @@ std::span<const std::byte> BufferManager::Peek(storage::PageId page) const {
 }
 
 void BufferManager::FlushAll() {
-  if (wal_ != nullptr && dirty_count() > 0) {
+  if (wal_ != nullptr && dirty_frames_ > 0) {
     const Status committed = Commit();
     if (!committed.ok()) {
       // A log that cannot commit (sticky WAL error, full log device) means
@@ -298,7 +287,7 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
     for (const FrameId f : skipped) policy_->SetEvictable(f, true);
     skipped.clear();
   };
-  bool prefer_clean = writeback_.enabled && !PastHighWatermark();
+  bool prefer_clean = writeback_ && !PastHighWatermark();
   size_t pinned_rounds = 0;
   for (;;) {
     const std::optional<FrameId> victim = policy_->ChooseVictim(ctx, incoming);
@@ -354,7 +343,7 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
     }
     const bool was_dirty = frame.dirty;
     if (frame.dirty) {
-      if (writeback_.enabled) {
+      if (writeback_) {
         // The flusher should have cleaned this frame before eviction
         // reached it — a synchronous foreground write is the fallback the
         // watermark bench gates on.
@@ -396,7 +385,7 @@ Status BufferManager::ReadPageWithRecovery(FrameId f, storage::PageId page) {
   Status status = disk_->Read(page, {FrameData(f), page_size_});
   uint32_t failures = 0;
   while (true) {
-    if (status.ok() && resilience_.verify_checksums) {
+    if (status.ok()) {
       if (const std::optional<uint32_t> expected = disk_->PageChecksum(page)) {
         const uint32_t actual =
             storage::crc32c::Checksum({FrameData(f), page_size_});
@@ -430,7 +419,7 @@ Status BufferManager::ReadPageWithRecovery(FrameId f, storage::PageId page) {
       event.b = static_cast<uint64_t>(status.code());
       obs_->events().Push(event);
     }
-    if (!status.retryable() || failures >= resilience_.max_read_retries) {
+    if (!status.retryable() || failures >= kMaxReadRetries) {
       ++stats_.io_permanent_failures;
       bad_pages_.emplace(page, status.code());
       QuarantineFrame(f, page);
@@ -501,49 +490,21 @@ void BufferManager::ExportMetrics(obs::MetricsRegistry* registry) const {
   registry->GetCounter("buffer.header_decodes")->Add(header_decodes_);
 }
 
-UnpinStatus BufferManager::Unpin(FrameId f, bool dirty) {
-  if (latch_ == nullptr) return UnpinLocked(f, dirty);
-  std::lock_guard<std::mutex> lock(*latch_);
-  if (!concurrent_ || f >= frames_.size()) return UnpinLocked(f, dirty);
-  // Latch-free pins and releases keep moving the stripes' counters; the
-  // frame's version lock holds new pins off while the live count is read.
-  sync_[f].Lock();
-  const UnpinStatus status = UnpinLocked(f, dirty);
-  sync_[f].Unlock();
-  return status;
-}
-
-UnpinStatus BufferManager::UnpinLocked(FrameId f, bool dirty) {
-  if (f >= frames_.size()) return UnpinStatus::kUnknownFrame;
-  if (frames_[f].quarantined) return UnpinStatus::kQuarantined;
-  if (frames_[f].page == storage::kInvalidPageId) {
-    return UnpinStatus::kUnknownFrame;
-  }
-  if (PinCount(f) == 0) return UnpinStatus::kNotPinned;
-  if (dirty) {
-    NoteDirtyLocked(f);
-    InvalidateMeta(f);
-  }
-  if (DropPin(f)) {
-    policy_->SetEvictable(f, true);
-  }
-  return UnpinStatus::kOk;
-}
-
 void BufferManager::ReleasePin(FrameId f) {
-  if (!concurrent_) {
-    const UnpinStatus status = Unpin(f, /*dirty=*/false);
-    SDB_CHECK_MSG(status == UnpinStatus::kOk,
-                  "handle released a frame it no longer pins");
+  if (concurrent_) {
+    // Latch-free release: the handle owns a pin by construction, so the
+    // decrement cannot fail, and the policy hears nothing (it sees every
+    // resident frame as evictable). Released on another thread than the
+    // fetch, the pin leaves this stripe's counter one below zero, which the
+    // wrapping sum in LivePins absorbs. The release order publishes the
+    // holder's reads of the frame to the evictor that sees the count drop.
+    OwnStripe().Pins(f).fetch_sub(1, std::memory_order_release);
     return;
   }
-  // Latch-free release: the handle owns a pin by construction, so the
-  // decrement cannot fail, and the policy hears nothing (it sees every
-  // resident frame as evictable). Released on another thread than the
-  // fetch, the pin leaves this stripe's counter one below zero, which the
-  // wrapping sum in LivePins absorbs. The release order publishes the
-  // holder's reads of the frame to the evictor that sees the count drop.
-  OwnStripe().Pins(f).fetch_sub(1, std::memory_order_release);
+  std::unique_lock<std::mutex> lock;
+  if (latch_ != nullptr) lock = std::unique_lock<std::mutex>(*latch_);
+  SDB_DCHECK(frames_[f].pin_count > 0);
+  if (--frames_[f].pin_count == 0) policy_->SetEvictable(f, true);
 }
 
 void BufferManager::MarkFrameDirty(FrameId f) {
@@ -600,7 +561,7 @@ Status BufferManager::WriteBackLocked(FrameId f, const AccessContext& ctx,
   Status written = disk_->Write(frame.page, {FrameData(f), page_size_});
   uint32_t failures = 0;
   while (!written.ok() && written.retryable() &&
-         failures < resilience_.max_write_retries) {
+         failures < kMaxWriteRetries) {
     ++failures;
     ++stats_.io_write_retries;
     written = disk_->Write(frame.page, {FrameData(f), page_size_});
@@ -672,14 +633,6 @@ EvictStatus BufferManager::Evict(storage::PageId page) {
   return EvictStatus::kOk;
 }
 
-size_t BufferManager::dirty_count() const {
-  size_t dirty = 0;
-  for (const Frame& frame : frames_) {
-    if (frame.page != storage::kInvalidPageId && frame.dirty) ++dirty;
-  }
-  return dirty;
-}
-
 void BufferManager::CollectDirtyPages(std::vector<wal::PageImageRef>* images,
                                       std::vector<FrameId>* frames) {
   for (FrameId f = 0; f < frames_.size(); ++f) {
@@ -711,63 +664,53 @@ void BufferManager::AttachWal(wal::WalManager* wal) {
   wal_ = wal;
 }
 
-void BufferManager::ConfigureBackgroundWriteback(
-    const WritebackOptions& options) {
-  SDB_CHECK_MSG(
-      !options.enabled || options.low_watermark <= kHighWatermark,
-      "low watermark must not exceed the high watermark");
-  SDB_CHECK_MSG(!options.enabled || !concurrent_, kReadOnlyShard);
-  writeback_ = options;
+void BufferManager::EnableBackgroundWriteback(double low_watermark) {
+  SDB_CHECK_MSG(low_watermark <= kHighWatermark,
+                "low watermark must not exceed the high watermark");
+  SDB_CHECK_MSG(!concurrent_, kReadOnlyShard);
+  writeback_ = true;
+  low_watermark_ = low_watermark;
 }
 
-size_t BufferManager::HarvestFlushCandidates(size_t max,
-                                             std::vector<DirtyCandidate>* out) {
-  const size_t before = out->size();
+StatusOr<size_t> BufferManager::FlushOldestDirty(size_t max_pages,
+                                                 const AccessContext& ctx) {
+  const size_t usable = frames_.size() - quarantined_count_;
+  if (!writeback_ || usable == 0 ||
+      static_cast<double>(dirty_frames_) / static_cast<double>(usable) <=
+          low_watermark_) {
+    return size_t{0};
+  }
+  // Only logged frames qualify: their current bytes already sit in a
+  // durable committed image, so writing them never forces a steal commit
+  // (the flusher's steal-avoidance invariant) and never blocks on the log.
+  std::vector<FrameId> picked;
   for (FrameId f = 0; f < frames_.size(); ++f) {
     const Frame& frame = frames_[f];
-    // Only wal_logged frames qualify: their current bytes already sit in a
-    // durable committed image, so flushing them never forces a steal commit
-    // (the flusher's steal-avoidance invariant) and never blocks on the log.
-    if (frame.page == storage::kInvalidPageId || !frame.dirty ||
-        frame.quarantined || !frame.wal_logged || frame.pin_count != 0) {
-      continue;
+    if (frame.page != storage::kInvalidPageId && frame.dirty &&
+        !frame.quarantined && frame.wal_logged && frame.pin_count == 0) {
+      picked.push_back(f);
     }
-    out->push_back(
-        DirtyCandidate{f, frame.page, frame.rec_lsn, frame.page_lsn});
   }
-  // Oldest rec_lsn first (ties by page id): the longest-dirty pages reach
-  // the device first.
-  std::sort(out->begin() + before, out->end(),
-            [](const DirtyCandidate& a, const DirtyCandidate& b) {
-              return a.rec_lsn != b.rec_lsn ? a.rec_lsn < b.rec_lsn
-                                            : a.page < b.page;
-            });
-  if (out->size() - before > max) out->resize(before + max);
-  return out->size() - before;
-}
-
-StatusOr<size_t> BufferManager::FlushFrames(
-    std::span<const DirtyCandidate> candidates, const AccessContext& ctx) {
-  // Device writes go out in ascending page-id order so adjacent dirty pages
-  // coalesce into sequential device writes (write clustering) regardless of
-  // the rec_lsn order the harvest selected them in.
-  std::vector<DirtyCandidate> ordered(candidates.begin(), candidates.end());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const DirtyCandidate& a, const DirtyCandidate& b) {
-              return a.page < b.page;
-            });
+  // The longest-dirty pages reach the device first: keep the `max_pages`
+  // oldest by rec_lsn, ties by page id (a total order over resident frames).
+  if (picked.size() > max_pages) {
+    std::nth_element(picked.begin(), picked.begin() + max_pages, picked.end(),
+                     [this](FrameId a, FrameId b) {
+                       return std::pair(frames_[a].rec_lsn, frames_[a].page) <
+                              std::pair(frames_[b].rec_lsn, frames_[b].page);
+                     });
+    picked.resize(max_pages);
+  }
+  // Device writes go out in ascending page-id order, so adjacent dirty pages
+  // coalesce into sequential device writes (write clustering). The loop
+  // pins, dirties and evicts no other picked frame, and the caller's latch
+  // keeps clients off, so each is still logged, unpinned and dirty when its
+  // turn comes.
+  std::sort(picked.begin(), picked.end(), [this](FrameId a, FrameId b) {
+    return frames_[a].page < frames_[b].page;
+  });
   size_t flushed = 0;
-  for (const DirtyCandidate& candidate : ordered) {
-    const FrameId f = candidate.frame;
-    Frame& frame = frames_[f];
-    // Re-validate: the frame may have been evicted, re-pinned, or re-dirtied
-    // past its logged image (wal_logged cleared) since the harvest. Skipping
-    // is always safe — the page stays dirty and a later round, a commit, or
-    // the eviction fallback picks it up.
-    if (frame.page != candidate.page || !frame.dirty || !frame.wal_logged ||
-        frame.quarantined || frame.pin_count != 0) {
-      continue;
-    }
+  for (const FrameId f : picked) {
     bool device_write_failed = false;
     const Status written = WriteBackLocked(f, ctx, &device_write_failed);
     if (!written.ok() && device_write_failed) {
@@ -776,9 +719,9 @@ StatusOr<size_t> BufferManager::FlushFrames(
       // transient one that keeps exhausting whole retry rounds — escalates
       // to write-quarantine, otherwise the coordinator's next round (after
       // its backoff) retries the same frame.
+      Frame& frame = frames_[f];
       ++frame.write_failures;
-      if (!written.retryable() ||
-          frame.write_failures > resilience_.max_write_retries) {
+      if (!written.retryable() || frame.write_failures > kMaxWriteRetries) {
         QuarantineWriteFailure(f);
         continue;  // the page is absorbed, keep flushing the rest
       }
@@ -793,7 +736,7 @@ void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
   SDB_CHECK_MSG(!concurrent_, "EnableConcurrency is one-shot");
   SDB_CHECK_MSG(page_table_.size() == 0 && stats_.requests == 0,
                 "enable concurrency before traffic");
-  SDB_CHECK_MSG(wal_ == nullptr && !writeback_.enabled, kReadOnlyShard);
+  SDB_CHECK_MSG(wal_ == nullptr && !writeback_, kReadOnlyShard);
   sync_ = std::make_unique<FrameSync[]>(frames_.size());
   const size_t stripes =
       std::bit_ceil(std::max(1u, std::thread::hardware_concurrency()));

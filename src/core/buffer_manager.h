@@ -53,11 +53,6 @@ class PageHandle {
   /// Unpins early (idempotent).
   void Release();
 
-  /// Invalidates the handle WITHOUT unpinning: the caller takes over the
-  /// pin and must release it with an explicit BufferManager::Unpin on the
-  /// returned frame. For code that manages pin lifetimes manually.
-  FrameId Detach();
-
  private:
   friend class BufferManager;
   PageHandle(BufferManager* manager, FrameId frame, storage::PageId page)
@@ -113,16 +108,6 @@ inline constexpr obs::StatsCounter<BufferStats> kBufferStatsCounters[] = {
     {"io.write_quarantined", &BufferStats::io_write_quarantined},
 };
 
-/// Outcome of an explicit BufferManager::Unpin call. Handle-driven unpins
-/// always succeed (the handle owns a pin by construction); manual callers
-/// get an explicit error instead of an assertion failure.
-enum class UnpinStatus : uint8_t {
-  kOk,
-  kUnknownFrame,  ///< frame index out of range, or no page resident in it
-  kNotPinned,     ///< the frame's pin count is already zero
-  kQuarantined,   ///< the frame was quarantined after a terminal read failure
-};
-
 /// Outcome of an explicit BufferManager::Evict call. Typed refusals instead
 /// of assertions: eviction of a pinned or quarantined frame is an ordinary
 /// condition for a caller managing residency explicitly (checkpointers,
@@ -135,26 +120,6 @@ enum class EvictStatus : uint8_t {
   kWriteBackFailed,  ///< the dirty write-back (or its WAL flush) failed
 };
 
-/// Fault-handling knobs of one BufferManager. The defaults keep the fault
-/// machinery semantically invisible over a healthy device: verification only
-/// runs when the device maintains checksums, and retries only trigger on
-/// failed reads. Retries follow at once: a simulated device fails
-/// deterministically, not because of load.
-struct ResilienceOptions {
-  /// Verify the CRC-32C of every page read against the device sidecar
-  /// (skipped when the device reports no checksum). Detects torn reads and
-  /// bit flips before corrupt bytes reach query execution.
-  bool verify_checksums = true;
-  /// Failed-read retries beyond the first attempt (so a fetch performs at
-  /// most 1 + max_read_retries device reads).
-  uint32_t max_read_retries = 3;
-  /// Failed write-back retries beyond the first attempt, applied only to
-  /// retryable device errors. Doubles as the escalation threshold of the
-  /// background flusher: a frame whose write-back rounds keep failing past
-  /// this count is write-quarantined instead of re-harvested forever.
-  uint32_t max_write_retries = 3;
-};
-
 /// Concurrency knobs of one BufferManager (EnableConcurrency). Off by
 /// default: single-threaded users never pay for any of it.
 struct ConcurrentOptions {
@@ -162,32 +127,6 @@ struct ConcurrentOptions {
   /// stripes (each stripe rounded up to a power of two). A full stripe falls
   /// back to the exclusive path, so this bounds deferral.
   size_t event_ring_capacity = 1024;
-};
-
-/// Background write-back knobs (ConfigureBackgroundWriteback). Disabled by
-/// default: eviction then writes dirty victims back synchronously inside
-/// the pin path, the pre-flusher behaviour.
-struct WritebackOptions {
-  /// When on, eviction prefers clean victims while the dirty ratio is at or
-  /// below the buffer's high watermark (half the usable frames), leaving
-  /// dirty pages to the background flusher; a synchronous foreground
-  /// write-back only happens past the high watermark or when no clean
-  /// victim exists within 8 skips, counted in
-  /// BufferStats::sync_writeback_fallbacks.
-  bool enabled = false;
-  /// Dirty ratio (dirty frames / usable frames) at or below which the
-  /// flusher leaves the pool alone — a small dirty set is free write
-  /// combining for re-dirtied pages.
-  double low_watermark = 0.10;
-};
-
-/// One dirty frame selected by HarvestFlushCandidates for background
-/// write-back.
-struct DirtyCandidate {
-  FrameId frame = kInvalidFrameId;
-  storage::PageId page = storage::kInvalidPageId;
-  uint64_t rec_lsn = 0;   ///< 1-based recovery LSN at harvest time
-  uint64_t page_lsn = 0;  ///< durable-image LSN the write-ahead rule needs
 };
 
 /// Source of pinned pages — the interface query execution (the R-tree)
@@ -243,6 +182,17 @@ class PageSource {
 /// costs exactly one disk read (plus a write-back if the victim is dirty).
 class BufferManager : public FrameMetaSource, public PageSource {
  public:
+  /// Failed-read retries beyond the first attempt: a fetch performs at most
+  /// 1 + kMaxReadRetries device reads. Retries follow at once: a simulated
+  /// device fails deterministically, not because of load. Every read is
+  /// verified against the device's CRC-32C sidecar where it keeps one.
+  static constexpr uint32_t kMaxReadRetries = 3;
+  /// Failed write-back retries beyond the first attempt, for retryable
+  /// device errors only. Doubles as the background flusher's escalation
+  /// threshold: a frame whose write-back rounds keep failing past this count
+  /// is write-quarantined instead of retried forever.
+  static constexpr uint32_t kMaxWriteRetries = 3;
+
   /// `frames` is the buffer capacity in pages. The policy is bound to this
   /// buffer and must not be shared. `collector` (optional) receives metrics
   /// and events from this buffer and its policy; it must outlive the buffer
@@ -250,8 +200,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// ASB's configuration record) are captured.
   BufferManager(storage::PageDevice* disk, size_t frames,
                 std::unique_ptr<ReplacementPolicy> policy,
-                obs::Collector* collector = nullptr,
-                ResilienceOptions resilience = {});
+                obs::Collector* collector = nullptr);
   ~BufferManager();
 
   BufferManager(const BufferManager&) = delete;
@@ -259,10 +208,9 @@ class BufferManager : public FrameMetaSource, public PageSource {
 
   /// Returns a pinned handle on the page, reading it from disk on a miss.
   /// Transient read failures and checksum mismatches are retried up to
-  /// ResilienceOptions::max_read_retries times; a terminal failure
-  /// quarantines the staging frame, remembers the page
-  /// as bad (subsequent fetches fail fast without touching the device) and
-  /// returns the error.
+  /// kMaxReadRetries times; a terminal failure quarantines the staging
+  /// frame, remembers the page as bad (subsequent fetches fail fast without
+  /// touching the device) and returns the error.
   StatusOr<PageHandle> Fetch(storage::PageId page,
                              const AccessContext& ctx) override;
 
@@ -290,16 +238,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// the disk copy), or an empty span if the page is not resident. Does not
   /// count as an access and must not be used by query execution.
   std::span<const std::byte> Peek(storage::PageId page) const override;
-
-  /// Releases one pin on `frame`, marking the page dirty first if `dirty`.
-  /// Returns an explicit error — instead of asserting — when the frame is
-  /// out of range / holds no page (kUnknownFrame) or is not pinned
-  /// (kNotPinned); the buffer state is untouched in both error cases.
-  /// Acquires the external latch (see set_latch) when one is attached, so
-  /// handle releases are safe without the caller holding the shard latch;
-  /// in concurrent mode it also takes the frame's version lock to read the
-  /// live pin count.
-  UnpinStatus Unpin(FrameId frame, bool dirty);
 
   /// Attaches the latch that guards this buffer inside a sharded service
   /// (nullptr detaches). When set, the PageHandle release/MarkDirty paths
@@ -385,36 +323,35 @@ class BufferManager : public FrameMetaSource, public PageSource {
   EvictStatus Evict(storage::PageId page);
 
   /// Dirty-frame census: resident frames whose bytes differ from the data
-  /// device.
-  size_t dirty_count() const;
+  /// device. O(1), maintained on every clean<->dirty edge.
+  size_t dirty_count() const { return dirty_frames_; }
 
-  /// Switches watermark-driven background write-back on or off. Changes
-  /// only eviction's victim preference and unlocks the harvest API below —
-  /// the flusher threads themselves belong to the owning service.
-  void ConfigureBackgroundWriteback(const WritebackOptions& options);
-  const WritebackOptions& writeback_options() const { return writeback_; }
+  /// Turns watermark-driven background write-back on for good (one-shot).
+  /// Eviction then prefers clean victims while the dirty ratio (dirty /
+  /// usable frames) is at or below the high watermark (half the usable
+  /// frames), leaving dirty pages to FlushOldestDirty; it writes back
+  /// synchronously only past the high watermark or when no clean victim
+  /// turns up within 8 skips, counted in
+  /// BufferStats::sync_writeback_fallbacks. `low_watermark` is the dirty
+  /// ratio at or below which FlushOldestDirty leaves the pool alone — a
+  /// small dirty set is free write combining for re-dirtied pages. The
+  /// flusher threads themselves belong to the owning service.
+  void EnableBackgroundWriteback(double low_watermark);
 
-  /// O(1) dirty census for watermark math, maintained on every
-  /// clean<->dirty edge (dirty_count() scans and is for reporting).
-  size_t dirty_frame_count() const { return dirty_frames_; }
-
-  /// Selects up to `max` background-flush candidates: dirty, unpinned,
-  /// non-quarantined frames whose current bytes are already logged
-  /// (wal_logged) — flushing only those never needs a steal commit, the
-  /// flusher's steal-avoidance invariant. Ordered oldest rec_lsn first
-  /// (ties by page id), so the longest-dirty pages reach the device first.
-  /// Caller holds the external latch. Appends to `out`, returns the count
-  /// added.
-  size_t HarvestFlushCandidates(size_t max, std::vector<DirtyCandidate>* out);
-
-  /// Writes harvested candidates to the data device in ascending page-id
-  /// order (write clustering), honoring the write-ahead rule, skipping —
-  /// without error — any candidate that was evicted, re-pinned or
-  /// re-dirtied past its logged image since the harvest (the page stays
-  /// dirty; a later round picks it up). Caller holds the external latch.
-  /// Returns the number written back.
-  StatusOr<size_t> FlushFrames(std::span<const DirtyCandidate> candidates,
-                               const AccessContext& ctx);
+  /// One background write-back round; the caller holds the external latch.
+  /// Returns 0 unless background write-back is on and the dirty ratio is
+  /// above the low watermark. Otherwise takes up to `max_pages` dirty
+  /// frames that are logged (their current bytes already sit in a durable
+  /// committed image, so writing them never forces a steal commit or waits
+  /// on the log), unpinned and not quarantined, oldest rec_lsn first (ties
+  /// by page id), and writes them in ascending page-id order (write
+  /// clustering). A frame whose device write fails permanently, or keeps
+  /// exhausting whole retry rounds past kMaxWriteRetries, is
+  /// write-quarantined and the round goes on; any other failure ends the
+  /// round with its status, leaving the rest dirty. Returns the number of
+  /// pages written back.
+  StatusOr<size_t> FlushOldestDirty(size_t max_pages,
+                                    const AccessContext& ctx);
 
   /// The two halves of Commit, exposed so a sharded service can gather
   /// images from every shard (all latches held) into ONE atomic commit
@@ -425,10 +362,12 @@ class BufferManager : public FrameMetaSource, public PageSource {
                          std::vector<FrameId>* frames);
   void MarkFramesCommitted(std::span<const FrameId> frames, uint64_t end_lsn);
 
-  /// Writes back all dirty resident pages (without evicting them). With a
-  /// WAL attached this commits first (write-ahead rule), so it degrades to
-  /// a checkpoint without the checkpoint record; failures abort — callers
-  /// needing a status use Commit/Checkpoint/Evict.
+  /// Writes back all dirty resident pages (without evicting them),
+  /// best-effort. With a WAL attached this commits first (write-ahead rule),
+  /// so it degrades to a checkpoint without the checkpoint record. Nothing
+  /// aborts: a failed commit returns at once, leaving every frame dirty, and
+  /// a frame whose write-back is refused stays dirty while the rest are
+  /// written. Callers needing a status use Commit/Checkpoint/Evict.
   void FlushAll();
 
   size_t frame_count() const { return frames_.size(); }
@@ -460,15 +399,13 @@ class BufferManager : public FrameMetaSource, public PageSource {
   }
   size_t bad_page_count() const { return bad_pages_.size(); }
 
-  const ResilienceOptions& resilience() const { return resilience_; }
-
   /// FrameMetaSource: metadata of the page resident in `frame`, served from
   /// the per-frame cache (decoded once per page load / in-place update
   /// instead of once per victim-scan visit).
   storage::PageMeta GetMeta(FrameId frame) const override;
 
   /// FrameMetaSource: per-frame versions, bumped whenever a frame's cached
-  /// metadata may have changed (page load, MarkDirty, dirty unpin).
+  /// metadata may have changed (page load, MarkDirty).
   const uint64_t* MetaVersionArray() const override {
     return meta_versions_.data();
   }
@@ -503,9 +440,8 @@ class BufferManager : public FrameMetaSource, public PageSource {
     /// became dirty, i.e. where redo for this page would have to start.
     uint64_t rec_lsn = 0;
     /// Consecutive failed write-back rounds (each round is one bounded
-    /// retry loop). Reset on a successful write-back; past
-    /// ResilienceOptions::max_write_retries the flusher escalates to
-    /// write-quarantine.
+    /// retry loop). Reset on a successful write-back; past kMaxWriteRetries
+    /// the flusher escalates to write-quarantine.
     uint32_t write_failures = 0;
   };
 
@@ -546,13 +482,10 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// count (and the buffer, having a WAL, is not concurrent).
   void QuarantineWriteFailure(FrameId frame);
 
-  /// Unpin body, latch already held (or no latch attached).
-  UnpinStatus UnpinLocked(FrameId frame, bool dirty);
-
-  /// Handle-release fast path: in concurrent mode one decrement of the
-  /// calling thread's pin counter and nothing else (the handle owns the pin
-  /// by construction, so no status to report); otherwise the classic
-  /// latched Unpin.
+  /// PageHandle::Release body. The handle owns its pin by construction. In
+  /// concurrent mode one decrement of the calling thread's pin counter and
+  /// nothing else; otherwise drops Frame::pin_count under the external
+  /// latch (when attached) and tells the policy on the 1 -> 0 edge.
   void ReleasePin(FrameId frame);
 
   /// The exclusive paths' pin-count accessors. A plain buffer keeps one
@@ -572,15 +505,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
       return false;
     }
     return frames_[f].pin_count++ == 0;
-  }
-  /// Drops one pin; true on the 1 -> 0 edge (SetEvictable(true)). Never
-  /// true in concurrent mode.
-  bool DropPin(FrameId f) {
-    if (concurrent_) {
-      OwnStripe().Pins(f).fetch_sub(1, std::memory_order_release);
-      return false;
-    }
-    return --frames_[f].pin_count == 0;
   }
   /// A concurrent frame's live pin count: the wrapping sum of every
   /// stripe's counter, one load per stripe. Exact only while no pin can
@@ -608,7 +532,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// Writes one dirty frame back to the data device, honoring the
   /// write-ahead rule when a WAL is attached (EnsureDurable for logged
   /// frames, a forced steal commit for unlogged ones). Retryable device
-  /// failures are retried up to max_write_retries times.
+  /// failures are retried up to kMaxWriteRetries times.
   /// No-op when clean. `device_write_failed`, when given, is set iff the
   /// returned error came from the data-device write (as opposed to the WAL
   /// half) — the distinction the flusher's quarantine escalation needs.
@@ -648,7 +572,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   std::mutex* latch_ = nullptr;
   std::unique_ptr<ReplacementPolicy> policy_;
   size_t page_size_;
-  ResilienceOptions resilience_;
   size_t quarantined_count_ = 0;
   // Pages that failed terminally, with the status code to fail fast with.
   std::unordered_map<storage::PageId, StatusCode> bad_pages_;
@@ -660,9 +583,10 @@ class BufferManager : public FrameMetaSource, public PageSource {
   PageTable page_table_;
   BufferStats stats_;
   uint64_t optimistic_hits_ = 0;  // beside stats_: the drain bumps both
-  // Background write-back state: knobs plus the O(1) dirty census the
-  // watermark checks read on every eviction.
-  WritebackOptions writeback_;
+  // Background write-back state (EnableBackgroundWriteback) plus the O(1)
+  // dirty census the watermark checks read on every eviction and flush.
+  bool writeback_ = false;
+  double low_watermark_ = 0.0;
   size_t dirty_frames_ = 0;
   // The metadata cache proper: entries are re-decoded lazily inside the
   // logically-const GetMeta, hence mutable.

@@ -17,7 +17,7 @@ namespace sdb::core {
 /// shared:
 ///
 ///  - `version`: the frame's optimistic latch. Even = unlocked; bit 0 set =
-///    a writer (eviction, load, quarantine, explicit unpin) holds the
+///    a writer (eviction, load, quarantine) holds the
 ///    frame exclusively. Writers lock with a CAS to version|1 and unlock by
 ///    storing a larger even value, so every exclusive section bumps the
 ///    stamp and any reader whose before/after loads straddle it

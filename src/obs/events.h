@@ -50,7 +50,7 @@ enum class EventKind : uint8_t {
   kDegraded,
   /// The background flusher backed off a persistently failing shard instead
   /// of hot-spinning on it. frame = the shard, a = consecutive failed flush
-  /// rounds, b = harvest rounds the shard will now be skipped for.
+  /// rounds, b = flush rounds the shard will now be skipped for.
   kFlushBackoff,
 };
 

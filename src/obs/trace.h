@@ -29,7 +29,7 @@ enum class SpanKind : int8_t {
   /// Redo recovery pass (payload = replayed pages, flag = torn tail).
   kRecovery = 7,
   /// One background flusher round over a shard (payload = pages flushed,
-  /// flag = harvest hit the per-round batch cap).
+  /// flag = the round wrote a full batch).
   kFlush = 8,
 };
 

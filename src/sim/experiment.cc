@@ -74,8 +74,7 @@ RunResult RunQuerySet(const storage::DiskManager& disk,
     device = fault_device.get();
   }
   core::BufferManager buffer(device, options.buffer_frames,
-                             std::move(policy), options.collector,
-                             options.resilience);
+                             std::move(policy), options.collector);
 
   const rtree::RTree tree = rtree::RTree::Open(&disk, &buffer, tree_meta);
 

@@ -21,13 +21,11 @@ struct RunOptions {
   /// exports RunResult::metrics.
   obs::Collector* collector = nullptr;
   /// When enabled(), the run reads through a FaultInjectingDevice wrapping
-  /// its private view; the buffer retries/recovers per `resilience`. The
-  /// device's clean-read accounting keeps `RunResult::io` (the paper's
+  /// its private view, and the buffer verifies, retries and quarantines.
+  /// The device's clean-read accounting keeps `RunResult::io` (the paper's
   /// metric) bit-identical to a fault-free run whenever every injected
   /// fault is recovered.
   storage::FaultProfile fault_profile;
-  /// Retry/checksum/quarantine knobs of the run's buffer.
-  core::ResilienceOptions resilience;
 };
 
 /// Result of replaying one query set through one buffer configuration.

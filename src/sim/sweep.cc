@@ -82,7 +82,6 @@ SweepResult RunSweep(const Scenario& scenario, const SweepSpec& spec) {
     options.buffer_frames =
         scenario.BufferFrames(spec.fractions[task.fraction]);
     options.fault_profile = spec.fault_profile;
-    options.resilience = spec.resilience;
     // One private collector per replay keeps the runner lock-free; the
     // snapshot travels to this thread inside the task's result slot and the
     // slots are merged in index order after the join.

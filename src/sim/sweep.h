@@ -40,7 +40,6 @@ struct SweepSpec {
   /// gains the fault-accounting fields. Disabled (the default) leaves the
   /// sweep and its JSON byte-identical to a build without the fault layer.
   storage::FaultProfile fault_profile;
-  core::ResilienceOptions resilience;
 };
 
 /// One measured grid cell.

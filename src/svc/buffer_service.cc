@@ -82,7 +82,7 @@ void BufferService::Init(const storage::DiskManager& disk,
     }
     shard->buffer = std::make_unique<core::BufferManager>(
         device, SplitFrames(total_frames_, config.shard_count, s),
-        std::move(policy), shard->collector.get(), config.resilience);
+        std::move(policy), shard->collector.get());
     shard->buffer->set_latch(&shard->latch);
     // Read-only shards go optimistic; writable ones keep the shard mutex.
     if (writable_disk_ == nullptr) {
@@ -92,18 +92,13 @@ void BufferService::Init(const storage::DiskManager& disk,
     }
     if (wal_ != nullptr) shard->buffer->AttachWal(wal_);
     if (writable_disk_ != nullptr && config.flusher_threads > 0) {
-      core::WritebackOptions writeback;
-      writeback.enabled = true;
-      writeback.low_watermark = config.dirty_low_watermark;
-      shard->buffer->ConfigureBackgroundWriteback(writeback);
+      shard->buffer->EnableBackgroundWriteback(config.dirty_low_watermark);
     }
     shards_.push_back(std::move(shard));
   }
   if (writable_disk_ != nullptr && config.flusher_threads > 0) {
-    FlushCoordinatorOptions flusher;
-    flusher.threads = std::min(config.flusher_threads, shards_.size());
-    flusher.batch_pages = config.flusher_batch_pages;
-    flusher_ = std::make_unique<FlushCoordinator>(this, flusher);
+    flusher_ = std::make_unique<FlushCoordinator>(
+        this, std::min(config.flusher_threads, shards_.size()));
   }
 }
 
@@ -262,8 +257,6 @@ core::StatusOr<size_t> BufferService::FlushShardBatch(
   Shard& shard = *shards_[s];
   const std::unique_lock<std::mutex> lock = LockShard(shard);
   core::BufferManager& buffer = *shard.buffer;
-  const core::WritebackOptions& writeback = buffer.writeback_options();
-  if (!writeback.enabled) return size_t{0};
   if (wal_ != nullptr && !wal_->sticky_error().ok()) {
     // The write-ahead rule makes every flush of a logged page wait on WAL
     // durability, which a sticky log can never grant: flushing now would
@@ -272,20 +265,13 @@ core::StatusOr<size_t> BufferService::FlushShardBatch(
     EnterDegraded(DegradedState::kWalError, s, wal_->sticky_error().code());
     return size_t{0};
   }
-  const size_t usable = buffer.frame_count() - buffer.quarantined_count();
-  if (usable == 0) return size_t{0};
-  const double ratio =
-      static_cast<double>(buffer.dirty_frame_count()) / usable;
-  if (ratio <= writeback.low_watermark) return size_t{0};
   obs::ScopedSpan span(ctx.span, obs::SpanKind::kFlush);
-  std::vector<core::DirtyCandidate> candidates;
-  const size_t harvested =
-      buffer.HarvestFlushCandidates(max_pages, &candidates);
-  span.set_flag(harvested == max_pages);
-  if (harvested == 0) return size_t{0};
-  core::StatusOr<size_t> flushed = buffer.FlushFrames(candidates, ctx);
-  if (flushed.ok()) span.set_payload(*flushed);
-  // FlushFrames may have escalated persistent write failures to frame
+  core::StatusOr<size_t> flushed = buffer.FlushOldestDirty(max_pages, ctx);
+  if (flushed.ok()) {
+    span.set_payload(*flushed);
+    span.set_flag(*flushed == max_pages);
+  }
+  // The round may have escalated persistent write failures to frame
   // quarantine; when that exhausts the shard's quarantine budget the write
   // path has lost the race against the device for good.
   if (buffer.quarantine_cap() > 0 &&

@@ -58,9 +58,6 @@ struct BufferServiceConfig {
   /// latch), adding histograms, gauges, policy counters and events to the
   /// metrics views. The counters are exported either way.
   bool collect_metrics = false;
-  /// Per-shard fault handling (retry budget, checksum verification,
-  /// quarantine cap), forwarded to every shard's BufferManager.
-  core::ResilienceOptions resilience;
   /// Deferred events one shard of a read-only service may hold, split over
   /// its thread stripes (core::ConcurrentOptions). Small capacities just
   /// fall back to the latched path more often.
@@ -71,21 +68,18 @@ struct BufferServiceConfig {
   /// remains replayable for a fixed seed.
   storage::FaultProfile fault_profile;
   /// Background write-back (writable service only): flusher threads that
-  /// harvest each shard's dirty frames off the pin path, so eviction finds
-  /// clean victims instead of stalling on device writes. 0 (the default)
-  /// keeps the synchronous-eviction behaviour, bit-for-bit.
+  /// write each shard's oldest logged dirty frames off the pin path, so
+  /// eviction finds clean victims instead of stalling on device writes. 0
+  /// (the default) keeps the synchronous-eviction behaviour, bit-for-bit.
   size_t flusher_threads = 0;
   /// Per-shard dirty ratio (dirty / usable frames) at or below which the
-  /// flusher idles. Above it the flusher drains while eviction skips dirty
-  /// victims, up to the buffer's high watermark (0.50); past that
-  /// eviction stops waiting and writes back synchronously (counted as
-  /// sync_writeback_fallbacks — the bench gate expects zero in steady
-  /// state). Between commit nudges the flusher polls at
-  /// FlushCoordinator's idle cadence.
+  /// flusher idles (core::BufferManager::EnableBackgroundWriteback). Above
+  /// it the flusher drains while eviction skips dirty victims, up to the
+  /// buffer's high watermark (0.50); past that eviction stops waiting and
+  /// writes back synchronously (counted as sync_writeback_fallbacks — the
+  /// bench gate expects zero in steady state). Between commit nudges the
+  /// flusher polls at FlushCoordinator's idle cadence.
   double dirty_low_watermark = 0.10;
-  /// Pages one flusher round harvests from one shard (bounds the latch
-  /// hold; a capped round re-runs immediately).
-  size_t flusher_batch_pages = 16;
 };
 
 /// Counters of one shard (or the shard-summed aggregate).
@@ -203,12 +197,12 @@ class BufferService final : public core::PageSource {
   /// covering the whole service: recovery replays nothing before it.
   core::Status Checkpoint(const core::AccessContext& ctx = {});
 
-  /// One background write-back round over shard `s` (writable service with
-  /// background write-back configured; returns 0 otherwise): when the
-  /// shard's dirty ratio is above the low watermark, harvests up to
-  /// `max_pages` flush candidates (oldest rec_lsn first) and writes them
-  /// out in page-id order under the shard latch. Returns the number of
-  /// pages written back. Called by the FlushCoordinator workers; exposed
+  /// One background write-back round over shard `s`: under the shard latch,
+  /// core::BufferManager::FlushOldestDirty(max_pages) (0 unless the service
+  /// runs a flusher and the shard is above its low watermark). A sticky WAL
+  /// error parks the round and degrades the service; a round that leaves
+  /// the shard's quarantine saturated degrades it too. Returns the number
+  /// of pages written back. Called by the FlushCoordinator workers; exposed
   /// for tests.
   core::StatusOr<size_t> FlushShardBatch(size_t s, size_t max_pages,
                                          const core::AccessContext& ctx = {});
@@ -271,12 +265,6 @@ class BufferService final : public core::PageSource {
   /// use only (no latching).
   const core::BufferManager& shard_buffer(size_t shard) const {
     return *shards_[shard]->buffer;
-  }
-
-  /// The shard's fault-injecting device (nullptr when the service runs
-  /// without a fault profile). Quiescent use only.
-  const storage::FaultInjectingDevice* shard_fault_device(size_t shard) const {
-    return shards_[shard]->fault.get();
   }
 
   /// Injected-fault counters summed over every shard device (all zero

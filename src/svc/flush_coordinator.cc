@@ -11,6 +11,9 @@ namespace sdb::svc {
 
 namespace {
 
+/// Pages one round writes from one shard. Bounds how long a round holds
+/// the shard latch; a full round re-runs without waiting.
+constexpr size_t kBatchPages = 16;
 /// Poll cadence while idle. A Nudge() (after every service commit) wakes
 /// the workers immediately; the timer is the backstop that keeps watermark
 /// pressure bounded between commits.
@@ -25,14 +28,12 @@ constexpr uint64_t kMaxBackoffRounds = 64;
 
 }  // namespace
 
-FlushCoordinator::FlushCoordinator(BufferService* service,
-                                   FlushCoordinatorOptions options)
-    : service_(service), options_(options) {
+FlushCoordinator::FlushCoordinator(BufferService* service, size_t threads)
+    : service_(service), threads_(threads) {
   SDB_CHECK(service_ != nullptr);
-  SDB_CHECK_MSG(options_.threads > 0, "coordinator needs at least one worker");
-  SDB_CHECK_MSG(options_.batch_pages > 0, "flusher batch must hold pages");
-  workers_.reserve(options_.threads);
-  for (size_t w = 0; w < options_.threads; ++w) {
+  SDB_CHECK_MSG(threads_ > 0, "coordinator needs at least one worker");
+  workers_.reserve(threads_);
+  for (size_t w = 0; w < threads_; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
   }
 }
@@ -78,7 +79,6 @@ void FlushCoordinator::WorkerLoop(size_t worker) {
       });
       if (stop_) return;
       seen_nudges = nudges_;
-      ++stats_.wakeups;
     }
     // One pass over this worker's shards; while any shard still yields a
     // full batch, pass again immediately — the dirty set is outrunning the
@@ -86,8 +86,7 @@ void FlushCoordinator::WorkerLoop(size_t worker) {
     bool saturated = true;
     while (saturated) {
       saturated = false;
-      for (size_t s = worker; s < service_->shard_count();
-           s += options_.threads) {
+      for (size_t s = worker; s < service_->shard_count(); s += threads_) {
         if (skip_rounds[s] > 0) {
           --skip_rounds[s];
           std::lock_guard<std::mutex> lock(mu_);
@@ -95,10 +94,10 @@ void FlushCoordinator::WorkerLoop(size_t worker) {
           continue;
         }
         const core::StatusOr<size_t> flushed =
-            service_->FlushShardBatch(s, options_.batch_pages, ctx);
+            service_->FlushShardBatch(s, kBatchPages, ctx);
         if (!flushed.ok()) {
-          // The shard keeps its dirty frames (FlushFrames failed mid-batch
-          // leaves unflushed candidates dirty); eviction's synchronous
+          // The shard keeps its dirty frames (a round that fails mid-batch
+          // leaves the rest of its pages dirty); eviction's synchronous
           // fallback still guards correctness, so record, back off the
           // shard if it keeps failing, and move on.
           ++consecutive_errors[s];
@@ -121,11 +120,8 @@ void FlushCoordinator::WorkerLoop(size_t worker) {
         }
         consecutive_errors[s] = 0;
         std::lock_guard<std::mutex> lock(mu_);
-        if (*flushed > 0) {
-          ++stats_.harvest_rounds;
-          stats_.pages_flushed += *flushed;
-          if (*flushed == options_.batch_pages) saturated = true;
-        }
+        stats_.pages_flushed += *flushed;
+        if (*flushed == kBatchPages) saturated = true;
       }
       {
         std::lock_guard<std::mutex> lock(mu_);

@@ -185,7 +185,7 @@ TEST_P(BufferFaultFuzzTest, RandomOpsUnderTransientFaults) {
             buffer.stats().io_read_retries);
   // Bounded retries: attempts never exceed misses * (1 + retry budget).
   EXPECT_LE(device.reads_attempted(),
-            buffer.stats().misses * (1 + buffer.resilience().max_read_retries));
+            buffer.stats().misses * (1 + BufferManager::kMaxReadRetries));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -231,52 +231,6 @@ TEST_F(BufferManagerTest, MetaCacheRedecodesOnceAfterInvalidation) {
       << "one re-decode, then cached again";
 }
 
-TEST_F(BufferManagerTest, UnpinReportsUnknownFrame) {
-  StagePages(1);
-  auto buffer = MakeLruBuffer(disk_, 2);
-  EXPECT_EQ(buffer->Unpin(17, /*dirty=*/false), UnpinStatus::kUnknownFrame)
-      << "frame index out of range";
-  EXPECT_EQ(buffer->Unpin(1, /*dirty=*/false), UnpinStatus::kUnknownFrame)
-      << "frame exists but holds no page";
-}
-
-TEST_F(BufferManagerTest, UnpinReportsNotPinnedAndLeavesStateUntouched) {
-  StagePages(1);
-  auto buffer = MakeLruBuffer(disk_, 2);
-  const AccessContext ctx{1};
-  const FrameId frame = buffer->FetchOrDie(pages_[0], ctx).Detach();
-  ASSERT_EQ(buffer->Unpin(frame, /*dirty=*/false), UnpinStatus::kOk);
-  // The pin is gone; further manual unpins are an explicit error, and the
-  // error path must not set the dirty bit (no write-back on eviction).
-  EXPECT_EQ(buffer->Unpin(frame, /*dirty=*/true), UnpinStatus::kNotPinned);
-  Touch(*buffer, pages_[0], 2);
-  EXPECT_EQ(disk_.stats().writes, 0u);
-}
-
-TEST_F(BufferManagerTest, UnpinReportsQuarantinedFrame) {
-  StagePages(2);
-  storage::FaultProfile profile;
-  profile.bad_begin = pages_[0];
-  profile.bad_end = pages_[0] + 1;
-  storage::FaultInjectingDevice device(disk_, profile);
-  BufferManager buffer(&device, 4, std::make_unique<LruPolicy>());
-  const AccessContext ctx{1};
-  core::StatusOr<PageHandle> fetched = buffer.Fetch(pages_[0], ctx);
-  ASSERT_FALSE(fetched.ok());
-  ASSERT_EQ(buffer.quarantined_count(), 1u);
-  // The failed fetch staged its read into the first free frame (0) before
-  // the terminal error quarantined it. Manual unpins of that frame are an
-  // explicit error distinct from "unknown" — the frame exists but is out of
-  // service — and they must not resurrect it.
-  EXPECT_EQ(buffer.Unpin(0, /*dirty=*/false), UnpinStatus::kQuarantined);
-  EXPECT_EQ(buffer.Unpin(0, /*dirty=*/true), UnpinStatus::kQuarantined)
-      << "double-unpin after a failed fetch stays an error";
-  EXPECT_EQ(buffer.quarantined_count(), 1u);
-  // A healthy page is unaffected and lands in a different frame.
-  PageHandle ok = buffer.FetchOrDie(pages_[1], AccessContext{2});
-  EXPECT_TRUE(ok.valid());
-}
-
 TEST_F(BufferManagerTest, FailedFetchLeavesNoPinBehind) {
   StagePages(3);
   storage::FaultProfile profile;
@@ -298,23 +252,6 @@ TEST_F(BufferManagerTest, FailedFetchLeavesNoPinBehind) {
 
 using BufferManagerDeathTest = BufferManagerTest;
 
-TEST_F(BufferManagerDeathTest, DetachTransfersThePin) {
-  StagePages(2);
-  auto buffer = MakeLruBuffer(disk_, 1);
-  const AccessContext ctx{1};
-  FrameId frame;
-  {
-    PageHandle handle = buffer->FetchOrDie(pages_[0], ctx);
-    frame = handle.Detach();
-    EXPECT_FALSE(handle.valid());
-  }  // handle destruction must NOT release the detached pin
-  EXPECT_DEATH(Touch(*buffer, pages_[1], 2), "no evictable frame")
-      << "the page is still pinned after the handle died";
-  EXPECT_EQ(buffer->Unpin(frame, /*dirty=*/false), UnpinStatus::kOk);
-  Touch(*buffer, pages_[1], 3);  // now evictable
-  EXPECT_TRUE(buffer->Contains(pages_[1]));
-}
-
 TEST_F(BufferManagerDeathTest, AllPinnedAborts) {
   StagePages(2);
   auto buffer = MakeLruBuffer(disk_, 1);
@@ -335,9 +272,7 @@ TEST_F(BufferManagerDeathTest, ConcurrentBufferRefusesTheWritePath) {
   auto concurrent = MakeLruBuffer(disk_, 4);
   concurrent->EnableConcurrency({});
   EXPECT_DEATH(concurrent->AttachWal(&wal), "read-only shard");
-  WritebackOptions writeback;
-  writeback.enabled = true;
-  EXPECT_DEATH(concurrent->ConfigureBackgroundWriteback(writeback),
+  EXPECT_DEATH(concurrent->EnableBackgroundWriteback(0.10),
                "read-only shard");
 }
 

@@ -553,30 +553,11 @@ TEST_F(BufferServiceTest, WindowQueriesThroughServiceMatchPlainBuffers) {
   expect_plain_traversal(sharded, disk(), "4-shard LRU, read-only");
 }
 
-TEST_F(BufferServiceTest, DetachTransfersPinAndManualUnpinReportsErrors) {
+TEST_F(BufferServiceTest, MovedHandleTransfersItsPin) {
   BufferServiceConfig config;
   config.total_frames = 16;
   config.shard_count = 1;
   BufferService service(disk(), config);
-  // Detach: the handle dies without releasing; the pin must survive and be
-  // releasable through an explicit Unpin on the shard's buffer.
-  auto& buffer = const_cast<core::BufferManager&>(service.shard_buffer(0));
-  core::FrameId detached = core::kInvalidFrameId;
-  {
-    core::PageHandle handle = service.FetchOrDie(3, core::AccessContext{1});
-    detached = handle.Detach();
-    EXPECT_FALSE(handle.valid()) << "Detach invalidates the handle";
-  }
-  // Frame still pinned: a second fetch of the same page and its release
-  // must not drop the detached pin.
-  service.FetchOrDie(3, core::AccessContext{2}).Release();
-  EXPECT_EQ(buffer.Unpin(detached, /*dirty=*/false), core::UnpinStatus::kOk);
-  EXPECT_EQ(buffer.Unpin(detached, /*dirty=*/false),
-            core::UnpinStatus::kNotPinned)
-      << "second manual unpin of the same pin";
-  EXPECT_EQ(buffer.Unpin(core::FrameId{9999}, /*dirty=*/false),
-            core::UnpinStatus::kUnknownFrame);
-
   // Move semantics: assignment releases the destination's old pin, the
   // source becomes invalid, self-sufficient double-Release is a no-op.
   core::PageHandle a = service.FetchOrDie(4, core::AccessContext{3});
@@ -596,12 +577,11 @@ TEST_F(BufferServiceTest, DetachTransfersPinAndManualUnpinReportsErrors) {
   }
 }
 
-// Thread-shaped satellite of the Detach test: racing pin/unpin on the SAME
-// frame through detach/manual-unpin and handle moves, while other threads
-// force eviction pressure on the rest of the shard. Invariant checked at
-// the end: every pin was released exactly once (the shard survives a full
-// eviction sweep).
-TEST_F(BufferServiceTest, ConcurrentDetachAndMoveRacesOnOneFrame) {
+// Thread-shaped satellite of the move test: racing pin/unpin on the SAME
+// frame through handle moves, while other threads force eviction pressure
+// on the rest of the shard. Invariant checked at the end: every pin was
+// released exactly once (the shard survives a full eviction sweep).
+TEST_F(BufferServiceTest, ConcurrentMovesRaceOnOneFrame) {
   BufferServiceConfig config;
   config.total_frames = 48;
   config.shard_count = 2;
@@ -614,27 +594,18 @@ TEST_F(BufferServiceTest, ConcurrentDetachAndMoveRacesOnOneFrame) {
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto& buffer = const_cast<core::BufferManager&>(
-          service.shard_buffer(service.ShardOf(hot)));
       uint64_t query = t * 1000000;
       for (size_t i = 0; i < kIters; ++i) {
         const core::AccessContext ctx{++query};
-        switch ((t + i) % 3) {
-          case 0: {  // detach + manual unpin (must always be kOk: we own it)
-            core::PageHandle handle = service.FetchOrDie(hot, ctx);
-            const core::FrameId frame = handle.Detach();
-            ASSERT_EQ(buffer.Unpin(frame, /*dirty=*/false),
-                      core::UnpinStatus::kOk);
-            break;
-          }
-          case 1: {  // move chain, single release at scope end
+        switch ((t + i) % 2) {
+          case 0: {  // move chain, single release at scope end
             core::PageHandle handle = service.FetchOrDie(hot, ctx);
             core::PageHandle moved = std::move(handle);
             core::PageHandle again = std::move(moved);
             ASSERT_EQ(again.page_id(), hot);
             break;
           }
-          case 2: {  // eviction pressure elsewhere in both shards
+          case 1: {  // eviction pressure elsewhere in both shards
             service
                 .FetchOrDie(static_cast<PageId>((t * 131 + i) % page_count),
                             ctx)
@@ -702,9 +673,8 @@ TEST_F(BufferServiceTest, HitEdgeDrainedAfterFinalUnpinLeavesFrameEvictable) {
   BufferService service(disk(), config);
   auto& buffer = const_cast<core::BufferManager&>(service.shard_buffer(0));
   const PageId page = 1;
-  core::PageHandle loaded = service.FetchOrDie(page, core::AccessContext{1});
-  const core::FrameId frame = loaded.Detach();
-  ASSERT_EQ(buffer.Unpin(frame, /*dirty=*/false), core::UnpinStatus::kOk);
+  service.FetchOrDie(page, core::AccessContext{1}).Release();
+  const core::FrameId frame = 0;  // the free list hands out frame 0 first
 
   std::barrier step(2);
   const auto run = [&](size_t me) {

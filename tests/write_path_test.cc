@@ -42,7 +42,6 @@ using core::AccessContext;
 using core::BufferManager;
 using core::EvictStatus;
 using core::PageHandle;
-using core::UnpinStatus;
 using storage::DiskManager;
 using storage::PageId;
 using storage::PageType;
@@ -221,34 +220,6 @@ TEST_F(WritePathTest, EvictReportsWriteBackFailure) {
   EXPECT_EQ(ReadPage(base, id)[0], std::byte{0xEE});
 }
 
-TEST_F(WritePathTest, UnpinDirtyOnQuarantinedFrameIsRefused) {
-  DiskManager base;
-  const PageId good = test::StagePage(base, PageType::kData, 0,
-                                      geom::Rect(0, 0, 1, 1));
-  const PageId bad = test::StagePage(base, PageType::kData, 0,
-                                     geom::Rect(0, 0, 2, 1));
-  storage::FaultProfile profile;
-  profile.bad_begin = bad;
-  profile.bad_end = bad + 1;
-  storage::FaultInjectingDevice faulty(base, profile);
-  auto buffer = MakeBuffer(faulty, 4);
-
-  ASSERT_FALSE(buffer->Fetch(bad, ctx_).ok());
-  ASSERT_EQ(buffer->quarantined_count(), 1u);
-
-  // A dirty unpin aimed at the quarantined frame must be refused without
-  // dirtying anything; probing every frame finds exactly one refusal.
-  size_t quarantined_refusals = 0;
-  for (core::FrameId f = 0; f < buffer->frame_count(); ++f) {
-    const UnpinStatus status = buffer->Unpin(f, /*dirty=*/true);
-    if (status == UnpinStatus::kQuarantined) ++quarantined_refusals;
-    EXPECT_NE(status, UnpinStatus::kOk) << "no frame holds a releasable pin";
-  }
-  EXPECT_EQ(quarantined_refusals, 1u);
-  EXPECT_EQ(buffer->dirty_count(), 0u);
-  (void)good;
-}
-
 TEST_F(WritePathTest, CheckpointMakesTheDeviceMatchTheCommittedState) {
   auto buffer = MakeBuffer(disk_, 4);
   buffer->AttachWal(&wal_);
@@ -297,63 +268,99 @@ TEST_F(WritePathTest, FlushAllCommitsBeforeWritingBack) {
 }
 
 // ---------------------------------------------------------------------------
-// Background write-back: harvest, flush, and eviction victim preference
+// Background write-back: FlushOldestDirty and eviction victim preference
 
 TEST_F(WritePathTest, HarvestSelectsLoggedUnpinnedDirtyOldestFirst) {
   auto buffer = MakeBuffer(disk_, 8);
   buffer->AttachWal(&wal_);
-  core::WritebackOptions writeback;
-  writeback.enabled = true;
-  buffer->ConfigureBackgroundWriteback(writeback);
+  buffer->EnableBackgroundWriteback(0.10);
 
-  // Page A: dirtied on the empty log (rec_lsn 1), then committed.
+  // Pages A and B start clean on the device, A with the lower page id.
   PageHandle a = buffer->NewOrDie(ctx_);
   const PageId id_a = a.page_id();
-  FillPage(a, 0x0A);
   a.Release();
-  ASSERT_TRUE(buffer->Commit(ctx_).ok());
-  // Page B: dirtied after that commit, so its rec_lsn is strictly younger.
   PageHandle b = buffer->NewOrDie(ctx_);
   const PageId id_b = b.page_id();
+  b.Release();
+  ASSERT_TRUE(buffer->Checkpoint(ctx_).ok());
+  ASSERT_LT(id_a, id_b);
+  // B is dirtied and committed first, so its rec_lsn is the older one: the
+  // order by age is the reverse of the order by page id.
+  b = buffer->FetchOrDie(id_b, ctx_);
   FillPage(b, 0x0B);
   b.Release();
   ASSERT_TRUE(buffer->Commit(ctx_).ok());
+  a = buffer->FetchOrDie(id_a, ctx_);
+  FillPage(a, 0x0A);
+  a.Release();
+  ASSERT_TRUE(buffer->Commit(ctx_).ok());
   // Page C: dirty but never committed (unlogged) AND still pinned — two
-  // independent reasons the harvest must pass it over.
+  // independent reasons the round must pass it over.
   PageHandle c = buffer->NewOrDie(ctx_);
   FillPage(c, 0x0C);
+  ASSERT_EQ(buffer->dirty_count(), 3u);
 
-  std::vector<core::DirtyCandidate> candidates;
-  EXPECT_EQ(buffer->HarvestFlushCandidates(1, &candidates), 1u)
-      << "the cap bounds one harvest round";
-  ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].page, id_a) << "oldest rec_lsn first";
-  candidates.clear();
-  ASSERT_EQ(buffer->HarvestFlushCandidates(8, &candidates), 2u);
-  EXPECT_EQ(candidates[0].page, id_a);
-  EXPECT_EQ(candidates[1].page, id_b);
-  EXPECT_EQ(candidates[0].rec_lsn, 1u)
-      << "rec_lsn is stamped 1-based off the empty log and kept across a "
-         "commit";
-  EXPECT_LT(candidates[0].rec_lsn, candidates[1].rec_lsn);
-
-  const core::StatusOr<size_t> flushed =
-      buffer->FlushFrames(candidates, ctx_);
+  core::StatusOr<size_t> flushed = buffer->FlushOldestDirty(1, ctx_);
   ASSERT_TRUE(flushed.ok());
-  EXPECT_EQ(*flushed, 2u);
-  EXPECT_EQ(buffer->dirty_count(), 1u) << "only the pinned page stays dirty";
-  EXPECT_EQ(buffer->dirty_frame_count(), 1u) << "the O(1) census agrees";
+  EXPECT_EQ(*flushed, 1u) << "the cap bounds one round";
+  EXPECT_EQ(ReadPage(disk_, id_b)[0], std::byte{0x0B})
+      << "oldest rec_lsn first";
+  EXPECT_EQ(ReadPage(disk_, id_a)[0], std::byte{0x00})
+      << "the younger page waits for the next round";
+  flushed = buffer->FlushOldestDirty(8, ctx_);
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_EQ(*flushed, 1u) << "the next round writes the second page";
   EXPECT_EQ(ReadPage(disk_, id_a)[0], std::byte{0x0A});
-  EXPECT_EQ(ReadPage(disk_, id_b)[0], std::byte{0x0B});
+  EXPECT_EQ(buffer->dirty_count(), 1u)
+      << "only the pinned, unlogged page stays dirty";
   EXPECT_EQ(buffer->stats().sync_writeback_fallbacks, 0u)
       << "background flushing is not a fallback";
   EXPECT_EQ(wal_.stats().forced_steals, 0u)
-      << "harvesting logged-only frames never steals";
+      << "writing logged-only frames never steals";
 
-  // A re-harvest finds nothing: the flushed frames are clean, C is pinned.
-  candidates.clear();
-  EXPECT_EQ(buffer->HarvestFlushCandidates(8, &candidates), 0u);
+  // A further round finds nothing: the written frames are clean, C is
+  // pinned and unlogged.
+  flushed = buffer->FlushOldestDirty(8, ctx_);
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_EQ(*flushed, 0u);
   c.Release();
+}
+
+TEST_F(WritePathTest, FlushOldestDirtyIdlesUnlessAboveTheLowWatermark) {
+  auto buffer = MakeBuffer(disk_, 8);
+  buffer->AttachWal(&wal_);
+  std::vector<PageId> ids;
+  const auto dirty_and_commit = [&](uint8_t fill) {
+    PageHandle page = buffer->NewOrDie(ctx_);
+    ids.push_back(page.page_id());
+    FillPage(page, fill);
+    page.Release();
+    ASSERT_TRUE(buffer->Commit(ctx_).ok());
+  };
+
+  dirty_and_commit(0x21);
+  core::StatusOr<size_t> flushed = buffer->FlushOldestDirty(8, ctx_);
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_EQ(*flushed, 0u) << "background write-back is off";
+
+  buffer->EnableBackgroundWriteback(0.25);
+  flushed = buffer->FlushOldestDirty(8, ctx_);
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_EQ(*flushed, 0u) << "1 of 8 frames dirty: below the low watermark";
+  dirty_and_commit(0x22);
+  flushed = buffer->FlushOldestDirty(8, ctx_);
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_EQ(*flushed, 0u) << "2 of 8 frames dirty: at the low watermark";
+  EXPECT_EQ(buffer->dirty_count(), 2u);
+
+  dirty_and_commit(0x23);
+  flushed = buffer->FlushOldestDirty(8, ctx_);
+  ASSERT_TRUE(flushed.ok());
+  EXPECT_EQ(*flushed, 3u) << "3 of 8 frames dirty: above it, all go";
+  EXPECT_EQ(buffer->dirty_count(), 0u);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ReadPage(disk_, ids[i])[0], std::byte(0x21 + i));
+  }
 }
 
 TEST_F(WritePathTest, EvictionPrefersCleanVictimsUnderTheHighWatermark) {
@@ -372,9 +379,7 @@ TEST_F(WritePathTest, EvictionPrefersCleanVictimsUnderTheHighWatermark) {
   wal::WalManager wal(&log);
   auto buffer = MakeBuffer(base, 4);
   buffer->AttachWal(&wal);
-  core::WritebackOptions writeback;
-  writeback.enabled = true;
-  buffer->ConfigureBackgroundWriteback(writeback);
+  buffer->EnableBackgroundWriteback(0.10);
 
   PageHandle dirty_a = buffer->NewOrDie(ctx_);
   const PageId id_a = dirty_a.page_id();
@@ -407,9 +412,7 @@ TEST_F(WritePathTest, SyncWritebackFallbackIsCountedPastTheHighWatermark) {
   wal::WalManager wal(&log);
   auto buffer = MakeBuffer(base, 4);
   buffer->AttachWal(&wal);
-  core::WritebackOptions writeback;
-  writeback.enabled = true;
-  buffer->ConfigureBackgroundWriteback(writeback);
+  buffer->EnableBackgroundWriteback(0.10);
 
   // Three of four frames dirty: past the 0.5 high watermark, so eviction
   // stops preferring clean victims and writes back in the foreground —
@@ -909,8 +912,6 @@ TEST(DegradedServiceTest, PersistentWriteFaultsQuarantineBackoffSaturate) {
   config.fault_profile.seed = 91;
   config.fault_profile.write_transient_prob = 1.0;
   config.flusher_threads = 1;
-  config.flusher_batch_pages = 4;
-  config.resilience.max_write_retries = 1;  // keep each failing round cheap
   svc::BufferService service(&disk, &wal, config);
   const AccessContext ctx{3};
 
